@@ -18,8 +18,6 @@ from .series import (
     euler_factor,
     load_series,
     pentagonal_product,
-    series_div,
-    series_mul,
 )
 from .partitions import (
     NotDistinctError,

@@ -8,10 +8,7 @@ them in index order, so it never changes an emitted number.  Exit status is
 0 exactly when everything requested passed.
 
 Big integers in JSON output are serialized as decimal strings (coefficients
-overflow 64-bit machinery long before the default truncations).  If
-CRANK_PARITY_CACHE_DIR is set, expensive series are persisted there in the
-debug dump format (one "exponent<TAB>coefficient" line per exponent) and
-reused across runs.
+overflow 64-bit machinery long before the default truncations).
 """
 
 from __future__ import annotations
@@ -19,13 +16,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import circle, cranks, distinct, fivetower, partitions
-from .series import IntLaurentSeries, TruncationError, dump_series, load_series
+from .series import TruncationError, dump_series
 
 SCHEMA = "crank-parity/1"
 
@@ -62,22 +58,6 @@ class RunConfig:
         if self.terms is not None:
             return self.terms
         return _CHECK_DEFAULT_TERMS.get(check, 2000)
-
-
-def _crank_series(trunc: int) -> IntLaurentSeries:
-    """Crank-parity series, going through the on-disk cache if configured."""
-    cache_dir = os.environ.get("CRANK_PARITY_CACHE_DIR")
-    if cache_dir:
-        path = os.path.join(cache_dir, f"crank_parity.{trunc}.tsv")
-        if os.path.exists(path):
-            with open(path, "r", encoding="ascii") as fp:
-                return load_series(fp)
-        series = cranks.crank_parity_series(trunc)
-        os.makedirs(cache_dir, exist_ok=True)
-        with open(path, "w", encoding="ascii") as fp:
-            dump_series(series, fp)
-        return series
-    return cranks.crank_parity_series(trunc)
 
 
 def _emit(payload: dict, rows: list[dict], columns: list[str],
@@ -117,7 +97,7 @@ def cmd_coeffs(args, config: RunConfig) -> int:
             f"coeffs: oracle sweep capped at {config.oracle_max}; raise "
             "--oracle-max (hard limit 90)")
 
-    series = _crank_series(max(terms, n_hi + 1)) \
+    series = cranks.crank_parity_series(max(terms, n_hi + 1)) \
         if source in ("series", "both") else None
     rows = []
     for n in range(n_lo, n_hi + 1):
@@ -146,8 +126,7 @@ def _verify_family(args, config: RunConfig) -> dict:
     alpha = args.alpha
     n_max = args.n_max if args.n_max is not None else \
         config.check_terms("family")
-    report = cranks.verify_family_congruence(
-        alpha, n_max, series=_crank_series(n_max + 1))
+    report = cranks.verify_family_congruence(alpha, n_max)
     return {
         "check": "family",
         "passed": report.passed,
@@ -158,9 +137,21 @@ def _verify_family(args, config: RunConfig) -> dict:
     }
 
 
-def _verify_simple(name: str, fn, terms: int) -> dict:
-    ok = fn(terms)
-    return {"check": name, "passed": bool(ok), "count": terms,
+# One call on the truncation each; plain dict values looked up at call time,
+# so a tracer that rebinds module globals and dict values reaches them.
+_SIMPLE_CHECKS = {
+    "ramatype": cranks.subsequence_5n4_check,
+    "chan": cranks.chan_expansion_check,
+    "combproof": cranks.run_weight_identity_check,
+    "informative": distinct.gf_identity_check,
+    "watson-whipple": distinct.watson_whipple_check,
+}
+
+
+def _verify_simple(args, config: RunConfig) -> dict:
+    terms = config.check_terms(args.check)
+    ok = _SIMPLE_CHECKS[args.check](terms)
+    return {"check": args.check, "passed": bool(ok), "count": terms,
             "first_counterexample": None if ok else "see check definition"}
 
 
@@ -206,7 +197,7 @@ def _verify_adh(args, config: RunConfig) -> dict:
 def _verify_weighted(args, config: RunConfig) -> dict:
     n_max = min(args.n_max if args.n_max is not None else 40,
                 config.oracle_max)
-    series = _crank_series(n_max + 1)
+    series = cranks.crank_parity_series(n_max + 1)
     bad = []
     for n in range(1, n_max + 1):
         total, total1 = partitions.omega_totals(n)
@@ -217,37 +208,22 @@ def _verify_weighted(args, config: RunConfig) -> dict:
             "first_counterexample": bad[0] if bad else None}
 
 
-def cmd_verify(args, config: RunConfig) -> int:
-    check = args.check
-    if check == "family":
-        result = _verify_family(args, config)
-    elif check == "ramatype":
-        result = _verify_simple("ramatype", cranks.subsequence_5n4_check,
-                                config.check_terms("ramatype"))
-    elif check == "chan":
-        result = _verify_simple("chan", cranks.chan_expansion_check,
-                                config.check_terms("chan"))
-    elif check == "combproof":
-        result = _verify_simple("combproof", cranks.run_weight_identity_check,
-                                config.check_terms("combproof"))
-    elif check == "ladder":
-        result = _verify_ladder(args, config)
-    elif check == "claimL":
-        result = _verify_claim_l(args, config)
-    elif check == "informative":
-        result = _verify_simple("informative", distinct.gf_identity_check,
-                                config.check_terms("informative"))
-    elif check == "watson-whipple":
-        result = _verify_simple("watson-whipple",
-                                distinct.watson_whipple_check,
-                                config.check_terms("watson-whipple"))
-    elif check == "adh":
-        result = _verify_adh(args, config)
-    elif check == "weighted":
-        result = _verify_weighted(args, config)
-    else:  # pragma: no cover - argparse restricts choices
-        raise SystemExit(f"unknown check {check}")
+_VERIFY_HANDLERS = {
+    "family": _verify_family,
+    "ramatype": _verify_simple,
+    "chan": _verify_simple,
+    "combproof": _verify_simple,
+    "ladder": _verify_ladder,
+    "claimL": _verify_claim_l,
+    "informative": _verify_simple,
+    "watson-whipple": _verify_simple,
+    "adh": _verify_adh,
+    "weighted": _verify_weighted,
+}
 
+
+def cmd_verify(args, config: RunConfig) -> int:
+    result = _VERIFY_HANDLERS[args.check](args, config)
     if config.output == "json":
         print(json.dumps({"schema": SCHEMA, **result}, default=str, indent=2))
     elif config.output == "csv":
@@ -277,7 +253,7 @@ def cmd_asymptotic(args, config: RunConfig) -> int:
     n_lo, n_hi = args.n_lo, args.n_hi
     if n_lo < 1 or n_hi < n_lo:
         raise SystemExit("asymptotic: need 1 <= N_LO <= N_HI")
-    series = _crank_series(n_hi + 1)
+    series = cranks.crank_parity_series(n_hi + 1)
     jobs = [(n, series.coeff(n), config.precision_bits)
             for n in range(n_lo, n_hi + 1)]
     if config.parallel and len(jobs) > 1:
@@ -340,8 +316,8 @@ def cmd_distinct(args, config: RunConfig) -> int:
 
 def cmd_ladder(args, config: RunConfig) -> int:
     alpha_max = args.alpha_max if args.alpha_max is not None else 2
-    imax = args.imax
-    a_rows, b_rows = fivetower.compute_transfer_matrices(imax)
+    a_rows = fivetower.u_matrix_rows(args.imax)
+    b_rows = fivetower.v_matrix_rows(args.imax)
     states = fivetower.ladder(alpha_max)
 
     def encode_rows(rows):
@@ -380,7 +356,7 @@ def cmd_ladder(args, config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 _SERIES_BUILDERS = {
-    "crank": lambda t: _crank_series(t),
+    "crank": cranks.crank_parity_series,
     "rank": cranks.rank_parity_series,
     "partition": cranks.partition_series,
     "hauptmodul": fivetower.hauptmodul,
@@ -426,10 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_coeffs)
 
     p = sub.add_parser("verify", help="run one named verification sweep")
-    p.add_argument("check", choices=("family", "ramatype", "chan",
-                                     "combproof", "ladder", "claimL",
-                                     "informative", "watson-whipple", "adh",
-                                     "weighted"))
+    p.add_argument("check", choices=tuple(_VERIFY_HANDLERS))
     p.add_argument("--alpha", type=int, default=0,
                    help="congruence level (family, claimL)")
     p.add_argument("--alpha-max", type=int, default=None,

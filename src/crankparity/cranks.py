@@ -33,10 +33,9 @@ from .series import (
     IntLaurentSeries,
     TruncationError,
     euler_factor,
+    memo,
     pentagonal_product,
 )
-
-_cache: dict[str, IntLaurentSeries] = {}
 
 
 def _binomial(exponent: int, coeff: int, trunc: int) -> IntLaurentSeries:
@@ -48,18 +47,10 @@ def _binomial(exponent: int, coeff: int, trunc: int) -> IntLaurentSeries:
     return IntLaurentSeries.from_terms(terms, trunc)
 
 
-def _cached(name: str, trunc: int, build) -> IntLaurentSeries:
-    cur = _cache.get(name)
-    if cur is None or cur.trunc < trunc:
-        cur = build(trunc)
-        _cache[name] = cur
-    return cur.truncate(trunc) if cur.trunc > trunc else cur
-
-
 def partition_series(trunc: int) -> IntLaurentSeries:
     """1/(q;q)_inf, the partition generating function."""
-    return _cached("partition", trunc,
-                   lambda t: pentagonal_product(1, t).reciprocal())
+    return memo("partition", trunc,
+                lambda t: pentagonal_product(1, t).reciprocal())
 
 
 def crank_parity_series(trunc: int) -> IntLaurentSeries:
@@ -79,7 +70,7 @@ def crank_parity_series(trunc: int) -> IntLaurentSeries:
                 "is broken")
         return by_products
 
-    return _cached("crank_parity", trunc, build)
+    return memo("crank_parity", trunc, build)
 
 
 def rank_parity_series(trunc: int) -> IntLaurentSeries:
@@ -109,7 +100,7 @@ def rank_parity_series(trunc: int) -> IntLaurentSeries:
                 "rank-parity series disagrees with Watson's expansion")
         return total
 
-    return _cached("rank_parity", trunc, build)
+    return memo("rank_parity", trunc, build)
 
 
 # ---------------------------------------------------------------------------

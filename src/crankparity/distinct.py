@@ -32,9 +32,7 @@ from functools import lru_cache
 from typing import Mapping
 
 from .partitions import distinct_rank_parity
-from .series import IntLaurentSeries, pentagonal_product
-
-_cache: dict[str, IntLaurentSeries] = {}
+from .series import IntLaurentSeries, memo, pentagonal_product
 
 
 class BootstrapNeededError(LookupError):
@@ -180,11 +178,8 @@ def _second_sum(trunc: int) -> IntLaurentSeries:
 
 def distinct_crank_series(trunc: int) -> IntLaurentSeries:
     """sum_n (M_e(D,n) - M_o(D,n)) q^n as the two-sum generating function."""
-    cur = _cache.get("distinct_crank")
-    if cur is None or cur.trunc < trunc:
-        cur = _first_sum(trunc) + _second_sum(trunc)
-        _cache["distinct_crank"] = cur
-    return cur.truncate(trunc) if cur.trunc > trunc else cur
+    return memo("distinct_crank", trunc,
+                lambda t: _first_sum(t) + _second_sum(t))
 
 
 def floor_part_series(trunc: int) -> IntLaurentSeries:

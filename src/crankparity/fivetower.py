@@ -38,6 +38,7 @@ from .series import (
     IntLaurentSeries,
     apply_U,
     eta_quotient,
+    memo,
     pentagonal_product,
 )
 
@@ -62,31 +63,24 @@ NEWTON_QUOTIENT_SPEC = EtaQuotientSpec(((1, 1), (2, -2), (50, 2), (25, -1)))
 
 COEFFICIENT_CEILING = 10 ** 6
 
-_cache: dict[str, IntLaurentSeries] = {}
-
-
-def _cached(name: str, spec: EtaQuotientSpec, trunc: int) -> IntLaurentSeries:
-    cur = _cache.get(name)
-    if cur is None or cur.trunc < trunc:
-        cur = eta_quotient(spec, trunc)
-        _cache[name] = cur
-    return cur.truncate(trunc) if cur.trunc > trunc else cur
-
 
 def ladder_multiplier(trunc: int) -> IntLaurentSeries:
     """The level-50 quotient multiplying odd ladder steps; q + O(q^2)."""
-    return _cached("multiplier", LADDER_MULTIPLIER_SPEC, trunc)
+    return memo("ladder_multiplier", trunc,
+                lambda t: eta_quotient(LADDER_MULTIPLIER_SPEC, t))
 
 
 def hauptmodul(trunc: int) -> IntLaurentSeries:
     """The level-10 hauptmodul G; q + O(q^2)."""
-    return _cached("hauptmodul", HAUPTMODUL_SPEC, trunc)
+    return memo("hauptmodul", trunc,
+                lambda t: eta_quotient(HAUPTMODUL_SPEC, t))
 
 
 def newton_quotient(trunc: int) -> IntLaurentSeries:
     """The auxiliary quotient phi whose powers feed Newton's identities;
     q^3 + O(q^4)."""
-    return _cached("newton", NEWTON_QUOTIENT_SPEC, trunc)
+    return memo("newton_quotient", trunc,
+                lambda t: eta_quotient(NEWTON_QUOTIENT_SPEC, t))
 
 
 def newton_power_u5(mu: int, order: int) -> IntLaurentSeries:
@@ -287,11 +281,6 @@ def _v_rows_partial(row_max: int, jmax: int) -> dict[int, dict[int, int]]:
                                     0, jmax, exact=False)
         rows[i] = poly.as_dict()
     return rows
-
-
-def compute_transfer_matrices(imax: int) -> tuple[dict, dict]:
-    """(A, B) as row dicts {i: {j: entry}} for 1 <= i <= imax."""
-    return u_matrix_rows(imax), v_matrix_rows(imax)
 
 
 def _vec_mat(vec: dict[int, int], rows: dict[int, dict[int, int]]

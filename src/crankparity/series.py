@@ -22,6 +22,10 @@ and Newton-iteration reciprocals fast enough for the big coefficient sweeps.
 
 from __future__ import annotations
 
+import io
+import os
+import sys
+import tempfile
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, TextIO
 
@@ -483,17 +487,6 @@ class IntLaurentSeries:
 # module-level operations
 # ---------------------------------------------------------------------------
 
-def series_mul(x: IntLaurentSeries, y: IntLaurentSeries) -> IntLaurentSeries:
-    """Exact Cauchy product (same as ``x * y``)."""
-    return x * y
-
-
-def series_div(x: IntLaurentSeries, y: IntLaurentSeries) -> IntLaurentSeries:
-    """Exact quotient (same as ``x / y``); the divisor must have a unit
-    leading coefficient or divide exactly at every step."""
-    return x / y
-
-
 def euler_factor(a: int, b: int, trunc: int) -> IntLaurentSeries:
     """The truncated Euler product prod_{k >= 0, a+bk < trunc} (1 - q^(a+bk)).
 
@@ -625,3 +618,63 @@ def load_series(fp: TextIO) -> IntLaurentSeries:
     if exps != list(range(exps[0], exps[0] + len(exps))):
         raise ValueError("series dump must cover a contiguous exponent range")
     return IntLaurentSeries(exps[0], [c for _, c in pairs], exps[-1] + 1)
+
+
+_memo: dict[str, IntLaurentSeries] = {}
+
+
+def memo(name: str, trunc: int, build) -> IntLaurentSeries:
+    """``build(trunc)``, keeping the longest series built under ``name`` to
+    serve shorter requests by truncation.
+
+    With CRANK_PARITY_CACHE_DIR set, the series also persists there as
+    ``<name>.<trunc>.tsv``: the dump format, then a trailer line with
+    ``trunc`` and the sha256 of the lines above it, written under a temporary
+    name and renamed into place.  A file whose trailer does not match is
+    named in one line on stderr, rebuilt and rewritten.
+    """
+    cache_dir = os.environ.get("CRANK_PARITY_CACHE_DIR")
+    path = cache_dir and os.path.join(cache_dir, f"{name}.{trunc}.tsv")
+    cur = _memo.get(name)
+    if cur is None or cur.trunc < trunc:
+        found = path and os.path.exists(path) and _load_checked(path, trunc)
+        cur = _memo[name] = found or build(trunc)
+    if cur.trunc > trunc:
+        cur = cur.truncate(trunc)
+    if path and not os.path.exists(path):
+        _store(path, cur)
+    return cur
+
+
+def _trailer(trunc: int, body: bytes) -> bytes:
+    import hashlib  # not at import time: it maps OpenSSL, ~4 MB of RSS
+    digest = hashlib.sha256(body).hexdigest()
+    return f"# trunc={trunc} sha256={digest}\n".encode("ascii")
+
+
+def _store(path: str, x: IntLaurentSeries) -> None:
+    buf = io.StringIO()
+    dump_series(x, buf)
+    body = buf.getvalue().encode("ascii")
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fp:
+            fp.write(body + _trailer(x.trunc, body))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _load_checked(path: str, trunc: int) -> IntLaurentSeries | None:
+    """The series at ``path``, or None (and no file) if its trailer fails."""
+    with open(path, "rb") as fp:
+        data = fp.read()
+    cut = data.rfind(b"\n", 0, len(data) - 1) + 1
+    if data[cut:] == _trailer(trunc, data[:cut]):
+        return load_series(io.StringIO(data[:cut].decode("ascii")))
+    print(f"crank-parity: cache file {path} failed its check; rebuilding",
+          file=sys.stderr)
+    os.unlink(path)
+    return None

@@ -1,10 +1,17 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import crankparity
 from crankparity.cli import RunConfig, main
+
+SRC = str(Path(crankparity.__file__).resolve().parent.parent)
 
 
 def run_cli(capsys, *argv):
@@ -163,3 +170,25 @@ class TestDumpSeries:
         _, second = run_cli(capsys, "--terms", "40", "coeffs", "2", "6",
                             "--source", "series")
         assert first == second
+
+    def test_cut_cache_file_is_rebuilt(self, tmp_path):
+        # a later run, in its own process, meets a file cut short by a crash
+        env = {k: v for k, v in os.environ.items()
+               if not k.startswith(("PYTHON", "CRANK_PARITY_"))}
+        env.update(PYTHONPATH=SRC, CRANK_PARITY_CACHE_DIR=str(tmp_path))
+
+        def run():
+            return subprocess.run(
+                [sys.executable, "-m", "crankparity", "--terms", "40",
+                 "coeffs", "37", "39", "--source", "series"],
+                env=env, capture_output=True, text=True, timeout=120)
+
+        cold = run()
+        path = tmp_path / "crank_parity.40.tsv"
+        good = path.read_bytes()
+        path.write_bytes(good[:-3])
+        warm = run()
+        assert (warm.returncode, warm.stdout) == (0, cold.stdout)
+        assert warm.stdout.splitlines()[-1].split() == ["39", "-235"]
+        assert warm.stderr.count("\n") == 1 and str(path) in warm.stderr
+        assert path.read_bytes() == good

@@ -4,7 +4,6 @@ from crankparity.fivetower import (
     BudgetExceededError,
     HauptmodulPoly,
     NotHauptmodulPolynomialError,
-    compute_transfer_matrices,
     five_adic,
     hauptmodul,
     ladder,
@@ -18,6 +17,7 @@ from crankparity.fivetower import (
     reduce_to_hauptmodul,
     required_multiplier_trunc,
     u_matrix_rows,
+    v_matrix_rows,
 )
 from crankparity.series import apply_U
 
@@ -121,7 +121,7 @@ class TestNewtonSigmas:
 
 class TestTransferMatrices:
     def test_row_one_against_keystone(self):
-        a_rows, b_rows = compute_transfer_matrices(2)
+        a_rows, b_rows = u_matrix_rows(2), v_matrix_rows(2)
         # L_1 = 5G means the V-image of the constant is (5,0,0,...); row 1
         # of A is the image of G itself
         image = apply_U(5, hauptmodul(301))
@@ -130,13 +130,13 @@ class TestTransferMatrices:
         assert max(b_rows[1]) <= 6
 
     def test_degrees_and_no_constants(self):
-        a_rows, b_rows = compute_transfer_matrices(6)
+        a_rows, b_rows = u_matrix_rows(6), v_matrix_rows(6)
         for i in range(1, 7):
             assert 0 not in a_rows[i] and max(a_rows[i]) <= 5 * i
             assert 0 not in b_rows[i] and max(b_rows[i]) <= 5 * i + 1
 
     def test_valuation_lower_bounds(self):
-        a_rows, b_rows = compute_transfer_matrices(6)
+        a_rows, b_rows = u_matrix_rows(6), v_matrix_rows(6)
         for rows in (a_rows, b_rows):
             for i, row in rows.items():
                 for j, c in row.items():

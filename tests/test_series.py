@@ -1,3 +1,5 @@
+import math
+import os
 import random
 
 import pytest
@@ -13,9 +15,8 @@ from crankparity.series import (
     eta_quotient,
     euler_factor,
     load_series,
+    memo,
     pentagonal_product,
-    series_div,
-    series_mul,
 )
 
 F_SPEC = EtaQuotientSpec(((1, 3), (2, -2), (50, 2), (25, -3)))
@@ -74,7 +75,7 @@ class TestMul:
     def test_laurent_times_monomial(self):
         x = IntLaurentSeries.from_terms({-1: 1, 0: 2}, 1)
         q = IntLaurentSeries.monomial(1, 1, 5)
-        z = series_mul(x, q)
+        z = x * q
         assert z.offset == 0
         assert coeffs_of(z, 0, 2) == [1, 2]
 
@@ -98,7 +99,7 @@ class TestMul:
 class TestDiv:
     def test_geometric(self):
         one = IntLaurentSeries.one(4)
-        z = series_div(one, IntLaurentSeries.from_terms({0: 1, 1: -1}, 4))
+        z = one / IntLaurentSeries.from_terms({0: 1, 1: -1}, 4)
         assert coeffs_of(z, 0, 4) == [1, 1, 1, 1]
 
     def test_telescoping(self):
@@ -143,8 +144,25 @@ class TestDiv:
 
 class TestMulKernels:
     def test_kronecker_matches_schoolbook(self):
-        from crankparity.series import _conv_kronecker, _conv_schoolbook
+        from crankparity.series import (
+            _SCHOOLBOOK_CUTOFF,
+            _SPARSE_NNZ,
+            _conv,
+            _conv_kronecker,
+            _conv_schoolbook,
+            _conv_sparse,
+        )
         rng = random.Random(0x12AB)
+
+        def operand(length, scale, nnz=None):
+            xs = [rng.randint(-9 * scale, 9 * scale) for _ in range(length)]
+            xs[rng.randrange(length)] = rng.choice((-1, 1)) * 9 * scale
+            if nnz is not None:
+                keep = set(rng.sample(range(length), nnz))
+                xs = [x or 1 if i in keep else 0 for i, x in enumerate(xs)]
+            return xs
+
+        cases = []
         for _ in range(20):
             la = rng.randint(1, 300)
             lb = rng.randint(1, 300)
@@ -153,8 +171,24 @@ class TestMulKernels:
             b = [rng.randint(-9 * scale, 9 * scale) for _ in range(lb)]
             a[rng.randrange(la)] = rng.choice((-1, 1)) * 9 * scale
             rlen = rng.randint(1, la + lb - 1)
-            assert _conv_kronecker(a[:rlen], b[:rlen], rlen) \
-                == _conv_schoolbook(a[:rlen], b[:rlen], rlen)
+            cases.append((a[:rlen], b[:rlen], rlen))
+        # _conv's kernel choice: len(a)*len(b) at and just past the
+        # schoolbook cutoff, then a sparse factor on either side with
+        # nonzero counts at and just past the sparse threshold
+        side = math.isqrt(_SCHOOLBOOK_CUTOFF)
+        for la, lb in ((side, side), (side, side + 1)):
+            cases.append((operand(la, 10 ** 20), operand(lb, 10 ** 20),
+                          la + lb - 1))
+        for nnz in (_SPARSE_NNZ, _SPARSE_NNZ + 1):
+            sparse, dense = operand(400, 10 ** 30, nnz), operand(300, 10 ** 5)
+            cases.append((sparse, dense, 699))
+            cases.append((dense, sparse, 500))
+        for a, b, rlen in cases:
+            want = _conv_schoolbook(a, b, rlen)
+            terms = [(i, x) for i, x in enumerate(a) if x]
+            assert _conv_kronecker(a, b, rlen) == want
+            assert _conv_sparse(terms, b, rlen) == want
+            assert _conv(a, b, rlen) == want
 
     def test_big_series_product_consistency(self):
         # repeated multiplication vs binary powering vs Newton reciprocal,
@@ -272,3 +306,53 @@ class TestDump:
         assert y.eq_to_order(x, x.trunc)
         first = path.read_text().splitlines()[0]
         assert first == f"{x.offset}\t{x.coeff(x.offset)}"
+
+
+class TestMemo:
+    def test_grows_and_serves_shorter_requests(self, monkeypatch):
+        monkeypatch.delenv("CRANK_PARITY_CACHE_DIR", raising=False)
+        monkeypatch.setattr("crankparity.series._memo", {})
+        built = []
+
+        def build(t):
+            built.append(t)
+            return eta_quotient(G_SPEC, t)
+
+        assert memo("g", 30, build).eq_to_order(eta_quotient(G_SPEC, 30), 30)
+        assert memo("g", 10, build).trunc == 10
+        assert memo("g", 40, build).trunc == 40
+        assert built == [30, 40]
+
+    def test_disk_layer_checks_what_it_loads(self, tmp_path, monkeypatch,
+                                             capsys):
+        monkeypatch.setenv("CRANK_PARITY_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr("crankparity.series._memo", {})
+        from crankparity import series
+        want = eta_quotient(G_SPEC ** -1, 25)  # negative offset
+        built = []
+
+        def build(t):
+            built.append(t)
+            return eta_quotient(G_SPEC ** -1, t)
+
+        def cold(t):
+            series._memo.clear()  # as a fresh process would start
+            return memo("test-memo-disk", t, build)
+
+        assert cold(25).eq_to_order(want, 25) and built == [25]
+        path = tmp_path / "test-memo-disk.25.tsv"
+        good = path.read_bytes()
+        assert cold(25).eq_to_order(want, 25) and built == [25]
+        assert capsys.readouterr().err == ""
+        assert sorted(os.listdir(tmp_path)) == [path.name]
+
+        flipped = good.replace(b"\t-", b"\t", 1)  # trailer intact
+        assert flipped != good
+        old_format = good[:good.rindex(b"#")]  # written before the trailer
+        for damaged in (good[:-3], flipped, old_format):
+            path.write_bytes(damaged)
+            assert cold(25).eq_to_order(want, 25)
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and str(path) in err
+            assert path.read_bytes() == good
+        assert built == [25] * 4
