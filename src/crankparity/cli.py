@@ -176,9 +176,8 @@ def _verify_ladder(args, config: RunConfig) -> dict:
 
 
 def _verify_claim_l(args, config: RunConfig) -> dict:
-    alpha = args.alpha if args.alpha is not None else 1
     terms = config.check_terms("claimL")
-    ok = fivetower.ladder_subsequence_check(alpha, terms)
+    ok = fivetower.ladder_subsequence_check(args.alpha, terms)
     return {"check": "claimL", "passed": bool(ok), "count": terms,
             "first_counterexample": None}
 
@@ -260,7 +259,9 @@ def cmd_asymptotic(args, config: RunConfig) -> int:
         try:
             with ProcessPoolExecutor() as pool:
                 reports = list(pool.map(_asymptotic_worker, jobs))
-        except OSError:
+        except OSError as exc:
+            print(f"crank-parity: no worker processes ({exc}); running "
+                  "sequentially", file=sys.stderr)
             reports = [_asymptotic_worker(job) for job in jobs]
     else:
         reports = [_asymptotic_worker(job) for job in jobs]
@@ -404,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run one named verification sweep")
     p.add_argument("check", choices=tuple(_VERIFY_HANDLERS))
     p.add_argument("--alpha", type=int, default=0,
-                   help="congruence level (family, claimL)")
+                   help="congruence level (family, claimL; default 0)")
     p.add_argument("--alpha-max", type=int, default=None,
                    help="ladder depth (ladder)")
     p.add_argument("--n-max", type=int, default=None,

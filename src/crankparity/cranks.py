@@ -20,9 +20,10 @@ The rank analogue  sum_n (N_e(n) - N_o(n)) q^n  =  sum_n q^(n^2)/(-q;q)_n^2
 (a third-order mock theta function) is cross-computed against Watson's
 expansion 1/(q;q)_inf (1 + 4 sum_k (-1)^k q^(k(3k+1)/2) / (1+q^k)).
 
-Infinite sums are truncated by lowest-exponent analysis (the exponents grow
-triangularly or pentagonally), never by a fixed summand count, so every
-reported coefficient is exact.
+Every infinite sum here goes through ``series.q_sum``, which stops at the
+first summand whose lowest exponent reaches the truncation (the exponents
+grow quadratically), never after a fixed summand count, so every reported
+coefficient is exact.
 """
 
 from __future__ import annotations
@@ -35,16 +36,8 @@ from .series import (
     euler_factor,
     memo,
     pentagonal_product,
+    q_sum,
 )
-
-
-def _binomial(exponent: int, coeff: int, trunc: int) -> IntLaurentSeries:
-    """1 + coeff * q^exponent, collapsing to 1 when the term lies at or
-    beyond the truncation window."""
-    terms = {0: 1}
-    if exponent < trunc:
-        terms[exponent] = coeff
-    return IntLaurentSeries.from_terms(terms, trunc)
 
 
 def partition_series(trunc: int) -> IntLaurentSeries:
@@ -76,25 +69,15 @@ def crank_parity_series(trunc: int) -> IntLaurentSeries:
 def rank_parity_series(trunc: int) -> IntLaurentSeries:
     """sum_n q^(n^2)/(-q;q)_n^2, cross-checked against Watson's form."""
     def build(t: int) -> IntLaurentSeries:
-        total = IntLaurentSeries.zero(t)
-        denom_inv = IntLaurentSeries.one(t)  # 1/(-q;q)_n^2, running
-        n = 0
-        while n * n < t:
-            if n:
-                step = _binomial(n, 1, t)
-                denom_inv = denom_inv / step / step
-            total = total + denom_inv.shift(n * n).truncate(t)
-            n += 1
+        total = q_sum(t, lambda n: (1, n * n, [(n, 1, -2)] if n else [], []))
 
-        pent = pentagonal_product(1, t)
-        inner = IntLaurentSeries.one(t)
-        k = 1
-        while k * (3 * k + 1) // 2 < t:
-            sign = -1 if k % 2 else 1
-            term = IntLaurentSeries.monomial(k * (3 * k + 1) // 2, 4 * sign, t)
-            inner = inner + term / _binomial(k, 1, t)
-            k += 1
-        watson = inner / pent
+        def watson_term(k):
+            if k == 0:
+                return 1, 0, [], []
+            return 4 * (-1) ** k, k * (3 * k + 1) // 2, [], [(k, 1, -1)]
+
+        watson = q_sum(t, watson_term,
+                       base=pentagonal_product(1, t).reciprocal())
         if not total.eq_to_order(watson, t):
             raise AssertionError(
                 "rank-parity series disagrees with Watson's expansion")
@@ -188,52 +171,34 @@ def chan_expansion_check(terms: int) -> bool:
             + 4 sum_{n>=1} (-1)^n q^(n(n+1)/2)
               / [ (q;q)_{n-1} (1 - q^{2n}) (q^{n+1};q)_inf ]
 
-    as exact series up to q^terms.  The n-th summand starts at q^(n(n+1)/2),
-    so only triangularly many summands contribute.
+    as exact series up to q^terms.  The running product is
+    1/[(q;q)_{n-1} (q^{n+1};q)_inf], from 1/(q;q)_inf at n = 0; the n-th
+    summand starts at q^(n(n+1)/2), so only triangularly many contribute.
     """
+    def term(n):
+        if n == 0:
+            return 1, 0, [], []
+        front = [(n - 1, -1, -1)] if n >= 2 else []
+        return (4 * (-1) ** n, n * (n + 1) // 2, [(n, -1, 1)] + front,
+                [(2 * n, -1, -1)])
+
     t = terms
-    g = crank_parity_series(t)
-    pent = pentagonal_product(1, t)
-    total = pent.reciprocal()
-    tail_inv = pent.reciprocal()          # 1/(q^(n+1);q)_inf, running
-    front = IntLaurentSeries.one(t)       # (q;q)_(n-1), running
-    n = 1
-    while n * (n + 1) // 2 < t:
-        tail_inv = tail_inv * _binomial(n, -1, t)
-        if n >= 2:
-            front = front * _binomial(n - 1, -1, t)
-        sign = -4 if n % 2 else 4
-        numer = IntLaurentSeries.monomial(n * (n + 1) // 2, sign, t)
-        total = total + numer / front / _binomial(2 * n, -1, t) * tail_inv
-        n += 1
-    return total.eq_to_order(g, terms)
+    total = q_sum(t, term, base=pentagonal_product(1, t).reciprocal())
+    return total.eq_to_order(crank_parity_series(t), terms)
 
 
 def run_weight_expansion(terms: int) -> IntLaurentSeries:
     """sum_{n>=0} (-1)^n q^(n(n+1)/2) (1 - q^(n+1))
        / [ (q;q)_n (1 + q^(n+1)) (q^(n+2);q)_inf ],
-    the expansion whose summands encode the signed run weight."""
-    t = terms
-    pent = pentagonal_product(1, t)
-    # 1/(q^(n+2);q)_inf for n = 0
-    tail_inv = pent.reciprocal() * _binomial(1, -1, t)
-    front = IntLaurentSeries.one(t)       # (q;q)_n, running
-    total = IntLaurentSeries.zero(t)
-    n = 0
-    while n * (n + 1) // 2 < t:
-        if n:
-            front = front * _binomial(n, -1, t)
-            tail_inv = tail_inv * _binomial(n + 1, -1, t)
-        sign = -1 if n % 2 else 1
-        tri = n * (n + 1) // 2
-        numer_terms = {tri: sign}
-        if tri + n + 1 < t:
-            numer_terms[tri + n + 1] = -sign
-        numer = IntLaurentSeries.from_terms(numer_terms, t)
-        total = total + (numer / front / _binomial(n + 1, 1, t)
-                         * tail_inv)
-        n += 1
-    return total
+    the expansion whose summands encode the signed run weight.  The running
+    product is 1/[(q;q)_n (q^(n+2);q)_inf], from 1/(q;q)_inf."""
+    def term(n):
+        front = [(n, -1, -1)] if n else []
+        return ((-1) ** n, n * (n + 1) // 2, [(n + 1, -1, 1)] + front,
+                [(n + 1, -1, 1), (n + 1, 1, -1)])
+
+    return q_sum(terms, term,
+                 base=pentagonal_product(1, terms).reciprocal())
 
 
 def run_weight_identity_check(terms: int) -> bool:

@@ -32,7 +32,7 @@ from functools import lru_cache
 from typing import Mapping
 
 from .partitions import distinct_rank_parity
-from .series import IntLaurentSeries, memo, pentagonal_product
+from .series import IntLaurentSeries, memo, pentagonal_product, q_sum
 
 
 class BootstrapNeededError(LookupError):
@@ -148,32 +148,15 @@ def _classified(n: int) -> tuple[int, str]:
 
 def _first_sum(trunc: int) -> IntLaurentSeries:
     """sum_{n>=1} (-1)^(n+1) q^(n(n+3)/2) / (-q;q)_n."""
-    t = trunc
-    total = IntLaurentSeries.zero(t)
-    denom_inv = IntLaurentSeries.one(t)
-    n = 1
-    while n * (n + 3) // 2 < t:
-        denom_inv = denom_inv / IntLaurentSeries.from_terms({0: 1, n: 1}, t)
-        sign = 1 if n % 2 else -1
-        total = total + denom_inv.shift(n * (n + 3) // 2).truncate(t) * sign
-        n += 1
-    return total
+    return q_sum(trunc, lambda n: (
+        (-1) ** (n + 1), n * (n + 3) // 2, [(n, 1, -1)], []), start=1)
 
 
 def _second_sum(trunc: int) -> IntLaurentSeries:
     """sum_{n>=1} (-1)^n q^(n(n+1)/2) / (q;q)_(n-1)."""
-    t = trunc
-    total = IntLaurentSeries.zero(t)
-    denom_inv = IntLaurentSeries.one(t)
-    n = 1
-    while n * (n + 1) // 2 < t:
-        if n >= 2:
-            denom_inv = denom_inv / IntLaurentSeries.from_terms(
-                {0: 1, n - 1: -1}, t)
-        sign = -1 if n % 2 else 1
-        total = total + denom_inv.shift(n * (n + 1) // 2).truncate(t) * sign
-        n += 1
-    return total
+    return q_sum(trunc, lambda n: (
+        (-1) ** n, n * (n + 1) // 2, [(n - 1, -1, -1)] if n >= 2 else [],
+        []), start=1)
 
 
 def distinct_crank_series(trunc: int) -> IntLaurentSeries:
@@ -184,19 +167,9 @@ def distinct_crank_series(trunc: int) -> IntLaurentSeries:
 
 def floor_part_series(trunc: int) -> IntLaurentSeries:
     """1/(1+q) sum_{n>=1} q^(n(3n+1)/2) (1 - q^(2n+1))."""
-    t = trunc
-    terms: dict[int, int] = {}
-    n = 1
-    while n * (3 * n + 1) // 2 < t:
-        e = n * (3 * n + 1) // 2
-        terms[e] = terms.get(e, 0) + 1
-        e2 = e + 2 * n + 1
-        if e2 < t:
-            terms[e2] = terms.get(e2, 0) - 1
-        n += 1
-    sparse = IntLaurentSeries.from_terms(terms, t) if terms \
-        else IntLaurentSeries.zero(t)
-    return sparse / IntLaurentSeries.from_terms({0: 1, 1: 1}, t)
+    return q_sum(trunc, lambda n: (
+        1, n * (3 * n + 1) // 2, [], [(2 * n + 1, -1, 1), (1, 1, -1)]),
+        start=1)
 
 
 def ceil_part_series(trunc: int) -> IntLaurentSeries:
@@ -237,28 +210,10 @@ def watson_whipple_check(trunc: int) -> bool:
             == sum_{n>=0} q^((3n^2+7n)/2) (1 - q^(2n+3)),
 
     verified as exact series below q^trunc."""
-    t = trunc
-    lhs = IntLaurentSeries.zero(t)
-    denom_inv = IntLaurentSeries.one(t)
-    n = 0
-    while n * (n + 5) // 2 < t:
-        if n:
-            denom_inv = denom_inv / IntLaurentSeries.from_terms(
-                {0: 1, n + 1: 1}, t)
-        sign = -1 if n % 2 else 1
-        lhs = lhs + denom_inv.shift(n * (n + 5) // 2).truncate(t) * sign
-        n += 1
-
-    terms: dict[int, int] = {}
-    n = 0
-    while (3 * n * n + 7 * n) // 2 < t:
-        e = (3 * n * n + 7 * n) // 2
-        terms[e] = terms.get(e, 0) + 1
-        e2 = e + 2 * n + 3
-        if e2 < t:
-            terms[e2] = terms.get(e2, 0) - 1
-        n += 1
-    rhs = IntLaurentSeries.from_terms(terms, t)
+    lhs = q_sum(trunc, lambda n: (
+        (-1) ** n, n * (n + 5) // 2, [(n + 1, 1, -1)] if n else [], []))
+    rhs = q_sum(trunc, lambda n: (
+        1, (3 * n * n + 7 * n) // 2, [], [(2 * n + 3, -1, 1)]))
     return lhs.eq_to_order(rhs, trunc)
 
 

@@ -343,7 +343,7 @@ def newton_sigma_polys(order: int = 40) -> tuple[HauptmodulPoly, ...]:
 # the ladder
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class LadderState:
     """One rung: its series, and its hauptmodul-polynomial prefix."""
 
@@ -369,11 +369,9 @@ def required_multiplier_trunc(alpha_max: int, top_trunc: int) -> int:
 
 @lru_cache(maxsize=None)
 def ladder(alpha_max: int, jmax: int = 11,
-           ceiling: int = COEFFICIENT_CEILING) -> list[LadderState]:
+           ceiling: int = COEFFICIENT_CEILING) -> tuple[LadderState, ...]:
     """Rungs L_0 .. L_(2*alpha_max+1) by series recursion, cross-checked
-    against the matrix vector forms on the first jmax coefficients.
-
-    Cached; callers must treat the returned states as read-only."""
+    against the matrix vector forms on the first jmax coefficients."""
     if alpha_max < 0:
         raise ValueError("alpha_max must be >= 0")
     f_trunc = required_multiplier_trunc(alpha_max, jmax + 1)
@@ -395,7 +393,7 @@ def ladder(alpha_max: int, jmax: int = 11,
             cur = even
 
     _check_matrix_agreement(states, alpha_max, jmax)
-    return states
+    return tuple(states)
 
 
 def _rung_poly(series: IntLaurentSeries, jmax: int) -> HauptmodulPoly:

@@ -12,7 +12,11 @@ Offsets may be negative (reciprocal eta quotients live in q^-1 and below).
 
 Also here: Euler factors (q^a; q^b)_inf, the pentagonal-number fast path for
 (q^d; q^d)_inf, integral eta quotients  q^(sum d*r/24) prod (q^d; q^d)_inf^r,
-and the Atkin operator U_d acting by  sum a(n) q^n  |->  sum a(dn) q^n.
+the Atkin operator U_d acting by  sum a(n) q^n  |->  sum a(dn) q^n, and
+``q_sum``, the one summation helper for the q-hypergeometric sums
+sum_n coeff_n q^(e_n) R_n S_n with R_n a running product of binomials
+(1 + c q^k)^r and S_n one summand's own binomials.  It stops at the first
+e_n >= trunc, so the exponents must strictly increase.
 
 Multiplication switches between schoolbook convolution, a sparse loop, and
 Kronecker substitution (coefficients packed into one huge integer and
@@ -23,10 +27,12 @@ and Newton-iteration reciprocals fast enough for the big coefficient sweeps.
 from __future__ import annotations
 
 import io
+import operator
 import os
 import sys
 import tempfile
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Iterator, Mapping, TextIO
 
 try:
@@ -487,6 +493,27 @@ class IntLaurentSeries:
 # module-level operations
 # ---------------------------------------------------------------------------
 
+def _apply_binomial(x: list, k: int, c: int, r: int) -> None:
+    """x <- x * (1 + c*q^k)^r in place, exact in the first len(x) terms.
+
+    One O(len(x)) pass per unit of |r|: multiplying adds c times the list
+    shifted by k; dividing runs y[i] = x[i] - c*y[i-k] along each residue
+    class mod k.  With c = +-1 both come down to adding or subtracting
+    neighbours, which map() and accumulate() do without a multiply.
+    """
+    if k < 1 or c not in (1, -1):
+        raise ValueError(f"need k >= 1 and c = +-1, got k={k}, c={c}")
+    if k >= len(x):
+        return
+    for _ in range(r):
+        # map() is drained before the slice is replaced: old values only
+        x[k:] = map(operator.add if c == 1 else operator.sub, x[k:], x)
+    step = operator.add if c == -1 else (lambda y, u: u - y)
+    for _ in range(-r):
+        for i in range(k):
+            x[i::k] = accumulate(x[i::k], step)
+
+
 def euler_factor(a: int, b: int, trunc: int) -> IntLaurentSeries:
     """The truncated Euler product prod_{k >= 0, a+bk < trunc} (1 - q^(a+bk)).
 
@@ -498,14 +525,50 @@ def euler_factor(a: int, b: int, trunc: int) -> IntLaurentSeries:
         raise TruncationError(f"truncation must be positive, got {trunc}")
     if a < 1 or b < 1:
         raise ValueError("factor parameters must be positive")
-    c = [0] * trunc
-    c[0] = 1
-    j = a
-    while j < trunc:
-        # multiply by (1 - q^j): c[j+i] -= c[i], reading old values throughout
-        c[j:] = [u - v for u, v in zip(c[j:], c)]
-        j += b
+    c = [1] + [0] * (trunc - 1)
+    for j in range(a, trunc, b):
+        _apply_binomial(c, j, -1, 1)
     return IntLaurentSeries(0, c, trunc)
+
+
+def q_sum(trunc: int, term, start: int = 0,
+          base: IntLaurentSeries | None = None) -> IntLaurentSeries:
+    """sum_{n >= start} coeff_n q^(e_n) R_n S_n, exact below q^trunc.
+
+    ``term(n)`` returns ``(coeff_n, e_n, steps, extras)``; ``steps`` and
+    ``extras`` are lists of factors (k, c, r), each standing for
+    (1 + c*q^k)^r with k >= 1 and c = +-1.  R_n is the running product of
+    ``base`` (default 1) and the steps of every index from ``start`` to n;
+    S_n is the product of the extras of index n alone.  The sum stops at the
+    first e_n >= trunc, so the exponents must strictly increase from 0 or
+    later: anything else raises ValueError, as does any other factor.
+    Each factor is one in-place pass of :func:`_apply_binomial`.
+    """
+    if trunc <= 0:
+        raise TruncationError(f"truncation must be positive, got {trunc}")
+    if base is not None and base.offset < 0:
+        raise ValueError(f"base must be a power series, offset {base.offset}")
+    run = [1] + [0] * (trunc - 1) if base is None else \
+        [base.coeff(i) for i in range(trunc)]
+    total = [0] * trunc
+    last = -1
+    n = start
+    while True:
+        coeff, e, steps, extras = term(n)
+        if e <= last:
+            raise ValueError(f"exponent {e} at index {n} does not exceed "
+                             f"the previous exponent {last}")
+        if e >= trunc:
+            return IntLaurentSeries(0, total, trunc)
+        del run[trunc - e:]  # later summands start at q^e or higher
+        for k, c, r in steps:
+            _apply_binomial(run, k, c, r)
+        summand = run[:] if extras else run
+        for k, c, r in extras:
+            _apply_binomial(summand, k, c, r)
+        total[e:] = [t + coeff * u for t, u in zip(total[e:], summand)]
+        last = e
+        n += 1
 
 
 def pentagonal_product(d: int, trunc: int) -> IntLaurentSeries:

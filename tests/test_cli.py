@@ -103,6 +103,20 @@ class TestVerify:
         code, _ = run_cli(capsys, "verify", "claimL", "--alpha", "1")
         assert code == 0
 
+    def test_claim_l_defaults_to_alpha_0(self, capsys, monkeypatch):
+        from crankparity import fivetower
+        real = fivetower.ladder_subsequence_check
+        seen = []
+
+        def spy(alpha, terms):
+            seen.append(alpha)
+            return real(alpha, terms)
+
+        monkeypatch.setattr(fivetower, "ladder_subsequence_check", spy)
+        code, out = run_cli(capsys, "verify", "claimL")
+        assert (code, seen) == (0, [0])
+        assert out == "PASS claimL: 40 cases\n"
+
     def test_unknown_check_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["verify", "nonsense"])
@@ -126,6 +140,20 @@ class TestAsymptotic:
         _, seq = run_cli(capsys, "asymptotic", "3", "8")
         _, par = run_cli(capsys, "--parallel", "asymptotic", "3", "8")
         assert seq == par
+
+    def test_parallel_fallback_is_reported(self, capsys, monkeypatch):
+        from crankparity import cli
+
+        def no_pool():
+            raise OSError("no semaphores")
+
+        _, seq = run_cli(capsys, "asymptotic", "3", "8")
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        code = main(["--parallel", "asymptotic", "3", "8"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.out == seq
+        assert captured.err == ("crank-parity: no worker processes (no "
+                                "semaphores); running sequentially\n")
 
 
 class TestDistinct:

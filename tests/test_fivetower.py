@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from crankparity.fivetower import (
@@ -163,6 +165,12 @@ class TestLadder:
     def test_budget_guard(self):
         with pytest.raises(BudgetExceededError):
             ladder(4, jmax=11, ceiling=10 ** 6)
+
+    def test_cached_states_are_frozen(self):
+        states = ladder(0)
+        assert isinstance(states, tuple) and states is ladder(0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            states[1].nu = 3
 
     def test_first_rung_is_five_hauptmodul(self):
         states = ladder(1)

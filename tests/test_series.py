@@ -3,6 +3,7 @@ import os
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crankparity.series import (
     EtaQuotientSpec,
@@ -17,6 +18,7 @@ from crankparity.series import (
     load_series,
     memo,
     pentagonal_product,
+    q_sum,
 )
 
 F_SPEC = EtaQuotientSpec(((1, 3), (2, -2), (50, 2), (25, -3)))
@@ -140,6 +142,71 @@ class TestDiv:
             z = (x / y) * y
             order = min(z.trunc, x.trunc)
             assert z.eq_to_order(x, order)
+
+
+_FACTORS = st.lists(st.tuples(st.integers(1, 6), st.sampled_from((-1, 1)),
+                              st.integers(-2, 2)), max_size=3)
+
+
+def _times_binomial(x, k, c, r, trunc):
+    """x * (1 + c*q^k)^r by series arithmetic (the factor is 1 mod q^trunc
+    when k >= trunc)."""
+    if k >= trunc:
+        return x
+    b = IntLaurentSeries.from_terms({0: 1, k: c}, trunc)
+    for _ in range(abs(r)):
+        x = x * b if r > 0 else x / b
+    return x
+
+
+class TestQSum:
+    @settings(max_examples=150, deadline=None)
+    @given(trunc=st.integers(1, 80), start=st.integers(1, 4),
+           base=st.lists(st.integers(-9, 9), min_size=80, max_size=80),
+           data=st.lists(st.tuples(st.integers(-5, 5), st.integers(1, 12),
+                                   _FACTORS, _FACTORS), min_size=1,
+                         max_size=8))
+    def test_matches_series_arithmetic(self, trunc, start, base, data):
+        base = IntLaurentSeries(0, base, 80)
+        exps = [sum(gap for _, gap, _, _ in data[:i + 1]) - 1
+                for i in range(len(data))]
+
+        def term(n):
+            i = n - start
+            if i >= len(data):
+                return 0, max(trunc, exps[-1] + 1), [], []
+            coeff, _, steps, extras = data[i]
+            return coeff, exps[i], steps, extras
+
+        want = IntLaurentSeries.zero(trunc)
+        run = base.truncate(trunc)
+        for coeff, e, steps, extras in map(term, range(start, start + 9)):
+            if e >= trunc:
+                break
+            for k, c, r in steps:
+                run = _times_binomial(run, k, c, r, trunc)
+            summand = run
+            for k, c, r in extras:
+                summand = _times_binomial(summand, k, c, r, trunc)
+            want = want + (summand * coeff).shift(e).truncate(trunc)
+
+        got = q_sum(trunc, term, start=start, base=base)
+        assert got.trunc == trunc
+        assert got.eq_to_order(want, trunc)
+
+    def test_rejects_bad_factors(self):
+        with pytest.raises(ValueError):
+            q_sum(10, lambda n: (1, n, [(0, 1, 1)], []))
+        with pytest.raises(ValueError):
+            q_sum(10, lambda n: (1, n, [], [(0, -1, -1)]))
+        with pytest.raises(ValueError):
+            q_sum(10, lambda n: (1, n, [(1, 2, 1)], []))
+
+    def test_rejects_exponents_that_do_not_increase(self):
+        with pytest.raises(ValueError):
+            q_sum(10, lambda n: (1, 2, [], []))
+        with pytest.raises(ValueError):
+            q_sum(10, lambda n: (1, 5 - n, [], []))
 
 
 class TestMulKernels:
