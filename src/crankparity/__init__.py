@@ -18,6 +18,7 @@ from .series import (
     euler_factor,
     load_series,
     pentagonal_product,
+    pentagonal_quotient,
 )
 from .partitions import (
     NotDistinctError,

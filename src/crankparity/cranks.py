@@ -6,8 +6,9 @@ The central object is the crank-parity series
                                  =  (q;q)_inf (q;q^2)_inf^2,
 
 where M_e / M_o count partitions with even / odd crank.  It is computed by
-two independent routes (binomial Euler products vs pentagonal-number series)
-which are required to agree.  On top of it sit the verification sweeps:
+two independent routes on disjoint kernels (in-place binomial passes vs
+sparse pentagonal-number passes) which are required to agree.  On top of it
+sit the verification sweeps:
 
   * the congruence family  M_e(n) - M_o(n) == 0 mod 5^(a+1)  whenever
     24n == 1 mod 5^(2a+1),
@@ -33,9 +34,9 @@ from dataclasses import dataclass, field
 from .series import (
     IntLaurentSeries,
     TruncationError,
-    euler_factor,
+    _apply_binomial,
     memo,
-    pentagonal_product,
+    pentagonal_quotient,
     q_sum,
 )
 
@@ -43,20 +44,26 @@ from .series import (
 def partition_series(trunc: int) -> IntLaurentSeries:
     """1/(q;q)_inf, the partition generating function."""
     return memo("partition", trunc,
-                lambda t: pentagonal_product(1, t).reciprocal())
+                lambda t: pentagonal_quotient(((1, -1),), t))
 
 
 def crank_parity_series(trunc: int) -> IntLaurentSeries:
     """(q;q)_inf (q;q^2)_inf^2, computed two ways and cross-checked.
 
-    Route one multiplies truncated binomial products; route two uses
-    (q;q)_inf^3 / (q^2;q^2)_inf^2 built from pentagonal-number series.
-    Any disagreement raises.
+    The two routes share no kernel.  Route one is the same series written
+    as the binomial product (q;q^2)_inf^3 (q^2;q^2)_inf: one in-place
+    ``_apply_binomial`` pass per factor (1 - q^k).  Route two is
+    (q;q)_inf^3 / (q^2;q^2)_inf^2 by ``pentagonal_quotient``, sparse passes
+    over Euler's pentagonal terms.  Any disagreement raises.
     """
     def build(t: int) -> IntLaurentSeries:
-        by_products = euler_factor(1, 1, t) * euler_factor(1, 2, t) ** 2
-        by_pentagonal = (pentagonal_product(1, t) ** 3
-                         / pentagonal_product(2, t) ** 2)
+        c = [1] + [0] * (t - 1)
+        # largest k first: the partial products keep small coefficients
+        # through most of the passes
+        for k in range(t - 1, 0, -1):
+            _apply_binomial(c, k, -1, 3 if k % 2 else 1)
+        by_products = IntLaurentSeries(0, c, t)
+        by_pentagonal = pentagonal_quotient(((1, 3), (2, -2)), t)
         if not by_products.eq_to_order(by_pentagonal, t):
             raise AssertionError(
                 "crank-parity series routes disagree; series arithmetic "
@@ -76,8 +83,7 @@ def rank_parity_series(trunc: int) -> IntLaurentSeries:
                 return 1, 0, [], []
             return 4 * (-1) ** k, k * (3 * k + 1) // 2, [], [(k, 1, -1)]
 
-        watson = q_sum(t, watson_term,
-                       base=pentagonal_product(1, t).reciprocal())
+        watson = q_sum(t, watson_term, base=partition_series(t))
         if not total.eq_to_order(watson, t):
             raise AssertionError(
                 "rank-parity series disagrees with Watson's expansion")
@@ -156,11 +162,8 @@ def subsequence_5n4_check(terms: int) -> bool:
     """Verify the 5n+4 subsequence equals
     5 (q;q^2)^2 (q^5;q^5) (q^10;q^10)^2 / (q^2;q^2)^2  up to q^terms."""
     lhs = subsequence_5n4_series(terms)
-    t = terms
-    rhs = (euler_factor(1, 2, t) ** 2
-           * pentagonal_product(5, t)
-           * pentagonal_product(10, t) ** 2
-           / pentagonal_product(2, t) ** 2) * 5
+    # (q;q^2)_inf = (q;q)_inf / (q^2;q^2)_inf
+    rhs = pentagonal_quotient(((1, 2), (2, -4), (5, 1), (10, 2)), terms) * 5
     return lhs.eq_to_order(rhs, terms)
 
 
@@ -182,9 +185,8 @@ def chan_expansion_check(terms: int) -> bool:
         return (4 * (-1) ** n, n * (n + 1) // 2, [(n, -1, 1)] + front,
                 [(2 * n, -1, -1)])
 
-    t = terms
-    total = q_sum(t, term, base=pentagonal_product(1, t).reciprocal())
-    return total.eq_to_order(crank_parity_series(t), terms)
+    total = q_sum(terms, term, base=partition_series(terms))
+    return total.eq_to_order(crank_parity_series(terms), terms)
 
 
 def run_weight_expansion(terms: int) -> IntLaurentSeries:
@@ -197,8 +199,7 @@ def run_weight_expansion(terms: int) -> IntLaurentSeries:
         return ((-1) ** n, n * (n + 1) // 2, [(n + 1, -1, 1)] + front,
                 [(n + 1, -1, 1), (n + 1, 1, -1)])
 
-    return q_sum(terms, term,
-                 base=pentagonal_product(1, terms).reciprocal())
+    return q_sum(terms, term, base=partition_series(terms))
 
 
 def run_weight_identity_check(terms: int) -> bool:

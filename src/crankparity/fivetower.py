@@ -31,6 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
 from . import cranks
 from .series import (
@@ -39,7 +41,7 @@ from .series import (
     apply_U,
     eta_quotient,
     memo,
-    pentagonal_product,
+    pentagonal_quotient,
 )
 
 
@@ -201,6 +203,8 @@ def reduce_to_hauptmodul(x: IntLaurentSeries, jmin: int, jmax: int,
     if exact and top < jmax:
         raise NotHauptmodulPolynomialError(
             f"truncation {x.trunc} cannot close a degree-{jmax} reduction")
+    if not exact:
+        x = x.truncate(top + 1)  # nothing past q^top is read
     powers = _haupt_powers(jmin, top, x.trunc)
     residual = x
     coeffs = {}
@@ -221,8 +225,17 @@ def reduce_to_hauptmodul(x: IntLaurentSeries, jmin: int, jmax: int,
 # transfer matrices
 # ---------------------------------------------------------------------------
 
+# row i -> {column j: entry}; read-only, since the builders below are cached
+Rows = Mapping[int, Mapping[int, int]]
+
+
+def _frozen(rows: dict[int, dict[int, int]]) -> Rows:
+    return MappingProxyType({i: MappingProxyType(row)
+                             for i, row in rows.items()})
+
+
 @lru_cache(maxsize=None)
-def u_matrix_rows(imax: int) -> dict[int, dict[int, int]]:
+def u_matrix_rows(imax: int) -> Rows:
     """Row i: G^i | U_5 = sum_j a_ij G^j, 1 <= i <= imax, full width 5i,
     reduced with zero-residual certification and a verified zero constant
     term."""
@@ -239,11 +252,11 @@ def u_matrix_rows(imax: int) -> dict[int, dict[int, int]]:
             raise NotHauptmodulPolynomialError(
                 f"G^{i}|U_5 has constant term {row[0]}; expected none")
         rows[i] = {j: c for j, c in row.items() if j}
-    return rows
+    return _frozen(rows)
 
 
 @lru_cache(maxsize=None)
-def v_matrix_rows(imax: int) -> dict[int, dict[int, int]]:
+def v_matrix_rows(imax: int) -> Rows:
     """Row i: (multiplier * G^i) | U_5 = sum_j b_ij G^j, full width 5i+1."""
     order = 5 * imax + 11
     g = hauptmodul(5 * order + 1)
@@ -259,18 +272,18 @@ def v_matrix_rows(imax: int) -> dict[int, dict[int, int]]:
             raise NotHauptmodulPolynomialError(
                 f"(multiplier*G^{i})|U_5 has constant term {row[0]}")
         rows[i] = {j: c for j, c in row.items() if j}
-    return rows
+    return _frozen(rows)
 
 
 @lru_cache(maxsize=None)
-def _v_rows_partial(row_max: int, jmax: int) -> dict[int, dict[int, int]]:
+def _v_rows_partial(row_max: int, jmax: int) -> Rows:
     """Columns <= jmax of the V matrix for rows 1..row_max.  Rows with
     i >= 5*jmax contribute nothing to those columns because the series
     (multiplier * G^i)|U_5 starts at q^ceil((i+1)/5)."""
     order = jmax + 4
     g = hauptmodul(5 * order + 1)
     mult = ladder_multiplier(5 * order + 1)
-    rows: dict[int, dict[int, int]] = {}
+    rows = {}
     cur = mult
     for i in range(1, row_max + 1):
         cur = cur * g
@@ -280,11 +293,10 @@ def _v_rows_partial(row_max: int, jmax: int) -> dict[int, dict[int, int]]:
         poly = reduce_to_hauptmodul(apply_U(5, cur).truncate(order),
                                     0, jmax, exact=False)
         rows[i] = poly.as_dict()
-    return rows
+    return _frozen(rows)
 
 
-def _vec_mat(vec: dict[int, int], rows: dict[int, dict[int, int]]
-             ) -> dict[int, int]:
+def _vec_mat(vec: dict[int, int], rows: Rows) -> dict[int, int]:
     out: dict[int, int] = {}
     for i, vi in vec.items():
         if not vi:
@@ -488,8 +500,6 @@ def ladder_subsequence_check(alpha: int, terms: int,
     g = cranks.crank_parity_series(g_need)
     sub = IntLaurentSeries.from_terms(
         {n: g.coeff(step * n - delta) for n in range(1, terms)}, terms)
-    prefactor = (pentagonal_product(10, terms) ** 2
-                 / pentagonal_product(5, terms) ** 3)
-    rhs = prefactor * sub
+    rhs = pentagonal_quotient(((10, 2), (5, -3)), terms) * sub
     order = min(terms, rung.trunc, rhs.trunc)
     return rung.eq_to_order(rhs, order)

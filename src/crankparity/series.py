@@ -10,18 +10,23 @@ beyond the provably exact range is ever reported; comparing two series to an
 order neither supports raises ``TruncationError`` instead of silently passing.
 Offsets may be negative (reciprocal eta quotients live in q^-1 and below).
 
-Also here: Euler factors (q^a; q^b)_inf, the pentagonal-number fast path for
-(q^d; q^d)_inf, integral eta quotients  q^(sum d*r/24) prod (q^d; q^d)_inf^r,
+Also here: Euler factors (q^a; q^b)_inf, the pentagonal-number series for
+(q^d; q^d)_inf, pentagonal quotients prod (q^d; q^d)_inf^r and the integral
+eta quotients  q^(sum d*r/24) prod (q^d; q^d)_inf^r  built on them,
 the Atkin operator U_d acting by  sum a(n) q^n  |->  sum a(dn) q^n, and
 ``q_sum``, the one summation helper for the q-hypergeometric sums
 sum_n coeff_n q^(e_n) R_n S_n with R_n a running product of binomials
 (1 + c q^k)^r and S_n one summand's own binomials.  It stops at the first
 e_n >= trunc, so the exponents must strictly increase.
 
-Multiplication switches between schoolbook convolution, a sparse loop, and
-Kronecker substitution (coefficients packed into one huge integer and
-multiplied with gmpy2 when available), which keeps 10^4..10^5-term products
-and Newton-iteration reciprocals fast enough for the big coefficient sweeps.
+Pentagonal and eta quotients never multiply dense series: (q^d; q^d)_inf has
+O(sqrt(N/d)) nonzero terms below q^N, so each factor is applied to one
+coefficient list by sparse in-place passes, O(N^1.5) additions to multiply
+or to divide.  General multiplication switches between schoolbook
+convolution, a sparse loop, and Kronecker substitution (coefficients packed
+into one huge integer and multiplied with gmpy2 when available), and
+reciprocals run Newton's iteration on it; those stay for dense operands
+such as hauptmodul powers.
 """
 
 from __future__ import annotations
@@ -571,6 +576,18 @@ def q_sum(trunc: int, term, start: int = 0,
         n += 1
 
 
+def _pentagonal_terms(d: int, trunc: int) -> Iterator[tuple[int, int]]:
+    """The terms s*q^e with 0 < e < trunc of (q^d; q^d)_inf, by increasing e:
+    Euler's pentagonal number theorem puts s = (-1)^m at e = d*m(3m-+1)/2."""
+    m = 1
+    while d * m * (3 * m - 1) // 2 < trunc:
+        s = -1 if m % 2 else 1
+        for e in (d * m * (3 * m - 1) // 2, d * m * (3 * m + 1) // 2):
+            if e < trunc:
+                yield e, s
+        m += 1
+
+
 def pentagonal_product(d: int, trunc: int) -> IntLaurentSeries:
     """(q^d; q^d)_inf via Euler's pentagonal number theorem:
     sum_{m in Z} (-1)^m q^(d*m(3m-1)/2)."""
@@ -578,18 +595,52 @@ def pentagonal_product(d: int, trunc: int) -> IntLaurentSeries:
         raise TruncationError(f"truncation must be positive, got {trunc}")
     if d < 1:
         raise ValueError("d must be positive")
-    c = [0] * trunc
-    c[0] = 1
-    m = 1
-    while True:
-        hit = False
-        for e in (d * m * (3 * m - 1) // 2, d * m * (3 * m + 1) // 2):
-            if e < trunc:
-                c[e] += -1 if m % 2 else 1
-                hit = True
-        if not hit:
-            break
-        m += 1
+    c = [1] + [0] * (trunc - 1)
+    for e, s in _pentagonal_terms(d, trunc):
+        c[e] = s
+    return IntLaurentSeries(0, c, trunc)
+
+
+def _apply_pentagonal(x: list, d: int, r: int) -> None:
+    """x <- x * (q^d; q^d)_inf^r in place, exact in the first len(x) terms.
+
+    Per unit of |r|: multiplying adds or subtracts, for each pentagonal term
+    +-q^e, the list as it was before the unit shifted by e, one map() pass
+    per term; dividing runs y[i] = x[i] - sum_e s_e*y[i-e] over the terms
+    with e <= i.  Either way that is O(len(x)^1.5 / sqrt(d)) additions.
+    """
+    terms = list(_pentagonal_terms(d, len(x)))
+    for _ in range(r):
+        old = x[:]
+        for e, s in terms:
+            x[e:] = map(operator.add if s == 1 else operator.sub, x[e:], old)
+    ends = [e for e, _ in terms[1:]] + [len(x)]
+    for _ in range(-r):
+        plus, minus = [], []
+        # from one term's exponent to the next, the terms with e <= i are fixed
+        for (e, s), end in zip(terms, ends):
+            (plus if s == 1 else minus).append(e)
+            for i in range(e, end):
+                x[i] += (sum([x[i - f] for f in minus])
+                         - sum([x[i - f] for f in plus]))
+
+
+def pentagonal_quotient(factors: Iterable[tuple[int, int]],
+                        trunc: int) -> IntLaurentSeries:
+    """prod (q^d; q^d)_inf^r over the (d, r) pairs, exact below q^trunc.
+
+    Each factor is |r| in-place passes of :func:`_apply_pentagonal` over one
+    coefficient list: no dense product and no reciprocal.
+    """
+    if trunc <= 0:
+        raise TruncationError(f"truncation must be positive, got {trunc}")
+    # numerators first: their passes then run over small coefficients
+    factors = sorted(factors, key=lambda f: -f[1])
+    if any(d < 1 for d, _ in factors):
+        raise ValueError("d must be positive")
+    c = [1] + [0] * (trunc - 1)
+    for d, r in factors:
+        _apply_pentagonal(c, d, r)
     return IntLaurentSeries(0, c, trunc)
 
 
@@ -638,17 +689,7 @@ def eta_quotient(spec: EtaQuotientSpec | Iterable[tuple[int, int]],
     if length <= 0:
         raise TruncationError(
             f"truncation {trunc} does not reach past the prefactor q^{shift}")
-    num = IntLaurentSeries.one(length)
-    den = IntLaurentSeries.one(length)
-    for d, r in spec.factors:
-        if r == 0:
-            continue
-        p = pentagonal_product(d, length) ** abs(r)
-        if r > 0:
-            num = num * p
-        else:
-            den = den * p
-    return (num / den).shift(shift)
+    return pentagonal_quotient(spec.factors, length).shift(shift)
 
 
 def apply_U(d: int, x: IntLaurentSeries) -> IntLaurentSeries:

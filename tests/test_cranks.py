@@ -1,5 +1,6 @@
 import pytest
 
+from crankparity import cranks, series
 from crankparity.cranks import (
     chan_expansion_check,
     crank_parity_series,
@@ -24,6 +25,43 @@ class TestCrankParitySeries:
         alt = (pentagonal_product(1, 2000) ** 3
                / pentagonal_product(2, 2000) ** 2)
         assert g.eq_to_order(alt, 2000)
+
+    @pytest.fixture
+    def fresh_memo(self, monkeypatch):
+        monkeypatch.delenv("CRANK_PARITY_CACHE_DIR", raising=False)
+        monkeypatch.setattr(series, "_memo", {})
+
+    def test_broken_binomial_route_is_caught(self, monkeypatch, fresh_memo):
+        real = cranks._apply_binomial
+
+        def off_by_one(x, k, c, r):
+            real(x, k + (k == 7), c, r)
+
+        monkeypatch.setattr(cranks, "_apply_binomial", off_by_one)
+        with pytest.raises(AssertionError, match="routes disagree"):
+            crank_parity_series(300)
+
+    def test_broken_pentagonal_route_is_caught(self, monkeypatch,
+                                               fresh_memo):
+        real = series._apply_pentagonal
+
+        def one_pass_short(x, d, r):
+            real(x, d, r + 1 if r < 0 else r)
+
+        monkeypatch.setattr(series, "_apply_pentagonal", one_pass_short)
+        with pytest.raises(AssertionError, match="routes disagree"):
+            crank_parity_series(300)
+
+    def test_routes_share_no_kernel(self, monkeypatch, fresh_memo):
+        # route one holds its own binding of _apply_binomial; the series
+        # module's, and every dense product, must not be reached
+        def unreachable(*args):
+            raise AssertionError("dense or binomial kernel reached")
+
+        monkeypatch.setattr(series, "_apply_binomial", unreachable)
+        monkeypatch.setattr(series, "_conv", unreachable)
+        assert [crank_parity_series(300).coeff(n) for n in range(5)] \
+            == [1, -3, 2, -1, 5]
 
     def test_alternating_sign_to_2000(self):
         # even-index coefficients strictly positive, odd strictly negative

@@ -68,6 +68,13 @@ class TestReduce:
         with pytest.raises(NotHauptmodulPolynomialError):
             reduce_to_hauptmodul(newton_power_u5(-2, 40), 0, 3)
 
+    def test_inexact_reduction_reads_only_the_prefix(self):
+        x = ladder_multiplier(2000)
+        for jmax in (1, 11, 40):
+            short = x.truncate(jmax + 1)
+            assert reduce_to_hauptmodul(x, 0, jmax, exact=False) \
+                == reduce_to_hauptmodul(short, 0, jmax, exact=False)
+
     def test_evaluate_roundtrip(self):
         poly = HauptmodulPoly({-1: 2, 0: -1, 3: 7})
         series = poly.evaluate(40)
@@ -147,6 +154,14 @@ class TestTransferMatrices:
             if i % 5 == 1:
                 for j, c in row.items():
                     assert five_adic(c) >= 1, (i, j, c)
+
+    def test_cached_rows_are_read_only(self):
+        rows = u_matrix_rows(3)
+        with pytest.raises(TypeError):
+            rows[1][1] = 999
+        with pytest.raises(TypeError):
+            rows[1] = {1: 999}
+        assert u_matrix_rows(3)[1][1] == 11
 
     def test_wider_rows_keep_lemma_a(self):
         # the ladder consistency check computes rows up to i = 26; the

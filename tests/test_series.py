@@ -5,6 +5,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from crankparity.fivetower import (
+    HAUPTMODUL_SPEC,
+    LADDER_MULTIPLIER_SPEC,
+    NEWTON_QUOTIENT_SPEC,
+)
 from crankparity.series import (
     EtaQuotientSpec,
     FractionalExponentError,
@@ -18,6 +23,7 @@ from crankparity.series import (
     load_series,
     memo,
     pentagonal_product,
+    pentagonal_quotient,
     q_sum,
 )
 
@@ -306,6 +312,47 @@ class TestEtaQuotient:
         z = eta_quotient(EtaQuotientSpec(((1, 24),)), 30)
         assert z.offset == 1
         assert z.eq_to_order((euler_factor(1, 1, 29) ** 24).shift(1), 30)
+
+
+def _dense_quotient(factors, trunc):
+    """prod (q^d;q^d)_inf^r by dense products and Newton reciprocals."""
+    x = IntLaurentSeries.one(trunc)
+    for d, r in factors:
+        x = x * pentagonal_product(d, trunc) ** r
+    return x
+
+
+class TestPentagonalQuotient:
+    # t up to 400 straddles _SCHOOLBOOK_CUTOFF (128 x 128) in the dense
+    # reference, and (q^d;q^d)_inf has more than _SPARSE_NNZ nonzeros below
+    # q^400 only for d <= 15, so the reference runs on all three kernels
+    @settings(max_examples=120, deadline=None)
+    @given(trunc=st.integers(1, 400),
+           factors=st.lists(st.tuples(st.integers(1, 60),
+                                      st.integers(-3, 3)), max_size=4))
+    def test_matches_dense_products(self, trunc, factors):
+        got = pentagonal_quotient(factors, trunc)
+        want = _dense_quotient(factors, trunc)
+        assert got.trunc == want.trunc == trunc
+        assert got.eq_to_order(want, trunc)
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(TruncationError):
+            pentagonal_quotient(((1, 1),), 0)
+        with pytest.raises(ValueError):
+            pentagonal_quotient(((0, 1),), 10)
+
+    @pytest.mark.parametrize(
+        "spec", [LADDER_MULTIPLIER_SPEC, HAUPTMODUL_SPEC, NEWTON_QUOTIENT_SPEC]
+        + [NEWTON_QUOTIENT_SPEC ** mu for mu in range(-6, 8)],
+        ids=["multiplier", "hauptmodul", "phi"]
+        + [f"phi^{mu}" for mu in range(-6, 8)])
+    def test_eta_quotient_matches_dense_products(self, spec):
+        shift = spec.prefactor_exponent
+        got = eta_quotient(spec, 300)
+        want = _dense_quotient(spec.factors, 300 - shift).shift(shift)
+        assert got.offset == want.offset and got.trunc == want.trunc == 300
+        assert got.eq_to_order(want, 300)
 
 
 class TestApplyU:
