@@ -377,6 +377,13 @@ def cmd_dump_series(args, config: RunConfig) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _non_negative_int(text: str) -> int:
+    if not text.isdecimal():  # a sign, a space or a non-number
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crank-parity",
@@ -404,9 +411,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run one named verification sweep")
     p.add_argument("check", choices=tuple(_VERIFY_HANDLERS))
-    p.add_argument("--alpha", type=int, default=0,
+    p.add_argument("--alpha", type=_non_negative_int, default=0,
                    help="congruence level (family, claimL; default 0)")
-    p.add_argument("--alpha-max", type=int, default=None,
+    p.add_argument("--alpha-max", type=_non_negative_int, default=None,
                    help="ladder depth (ladder)")
     p.add_argument("--n-max", type=int, default=None,
                    help="sweep bound (family, adh, weighted)")
@@ -425,8 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_distinct)
 
     p = sub.add_parser("ladder", help="dump transfer matrices and ladder")
-    p.add_argument("--alpha-max", type=int, default=None)
-    p.add_argument("--imax", type=int, default=6,
+    p.add_argument("--alpha-max", type=_non_negative_int, default=None)
+    p.add_argument("--imax", type=_non_negative_int, default=6,
                    help="transfer matrix row count")
     p.set_defaults(func=cmd_ladder)
 
@@ -450,7 +457,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return args.func(args, config)
-    except TruncationError as exc:
+    except (TruncationError, fivetower.BudgetExceededError) as exc:
         print(f"crank-parity: {exc}", file=sys.stderr)
         return 2
 

@@ -159,31 +159,41 @@ class HauptmodulPoly:
 
     def evaluate(self, order: int) -> IntLaurentSeries:
         """Expand sum c_j G^j as a q-series exact below q^order."""
-        jmin = min((j for j, _ in self.coeffs), default=0)
-        powers = _haupt_powers(jmin, max((j for j, _ in self.coeffs),
-                                         default=0), order)
         total = IntLaurentSeries.zero(order)
         for j, c in self.coeffs:
-            total = total + powers[j].truncate(order) * c
+            total = total + _haupt_power(j, order) * c
         return total
 
 
-def _haupt_powers(jmin: int, jmax: int, order: int) -> dict[int, IntLaurentSeries]:
-    """G^j for jmin <= j <= jmax, each exact below q^order."""
-    base_trunc = order + 1 + max(0, -jmin)
-    g = hauptmodul(base_trunc)
-    powers = {0: IntLaurentSeries.one(order)}
-    cur = IntLaurentSeries.one(base_trunc)
-    for j in range(1, max(jmax, 1) + 1):
-        cur = cur * g
-        powers[j] = cur
-    if jmin < 0:
-        ginv = g.reciprocal()
-        cur = IntLaurentSeries.one(base_trunc)
-        for j in range(1, -jmin + 1):
-            cur = cur * ginv
-            powers[-j] = cur
-    return powers
+# G^j for a contiguous run of j around 0, all from G at one truncation
+# (the trunc of G^1); grown by _haupt_power, never handed out
+_haupt_table: dict[int, IntLaurentSeries] = {}
+
+
+def _haupt_power(j: int, order: int) -> IntLaurentSeries:
+    """G^j exact below q^order, truncated to order (j may be negative).
+
+    Built from G at truncation b, G^j (j >= 1) is exact below q^(b+j-1)
+    and G^-j below q^(b-j-1), so b = order + 1 + max(0, -j) serves the
+    request.  A table at a smaller b is rebuilt at that b; otherwise missing
+    powers are added by one product each, stepping outward from the nearest
+    one present.
+    """
+    table = _haupt_table
+    base = order + 1 + max(0, -j)
+    if not table or table[1].trunc < base:
+        table.clear()
+        table[0] = IntLaurentSeries.one(base)
+        table[1] = hauptmodul(base)
+    if j not in table:
+        step = 1 if j > 0 else -1
+        if step not in table:
+            table[-1] = table[1].reciprocal()
+        k = max(table) if j > 0 else min(table)
+        while k != j:
+            table[k + step] = table[k] * table[step]
+            k += step
+    return table[j].truncate(order)
 
 
 def reduce_to_hauptmodul(x: IntLaurentSeries, jmin: int, jmax: int,
@@ -205,14 +215,13 @@ def reduce_to_hauptmodul(x: IntLaurentSeries, jmin: int, jmax: int,
             f"truncation {x.trunc} cannot close a degree-{jmax} reduction")
     if not exact:
         x = x.truncate(top + 1)  # nothing past q^top is read
-    powers = _haupt_powers(jmin, top, x.trunc)
     residual = x
     coeffs = {}
     for j in range(jmin, top + 1):
         c = residual.coeff(j)
         if c:
             coeffs[j] = c
-            residual = residual - powers[j].truncate(x.trunc) * c
+            residual = residual - _haupt_power(j, x.trunc) * c
     if exact and residual.valuation() is not None:
         raise NotHauptmodulPolynomialError(
             f"nonzero residual starting at q^{residual.valuation()}: not a "
@@ -235,65 +244,46 @@ def _frozen(rows: dict[int, dict[int, int]]) -> Rows:
 
 
 @lru_cache(maxsize=None)
-def u_matrix_rows(imax: int) -> Rows:
-    """Row i: G^i | U_5 = sum_j a_ij G^j, 1 <= i <= imax, full width 5i,
-    reduced with zero-residual certification and a verified zero constant
-    term."""
-    order = 5 * imax + 10
-    g = hauptmodul(5 * order + 1)
-    rows = {}
-    cur = g
-    for i in range(1, imax + 1):
-        if i > 1:
-            cur = cur * g
-        poly = reduce_to_hauptmodul(apply_U(5, cur).truncate(order), 0, 5 * i)
-        row = poly.as_dict()
-        if row.get(0):
-            raise NotHauptmodulPolynomialError(
-                f"G^{i}|U_5 has constant term {row[0]}; expected none")
-        rows[i] = {j: c for j, c in row.items() if j}
-    return _frozen(rows)
+def _transfer_rows(pre: EtaQuotientSpec, imax: int, jmax: int | None) -> Rows:
+    """Row i, 1 <= i <= imax: (pre * G^i) | U_5 = sum_j c_ij G^j, where the
+    eta quotient pre = q^v + O(q^(v+1)) is 1 (v = 0) or the multiplier
+    (v = 1).  No row has a constant term; that is verified.
 
-
-@lru_cache(maxsize=None)
-def v_matrix_rows(imax: int) -> Rows:
-    """Row i: (multiplier * G^i) | U_5 = sum_j b_ij G^j, full width 5i+1."""
-    order = 5 * imax + 11
-    g = hauptmodul(5 * order + 1)
-    mult = ladder_multiplier(5 * order + 1)
+    With jmax None each row has its full width 5i+v and is certified by a
+    zero residual at order 5*imax+10+v.  With a column window jmax only
+    columns <= jmax are read off the prefix below q^(jmax+4), and rows with
+    i+v > 5*jmax are empty: (pre * G^i)|U_5 starts at q^ceil((i+v)/5).
+    """
+    v = pre.prefactor_exponent
+    order = 5 * imax + 10 + v if jmax is None else jmax + 4
+    t = 5 * order + 1
+    g = hauptmodul(t)
+    cur = eta_quotient(pre, t)
     rows = {}
-    cur = mult
     for i in range(1, imax + 1):
         cur = cur * g
-        poly = reduce_to_hauptmodul(apply_U(5, cur).truncate(order),
-                                    0, 5 * i + 1)
-        row = poly.as_dict()
-        if row.get(0):
-            raise NotHauptmodulPolynomialError(
-                f"(multiplier*G^{i})|U_5 has constant term {row[0]}")
-        rows[i] = {j: c for j, c in row.items() if j}
-    return _frozen(rows)
-
-
-@lru_cache(maxsize=None)
-def _v_rows_partial(row_max: int, jmax: int) -> Rows:
-    """Columns <= jmax of the V matrix for rows 1..row_max.  Rows with
-    i >= 5*jmax contribute nothing to those columns because the series
-    (multiplier * G^i)|U_5 starts at q^ceil((i+1)/5)."""
-    order = jmax + 4
-    g = hauptmodul(5 * order + 1)
-    mult = ladder_multiplier(5 * order + 1)
-    rows = {}
-    cur = mult
-    for i in range(1, row_max + 1):
-        cur = cur * g
-        if (i + 1) > 5 * jmax:
+        if jmax is not None and i + v > 5 * jmax:
             rows[i] = {}
             continue
-        poly = reduce_to_hauptmodul(apply_U(5, cur).truncate(order),
-                                    0, jmax, exact=False)
+        poly = reduce_to_hauptmodul(
+            apply_U(5, cur).truncate(order), 0,
+            5 * i + v if jmax is None else jmax, exact=jmax is None)
+        if poly[0]:
+            raise NotHauptmodulPolynomialError(
+                f"(pre * G^{i})|U_5 with pre = q^{v} + ... has constant "
+                f"term {poly[0]}; expected none")
         rows[i] = poly.as_dict()
     return _frozen(rows)
+
+
+def u_matrix_rows(imax: int) -> Rows:
+    """A: row i is G^i | U_5, full width 5i (the empty eta quotient is 1)."""
+    return _transfer_rows(EtaQuotientSpec(()), imax, None)
+
+
+def v_matrix_rows(imax: int) -> Rows:
+    """B: row i is (multiplier * G^i) | U_5, full width 5i+1."""
+    return _transfer_rows(LADDER_MULTIPLIER_SPEC, imax, None)
 
 
 def _vec_mat(vec: dict[int, int], rows: Rows) -> dict[int, int]:
@@ -421,18 +411,16 @@ def ladder_vectors(alpha_max: int, jmax: int = 11) -> dict[int, dict[int, int]]:
     """Matrix-route rungs: nu -> {j: l_j(nu)}, exact for j <= jmax.
 
     Every step except the last is taken with fully certified matrix rows;
-    the final step may use the banded V matrix because rows beyond 5*jmax
-    provably contribute nothing to columns <= jmax.
+    the final step reads only columns <= jmax of B, to which rows beyond
+    5*jmax provably contribute nothing.
     """
     vec = {1: 5}
     vectors = {1: dict(vec)}
     for a in range(alpha_max):
-        a_rows = u_matrix_rows(max(vec))
-        vec = _vec_mat(vec, a_rows)
+        vec = _vec_mat(vec, u_matrix_rows(max(vec)))
         vectors[2 * a + 2] = dict(vec)
-        last = a == alpha_max - 1
-        if last:
-            b_rows = _v_rows_partial(max(vec), jmax)
+        if a == alpha_max - 1:
+            b_rows = _transfer_rows(LADDER_MULTIPLIER_SPEC, max(vec), jmax)
         else:
             b_rows = v_matrix_rows(max(vec))
         vec = _vec_mat(vec, b_rows)

@@ -121,6 +121,33 @@ class TestVerify:
         with pytest.raises(SystemExit):
             main(["verify", "nonsense"])
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "ladder", "--alpha-max", "4"),
+        ("verify", "claimL", "--alpha", "3"),
+    ])
+    def test_over_budget_is_one_stderr_line(self, capsys, argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("crank-parity: ")
+        assert captured.err.count("\n") == 1 and "ceiling" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "family", "--alpha", "-1"),
+        ("verify", "claimL", "--alpha", "-1"),
+        ("verify", "ladder", "--alpha-max", "-1"),
+        ("ladder", "--alpha-max", "-1"),
+        ("ladder", "--imax", "-3"),
+        ("ladder", "--imax", "x"),
+    ])
+    def test_negative_depth_rejected_by_parser(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert err.value.code == 2 and captured.out == ""
+        assert "expected an integer >= 0" in captured.err
+        assert "Traceback" not in captured.err
+
 
 class TestAsymptotic:
     def test_header_and_rows(self, capsys):

@@ -2,7 +2,9 @@ import dataclasses
 
 import pytest
 
+from crankparity import fivetower
 from crankparity.fivetower import (
+    LADDER_MULTIPLIER_SPEC,
     BudgetExceededError,
     HauptmodulPoly,
     NotHauptmodulPolynomialError,
@@ -20,8 +22,10 @@ from crankparity.fivetower import (
     required_multiplier_trunc,
     u_matrix_rows,
     v_matrix_rows,
+    _haupt_power,
+    _transfer_rows,
 )
-from crankparity.series import apply_U
+from crankparity.series import EtaQuotientSpec, IntLaurentSeries, apply_U
 
 
 class TestEtaQuotients:
@@ -80,6 +84,31 @@ class TestReduce:
         series = poly.evaluate(40)
         assert reduce_to_hauptmodul(series, -1, 3).as_dict() == poly.as_dict()
 
+    def test_evaluate_against_independent_powers(self):
+        # grow the shared power table first: longer, then further negative
+        _haupt_power(12, 80)
+        _haupt_power(-3, 50)
+        coeffs = {-2: 3, 0: -1, 4: 7, 9: 2}
+        got = HauptmodulPoly(coeffs).evaluate(40)
+        g = hauptmodul(43)
+        want = IntLaurentSeries.zero(40)
+        for j, c in coeffs.items():
+            power = g ** j if j >= 0 else g.reciprocal() ** -j
+            want = want + power.truncate(40) * c
+        assert got.trunc == 40 and got.eq_to_order(want, 40)
+
+    def test_power_table_grows_and_rebuilds(self, monkeypatch):
+        # from an empty table: extend both ways, rebuild at a larger base
+        # at (0, 60), then read and extend the rebuilt table
+        monkeypatch.setattr(fivetower, "_haupt_table", {})
+        for j, order in [(-2, 40), (5, 20), (-3, 30), (5, 38), (9, 12),
+                         (0, 60), (5, 58), (-4, 25), (1, 3)]:
+            got = _haupt_power(j, order)
+            g = hauptmodul(order + 1 + max(0, -j))
+            want = g ** j if j >= 0 else g.reciprocal() ** -j
+            assert got.trunc == order, (j, order)
+            assert got.eq_to_order(want, order), (j, order)
+
 
 class TestNewtonQuotientPowers:
     @pytest.mark.parametrize("mu,want", [
@@ -120,7 +149,6 @@ class TestNewtonSigmas:
         sigmas = newton_sigma_polys()
         order = 30
         lhs = newton_power_u5(5, order)
-        from crankparity.series import IntLaurentSeries
         rhs = IntLaurentSeries.zero(order)
         for i, sigma in enumerate(sigmas, start=1):
             term = sigma.evaluate(order) * newton_power_u5(5 - i, order)
@@ -162,6 +190,20 @@ class TestTransferMatrices:
         with pytest.raises(TypeError):
             rows[1] = {1: 999}
         assert u_matrix_rows(3)[1][1] == 11
+
+    @pytest.mark.parametrize("jmax", [1, 2, 5, 11])
+    def test_windowed_rows_are_cut_full_rows(self, jmax):
+        imax = 12
+        for pre, full in ((EtaQuotientSpec(()), u_matrix_rows(imax)),
+                          (LADDER_MULTIPLIER_SPEC, v_matrix_rows(imax))):
+            v = pre.prefactor_exponent
+            windowed = _transfer_rows(pre, imax, jmax)
+            assert sorted(windowed) == list(range(1, imax + 1))
+            for i in range(1, imax + 1):
+                cut = {j: c for j, c in full[i].items() if j <= jmax}
+                assert windowed[i] == cut, (v, i)
+                if i + v > 5 * jmax:
+                    assert windowed[i] == {}, (v, i)
 
     def test_wider_rows_keep_lemma_a(self):
         # the ladder consistency check computes rows up to i = 26; the
