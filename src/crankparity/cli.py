@@ -7,6 +7,8 @@ fans the per-n asymptotic evaluations out to worker processes and reassembles
 them in index order, so it never changes an emitted number.  Exit status is
 0 exactly when everything requested passed.
 
+``_emit`` is the one writer of a command's result to stdout, in the format
+--output names; only dump-series bypasses it, always writing the dump TSV.
 Big integers in JSON output are serialized as decimal strings (coefficients
 overflow 64-bit machinery long before the default truncations).
 """
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -60,16 +63,27 @@ class RunConfig:
         return _CHECK_DEFAULT_TERMS.get(check, 2000)
 
 
-def _emit(payload: dict, rows: list[dict], columns: list[str],
-          config: RunConfig) -> None:
-    if config.output == "json":
-        print(json.dumps({"schema": SCHEMA, **payload, "rows": rows},
+def _emit(config: RunConfig, payload: dict, columns: list[str],
+          rows: list[dict], text: str | None = None) -> None:
+    """Write one command's result to stdout as ``config.output`` says.
+
+    json is ``{"schema", **payload}``; csv is ``columns``, then each row's
+    values under them; text is ``text``, or a padded table of the rows when
+    it is None, or the csv or json form when it is "csv" or "json".
+    """
+    output = config.output
+    if output == "text" and text in ("csv", "json"):
+        output = text
+    if output == "json":
+        print(json.dumps({"schema": SCHEMA, **payload}, default=str,
                          indent=2))
-    elif config.output == "csv":
+    elif output == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(columns)
         for row in rows:
             writer.writerow([row[c] for c in columns])
+    elif text is not None:
+        print(text)
     else:
         widths = {c: max(len(c), *(len(str(r[c])) for r in rows)) if rows
                   else len(c) for c in columns}
@@ -87,7 +101,7 @@ def cmd_coeffs(args, config: RunConfig) -> int:
     if n_lo < 0 or n_hi < n_lo:
         raise SystemExit("coeffs: need 0 <= N_LO <= N_HI")
     source = args.source
-    terms = config.terms if config.terms is not None else 2000
+    terms = config.check_terms("coeffs")
     if source in ("series", "both") and n_hi >= terms:
         raise SystemExit(
             f"coeffs: truncation {terms} too small for n = {n_hi}; rerun "
@@ -113,8 +127,8 @@ def cmd_coeffs(args, config: RunConfig) -> int:
                 row["flag"] = ("match" if row["series"] == row["oracle"]
                                else "MISMATCH")
         rows.append(row)
-    _emit({"command": "coeffs"}, rows, ["n", "series", "oracle", "flag"],
-          config)
+    _emit(config, {"command": "coeffs", "rows": rows},
+          ["n", "series", "oracle", "flag"], rows)
     return 0 if all(r["flag"] != "MISMATCH" for r in rows) else 1
 
 
@@ -156,8 +170,7 @@ def _verify_simple(args, config: RunConfig) -> dict:
 
 
 def _verify_ladder(args, config: RunConfig) -> dict:
-    alpha_max = args.alpha_max if args.alpha_max is not None else 2
-    states = fivetower.ladder(alpha_max)
+    states = fivetower.ladder(args.alpha_max)
     worst = []
     for state in states:
         if state.nu == 0:
@@ -223,18 +236,11 @@ _VERIFY_HANDLERS = {
 
 def cmd_verify(args, config: RunConfig) -> int:
     result = _VERIFY_HANDLERS[args.check](args, config)
-    if config.output == "json":
-        print(json.dumps({"schema": SCHEMA, **result}, default=str, indent=2))
-    elif config.output == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["check", "passed", "count", "first_counterexample"])
-        writer.writerow([result["check"], result["passed"], result["count"],
-                         result["first_counterexample"]])
-    else:
-        state = "PASS" if result["passed"] else "FAIL"
-        extra = "" if result["passed"] else \
-            f" (first counterexample: {result['first_counterexample']})"
-        print(f"{state} {result['check']}: {result['count']} cases{extra}")
+    state = "PASS" if result["passed"] else "FAIL"
+    extra = "" if result["passed"] else \
+        f" (first counterexample: {result['first_counterexample']})"
+    _emit(config, result, ["check", "passed", "count", "first_counterexample"],
+          [result], f"{state} {result['check']}: {result['count']} cases{extra}")
     return 0 if result["passed"] else 1
 
 
@@ -267,17 +273,10 @@ def cmd_asymptotic(args, config: RunConfig) -> int:
         reports = [_asymptotic_worker(job) for job in jobs]
 
     digits = max(10, int(config.precision_bits * 0.301) - 2)
-    rows = [dict(zip(["n", "exact", "main", "abs_error", "bound", "pass"],
-                     r.csv_row(digits))) for r in reports]
-    if config.output == "json":
-        _emit({"command": "asymptotic"}, rows,
-              ["n", "exact", "main", "abs_error", "bound", "pass"], config)
-    else:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["n", "exact", "main", "abs_error", "bound", "pass"])
-        for r in rows:
-            writer.writerow([r["n"], r["exact"], r["main"], r["abs_error"],
-                             r["bound"], r["pass"]])
+    columns = ["n", "exact", "main", "abs_error", "bound", "pass"]
+    rows = [dict(zip(columns, r.csv_row(digits))) for r in reports]
+    _emit(config, {"command": "asymptotic", "rows": rows}, columns, rows,
+          "csv")
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -306,8 +305,8 @@ def cmd_distinct(args, config: RunConfig) -> int:
             row["oracle"] = oracle
             ok = ok and oracle == value
         rows.append(row)
-    _emit({"command": "distinct"}, rows,
-          ["n", "case", "value", "oracle", "floor_term", "ceil_term"], config)
+    _emit(config, {"command": "distinct", "rows": rows},
+          ["n", "case", "value", "oracle", "floor_term", "ceil_term"], rows)
     return 0 if ok else 1
 
 
@@ -316,39 +315,32 @@ def cmd_distinct(args, config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_ladder(args, config: RunConfig) -> int:
-    alpha_max = args.alpha_max if args.alpha_max is not None else 2
     a_rows = fivetower.u_matrix_rows(args.imax)
     b_rows = fivetower.v_matrix_rows(args.imax)
-    states = fivetower.ladder(alpha_max)
+    states = fivetower.ladder(args.alpha_max)
 
     def encode_rows(rows):
         return {str(i): {str(j): str(c) for j, c in sorted(row.items())}
                 for i, row in rows.items()}
 
     ladder_payload = []
+    rungs = []
     for state in states:
         entries = {str(j): str(c) for j, c in state.gpoly.as_dict().items()}
         vals = {str(j): fivetower.five_adic(c)
                 for j, c in state.gpoly.as_dict().items() if c}
         ladder_payload.append({"nu": state.nu, "entries": entries,
                                "valuations": vals})
+        rungs += [{"nu": state.nu, "j": j, "entry": c,
+                   "valuation": vals.get(j, "")} for j, c in entries.items()]
     payload = {
-        "schema": SCHEMA,
         "command": "ladder",
-        "alpha_max": alpha_max,
+        "alpha_max": args.alpha_max,
         "A": encode_rows(a_rows),
         "B": encode_rows(b_rows),
         "ladder": ladder_payload,
     }
-    if config.output == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["nu", "j", "entry", "valuation"])
-        for item in ladder_payload:
-            for j, c in item["entries"].items():
-                writer.writerow([item["nu"], j, c,
-                                 item["valuations"].get(j, "")])
-    else:
-        print(json.dumps(payload, indent=2))
+    _emit(config, payload, ["nu", "j", "entry", "valuation"], rungs, "json")
     return 0
 
 
@@ -367,8 +359,7 @@ _SERIES_BUILDERS = {
 
 
 def cmd_dump_series(args, config: RunConfig) -> int:
-    terms = config.terms if config.terms is not None else 2000
-    series = _SERIES_BUILDERS[args.name](terms)
+    series = _SERIES_BUILDERS[args.name](config.check_terms("dump-series"))
     dump_series(series, sys.stdout)
     return 0
 
@@ -401,6 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--parallel", action="store_true",
                         help="evaluate asymptotic sweeps in worker processes")
     sub = parser.add_subparsers(dest="command", required=True)
+    alpha_max = {"type": _non_negative_int, "default": 2,
+                 "help": "ladder depth (default 2)"}
 
     p = sub.add_parser("coeffs", help="coefficient table: series vs oracle")
     p.add_argument("n_lo", type=int)
@@ -413,9 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("check", choices=tuple(_VERIFY_HANDLERS))
     p.add_argument("--alpha", type=_non_negative_int, default=0,
                    help="congruence level (family, claimL; default 0)")
-    p.add_argument("--alpha-max", type=_non_negative_int, default=None,
-                   help="ladder depth (ladder)")
-    p.add_argument("--n-max", type=int, default=None,
+    p.add_argument("--alpha-max", **alpha_max)
+    p.add_argument("--n-max", type=_non_negative_int, default=None,
                    help="sweep bound (family, adh, weighted)")
     p.set_defaults(func=cmd_verify)
 
@@ -432,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_distinct)
 
     p = sub.add_parser("ladder", help="dump transfer matrices and ladder")
-    p.add_argument("--alpha-max", type=_non_negative_int, default=None)
+    p.add_argument("--alpha-max", **alpha_max)
     p.add_argument("--imax", type=_non_negative_int, default=6,
                    help="transfer matrix row count")
     p.set_defaults(func=cmd_ladder)
@@ -456,10 +448,17 @@ def main(argv: list[str] | None = None) -> int:
         print(f"crank-parity: {exc}", file=sys.stderr)
         return 2
     try:
-        return args.func(args, config)
+        code = args.func(args, config)
+        sys.stdout.flush()
+        return code
     except (TruncationError, fivetower.BudgetExceededError) as exc:
         print(f"crank-parity: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # stdout's reader is gone; point fd 1 at the null device so the
+        # interpreter's final flush of what is still buffered cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -282,13 +282,6 @@ class IntLaurentSeries:
             if c:
                 yield self.offset + i, c
 
-    def is_zero_to(self, order: int) -> bool:
-        if self.trunc < order:
-            raise TruncationError(
-                f"zero test to order {order} needs trunc >= {order}, "
-                f"have {self.trunc}")
-        return not any(self.coeffs[:max(0, order - self.offset)])
-
     def eq_to_order(self, other: "IntLaurentSeries", order: int) -> bool:
         """Exact coefficient agreement for all exponents below ``order``.
 

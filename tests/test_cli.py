@@ -14,6 +14,14 @@ from crankparity.cli import RunConfig, main
 SRC = str(Path(crankparity.__file__).resolve().parent.parent)
 
 
+def cli_env(**extra):
+    """The environment of a fresh ``python -m crankparity`` process."""
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith(("PYTHON", "CRANK_PARITY_"))}
+    env.update(PYTHONPATH=SRC, **extra)
+    return env
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -139,6 +147,9 @@ class TestVerify:
         ("ladder", "--alpha-max", "-1"),
         ("ladder", "--imax", "-3"),
         ("ladder", "--imax", "x"),
+        ("verify", "adh", "--n-max", "-3"),
+        ("verify", "family", "--n-max", "-5"),
+        ("verify", "weighted", "--n-max", "-2"),
     ])
     def test_negative_depth_rejected_by_parser(self, capsys, argv):
         with pytest.raises(SystemExit) as err:
@@ -147,6 +158,49 @@ class TestVerify:
         assert err.value.code == 2 and captured.out == ""
         assert "expected an integer >= 0" in captured.err
         assert "Traceback" not in captured.err
+
+    def test_failed_check_is_reported(self, capsys, monkeypatch):
+        from crankparity import cli
+        monkeypatch.setitem(cli._SIMPLE_CHECKS, "chan", lambda terms: False)
+        code, out = run_cli(capsys, "--terms", "120", "verify", "chan")
+        assert (code, out) == (1, "FAIL chan: 120 cases (first "
+                                  "counterexample: see check definition)\n")
+        code, out = run_cli(capsys, "--output", "csv", "--terms", "120",
+                            "verify", "chan")
+        assert code == 1
+        assert out.splitlines()[1] == "chan,False,120,see check definition"
+        code, out = run_cli(capsys, "--output", "json", "--terms", "120",
+                            "verify", "chan")
+        assert code == 1 and '"passed": false' in out
+
+
+class TestOutputFormats:
+    def test_verify_csv(self, capsys):
+        code, out = run_cli(capsys, "--output", "csv", "verify", "claimL")
+        assert (code, out) == (0, "check,passed,count,first_counterexample"
+                                  "\r\nclaimL,True,40,\r\n")
+
+    def test_asymptotic_text_is_csv(self, capsys):
+        _, text = run_cli(capsys, "asymptotic", "3", "5")
+        _, as_csv = run_cli(capsys, "--output", "csv", "asymptotic", "3", "5")
+        assert text == as_csv and text.startswith("n,exact,main,")
+
+    def test_ladder_text_is_json(self, capsys):
+        argv = ("ladder", "--alpha-max", "0", "--imax", "2")
+        _, text = run_cli(capsys, *argv)
+        _, as_json = run_cli(capsys, "--output", "json", *argv)
+        _, as_csv = run_cli(capsys, "--output", "csv", *argv)
+        assert text == as_json and list(json.loads(text)) == [
+            "schema", "command", "alpha_max", "A", "B", "ladder"]
+        assert as_csv.startswith("nu,j,entry,valuation\r\n0,0,1,0\r\n"
+                                 "1,1,5,1\r\n")
+
+    def test_rows_key_only_in_table_commands(self, capsys):
+        _, out = run_cli(capsys, "--output", "json", "verify", "family",
+                         "--n-max", "500")
+        assert "rows" not in json.loads(out)
+        _, out = run_cli(capsys, "--output", "json", "asymptotic", "3", "5")
+        assert [r["n"] for r in json.loads(out)["rows"]] == ["3", "4", "5"]
 
 
 class TestAsymptotic:
@@ -228,9 +282,7 @@ class TestDumpSeries:
 
     def test_cut_cache_file_is_rebuilt(self, tmp_path):
         # a later run, in its own process, meets a file cut short by a crash
-        env = {k: v for k, v in os.environ.items()
-               if not k.startswith(("PYTHON", "CRANK_PARITY_"))}
-        env.update(PYTHONPATH=SRC, CRANK_PARITY_CACHE_DIR=str(tmp_path))
+        env = cli_env(CRANK_PARITY_CACHE_DIR=str(tmp_path))
 
         def run():
             return subprocess.run(
@@ -247,3 +299,23 @@ class TestDumpSeries:
         assert warm.stdout.splitlines()[-1].split() == ["39", "-235"]
         assert warm.stderr.count("\n") == 1 and str(path) in warm.stderr
         assert path.read_bytes() == good
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("argv", [
+        ("--terms", "50", "coeffs", "1", "12", "--source", "series"),
+        ("--terms", "40", "dump-series", "crank"),
+    ])
+    def test_no_traceback_when_reader_is_gone(self, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "crankparity", *argv], env=cli_env(),
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("crank-parity:") <= 1
