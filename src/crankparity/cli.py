@@ -195,9 +195,21 @@ def _verify_claim_l(args, config: RunConfig) -> dict:
             "first_counterexample": None}
 
 
+def _oracle_n_max(args, config: RunConfig, default: int) -> int:
+    """--n-max of a check that enumerates partitions, which --oracle-max
+    caps; a request above the cap is refused, not cut."""
+    if args.n_max is None:
+        return min(default, config.oracle_max)
+    if args.n_max > config.oracle_max:
+        raise SystemExit(
+            f"verify {args.check}: oracle sweep capped at "
+            f"{config.oracle_max}; lower --n-max or raise --oracle-max "
+            "(hard limit 90)")
+    return args.n_max
+
+
 def _verify_adh(args, config: RunConfig) -> dict:
-    n_max = min(args.n_max if args.n_max is not None else config.oracle_max,
-                config.oracle_max)
+    n_max = _oracle_n_max(args, config, config.oracle_max)
     values = distinct.bootstrap_t_values(n_max)
     bad = [n for n in range(1, n_max + 1)
            if distinct.multiplicative_t(n, values)
@@ -207,8 +219,7 @@ def _verify_adh(args, config: RunConfig) -> dict:
 
 
 def _verify_weighted(args, config: RunConfig) -> dict:
-    n_max = min(args.n_max if args.n_max is not None else 40,
-                config.oracle_max)
+    n_max = _oracle_n_max(args, config, 40)
     series = cranks.crank_parity_series(n_max + 1)
     bad = []
     for n in range(1, n_max + 1):

@@ -5,10 +5,19 @@ The central object is the crank-parity series
     sum_n (M_e(n) - M_o(n)) q^n  =  (q;q)_inf / (-q;q)_inf^2
                                  =  (q;q)_inf (q;q^2)_inf^2,
 
-where M_e / M_o count partitions with even / odd crank.  It is computed by
-two independent routes on disjoint kernels (in-place binomial passes vs
-sparse pentagonal-number passes) which are required to agree.  On top of it
-sit the verification sweeps:
+where M_e / M_o count partitions with even / odd crank.  Three sides that
+share no kernel make it:
+
+  * G itself, as (q;q)_inf^3 / (q^2;q^2)_inf^2 by sparse in-place
+    pentagonal-number passes (``series.pentagonal_quotient``);
+  * L, Garvan's form of the crank generating function at z = -1,
+        (q;q)_inf * G  =  1 + 4 sum_{n>=1} (-1)^n q^(n(n+1)/2) / (1 + q^n),
+    whose summands are geometric series written straight into a list by
+    slice passes, with no series kernel;
+  * the check G * (q;q)_inf == L on every coefficient, the product taken by
+    ``series._conv_sparse`` against Euler's pentagonal terms.
+
+On top of it sit the verification sweeps:
 
   * the congruence family  M_e(n) - M_o(n) == 0 mod 5^(a+1)  whenever
     24n == 1 mod 5^(2a+1),
@@ -21,10 +30,10 @@ The rank analogue  sum_n (N_e(n) - N_o(n)) q^n  =  sum_n q^(n^2)/(-q;q)_n^2
 (a third-order mock theta function) is cross-computed against Watson's
 expansion 1/(q;q)_inf (1 + 4 sum_k (-1)^k q^(k(3k+1)/2) / (1+q^k)).
 
-Every infinite sum here goes through ``series.q_sum``, which stops at the
-first summand whose lowest exponent reaches the truncation (the exponents
-grow quadratically), never after a fixed summand count, so every reported
-coefficient is exact.
+L and every other infinite sum here (those through ``series.q_sum``) stop
+at the first summand whose lowest exponent reaches the truncation (the
+exponents grow quadratically), never after a fixed summand count, so every
+reported coefficient is exact.
 """
 
 from __future__ import annotations
@@ -34,8 +43,9 @@ from dataclasses import dataclass, field
 from .series import (
     IntLaurentSeries,
     TruncationError,
-    _apply_binomial,
+    _conv_sparse,
     memo,
+    pentagonal_product,
     pentagonal_quotient,
     q_sum,
 )
@@ -47,28 +57,61 @@ def partition_series(trunc: int) -> IntLaurentSeries:
                 lambda t: pentagonal_quotient(((1, -1),), t))
 
 
-def crank_parity_series(trunc: int) -> IntLaurentSeries:
-    """(q;q)_inf (q;q^2)_inf^2, computed two ways and cross-checked.
+def _add_lambert_summand(c: list, n: int) -> None:
+    """c += 4 (-1)^n q^(n(n+1)/2) / (1 + q^n) below q^len(c), in place.
 
-    The two routes share no kernel.  Route one is the same series written
-    as the binomial product (q;q^2)_inf^3 (q^2;q^2)_inf: one in-place
-    ``_apply_binomial`` pass per factor (1 - q^k).  Route two is
-    (q;q)_inf^3 / (q^2;q^2)_inf^2 by ``pentagonal_quotient``, sparse passes
-    over Euler's pentagonal terms.  Any disagreement raises.
+    The summand is the geometric series 4 (-1)^(n+j) q^(n(n+1)/2 + nj),
+    j >= 0: one slice pass over every 2n-th exponent per sign.
+    """
+    e = n * (n + 1) // 2
+    s = -4 if n % 2 else 4
+    c[e::2 * n] = [x + s for x in c[e::2 * n]]
+    c[e + n::2 * n] = [x - s for x in c[e + n::2 * n]]
+
+
+def _lambert_sum(trunc: int) -> list:
+    """1 + 4 sum_{n>=1} (-1)^n q^(n(n+1)/2) / (1 + q^n) below q^trunc.
+
+    Summand n costs O(trunc/n), so the sum costs O(trunc log trunc); the
+    loop stops at the first summand starting at or past q^trunc.
+    """
+    c = [1] + [0] * (trunc - 1)
+    n = 1
+    while n * (n + 1) // 2 < trunc:
+        _add_lambert_summand(c, n)
+        n += 1
+    return c
+
+
+def crank_parity_series(trunc: int) -> IntLaurentSeries:
+    """(q;q)_inf (q;q^2)_inf^2, built one way and checked against another.
+
+    Three sides, no kernel shared between them:
+
+    * G = (q;q)_inf^3 / (q^2;q^2)_inf^2 by ``pentagonal_quotient``, sparse
+      in-place ``_apply_pentagonal`` passes; G is returned and memoised;
+    * L = Garvan's Lambert sum, sparse geometric series written into a
+      plain list (``_lambert_sum``);
+    * the check G * (q;q)_inf == L over every coefficient below q^trunc,
+      the product taken by ``_conv_sparse`` against the pentagonal terms of
+      (q;q)_inf, constant term included.
+
+    Any disagreement raises AssertionError naming the first exponent that
+    differs and both values there.
     """
     def build(t: int) -> IntLaurentSeries:
-        c = [1] + [0] * (t - 1)
-        # largest k first: the partial products keep small coefficients
-        # through most of the passes
-        for k in range(t - 1, 0, -1):
-            _apply_binomial(c, k, -1, 3 if k % 2 else 1)
-        by_products = IntLaurentSeries(0, c, t)
-        by_pentagonal = pentagonal_quotient(((1, 3), (2, -2)), t)
-        if not by_products.eq_to_order(by_pentagonal, t):
+        g = pentagonal_quotient(((1, 3), (2, -2)), t)
+        euler = list(pentagonal_product(1, t).terms())
+        product = _conv_sparse(euler, list(g.coeffs), t - g.offset)
+        bad = IntLaurentSeries(g.offset, product, t).first_mismatch(
+            IntLaurentSeries(0, _lambert_sum(t), t), t)
+        if bad is not None:
+            e, mine, theirs = bad
             raise AssertionError(
-                "crank-parity series routes disagree; series arithmetic "
-                "is broken")
-        return by_products
+                "crank-parity series routes disagree; series arithmetic is "
+                f"broken: first at q^{e}: G*(q;q)_inf has {mine}, the "
+                f"Lambert sum {theirs}")
+        return g
 
     return memo("crank_parity", trunc, build)
 
@@ -84,9 +127,12 @@ def rank_parity_series(trunc: int) -> IntLaurentSeries:
             return 4 * (-1) ** k, k * (3 * k + 1) // 2, [], [(k, 1, -1)]
 
         watson = q_sum(t, watson_term, base=partition_series(t))
-        if not total.eq_to_order(watson, t):
+        bad = total.first_mismatch(watson, t)
+        if bad is not None:
+            e, mine, theirs = bad
             raise AssertionError(
-                "rank-parity series disagrees with Watson's expansion")
+                "rank-parity series disagrees with Watson's expansion: "
+                f"first at q^{e}: the sum has {mine}, Watson's form {theirs}")
         return total
 
     return memo("rank_parity", trunc, build)

@@ -282,8 +282,10 @@ class IntLaurentSeries:
             if c:
                 yield self.offset + i, c
 
-    def eq_to_order(self, other: "IntLaurentSeries", order: int) -> bool:
-        """Exact coefficient agreement for all exponents below ``order``.
+    def first_mismatch(self, other: "IntLaurentSeries",
+                       order: int) -> tuple[int, int, int] | None:
+        """``(exponent, mine, theirs)`` at the lowest exponent below
+        ``order`` where the coefficients differ, or None if none does.
 
         Both operands must carry trunc >= order; insufficient truncation is
         an error, never a silent pass.
@@ -292,8 +294,16 @@ class IntLaurentSeries:
             raise TruncationError(
                 f"equality to order {order} needs truncs >= {order}, have "
                 f"{self.trunc} and {other.trunc}")
-        lo = min(self.offset, other.offset)
-        return all(self.coeff(e) == other.coeff(e) for e in range(lo, order))
+        for e in range(min(self.offset, other.offset), order):
+            mine, theirs = self.coeff(e), other.coeff(e)
+            if mine != theirs:
+                return e, mine, theirs
+        return None
+
+    def eq_to_order(self, other: "IntLaurentSeries", order: int) -> bool:
+        """Exact coefficient agreement for all exponents below ``order``;
+        see :meth:`first_mismatch`."""
+        return self.first_mismatch(other, order) is None
 
     def __repr__(self) -> str:
         parts = []

@@ -159,6 +159,23 @@ class TestVerify:
         assert "expected an integer >= 0" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("check", ["adh", "weighted"])
+    def test_n_max_past_oracle_cap_is_refused(self, check):
+        # as coeffs 1 80 does: one stderr line, exit 1, nothing on stdout
+        proc = subprocess.run(
+            [sys.executable, "-m", "crankparity", "verify", check,
+             "--n-max", "200"],
+            capture_output=True, text=True, env=cli_env(), timeout=60)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == (
+            f"verify {check}: oracle sweep capped at 60; lower --n-max or "
+            "raise --oracle-max (hard limit 90)\n")
+
+    def test_default_n_max_stays_under_oracle_cap(self, capsys):
+        code, out = run_cli(capsys, "--oracle-max", "12", "verify",
+                            "weighted")
+        assert (code, out) == (0, "PASS weighted: 12 cases\n")
+
     def test_failed_check_is_reported(self, capsys, monkeypatch):
         from crankparity import cli
         monkeypatch.setitem(cli._SIMPLE_CHECKS, "chan", lambda terms: False)

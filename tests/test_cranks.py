@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crankparity import cranks, series
 from crankparity.cranks import (
@@ -12,7 +13,56 @@ from crankparity.cranks import (
     subsequence_5n4_series,
     verify_family_congruence,
 )
-from crankparity.series import TruncationError, pentagonal_product
+from crankparity.series import (
+    IntLaurentSeries,
+    TruncationError,
+    pentagonal_product,
+)
+
+
+@pytest.fixture
+def fresh_memo(monkeypatch):
+    monkeypatch.delenv("CRANK_PARITY_CACHE_DIR", raising=False)
+    monkeypatch.setattr(series, "_memo", {})
+
+
+# truncations in 1..700, half of them within one of a triangular number
+# n(n+1)/2, where a Lambert summand starts
+_EDGE_TRUNCS = st.one_of(
+    st.integers(1, 700),
+    st.builds(lambda n, d: n * (n + 1) // 2 + d,
+              st.integers(1, 36), st.integers(-1, 1)).filter(lambda t: t >= 1))
+
+
+class TestLambertSum:
+    @settings(max_examples=100, deadline=None)
+    @given(trunc=_EDGE_TRUNCS)
+    def test_equals_dense_product(self, trunc):
+        real = cranks._add_lambert_summand
+        starts = []
+
+        def checked(c, n):
+            # summand n alone: 4(-1)^(n+j) at n(n+1)/2 + nj, below len(c)
+            e = n * (n + 1) // 2
+            alone = [0] * len(c)
+            real(alone, n)
+            assert alone == [4 * (-1) ** (n + (i - e) // n)
+                             if i >= e and (i - e) % n == 0 else 0
+                             for i in range(len(c))]
+            starts.append(e)
+            real(c, n)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cranks, "_add_lambert_summand", checked)
+            got = cranks._lambert_sum(trunc)
+        p1 = pentagonal_product(1, trunc)
+        dense = p1 ** 3 / pentagonal_product(2, trunc) ** 2 * p1
+        assert got == [dense.coeff(n) for n in range(trunc)]
+        # exactly the summands that start below q^trunc were added
+        k = len(starts)
+        assert starts == [n * (n + 1) // 2 for n in range(1, k + 1)]
+        assert all(e < trunc for e in starts)
+        assert (k + 1) * (k + 2) // 2 >= trunc
 
 
 class TestCrankParitySeries:
@@ -26,19 +76,18 @@ class TestCrankParitySeries:
                / pentagonal_product(2, 2000) ** 2)
         assert g.eq_to_order(alt, 2000)
 
-    @pytest.fixture
-    def fresh_memo(self, monkeypatch):
-        monkeypatch.delenv("CRANK_PARITY_CACHE_DIR", raising=False)
-        monkeypatch.setattr(series, "_memo", {})
+    def test_broken_lambert_sum_is_caught(self, monkeypatch, fresh_memo):
+        real = cranks._add_lambert_summand
 
-    def test_broken_binomial_route_is_caught(self, monkeypatch, fresh_memo):
-        real = cranks._apply_binomial
+        def sign_flipped(c, n):
+            if n != 7:
+                return real(c, n)
+            summand = [0] * len(c)  # summand 7 starts at q^28
+            real(summand, n)
+            c[:] = [x - y for x, y in zip(c, summand)]
 
-        def off_by_one(x, k, c, r):
-            real(x, k + (k == 7), c, r)
-
-        monkeypatch.setattr(cranks, "_apply_binomial", off_by_one)
-        with pytest.raises(AssertionError, match="routes disagree"):
+        monkeypatch.setattr(cranks, "_add_lambert_summand", sign_flipped)
+        with pytest.raises(AssertionError, match=r"routes disagree.* q\^28:"):
             crank_parity_series(300)
 
     def test_broken_pentagonal_route_is_caught(self, monkeypatch,
@@ -48,18 +97,32 @@ class TestCrankParitySeries:
         def one_pass_short(x, d, r):
             real(x, d, r + 1 if r < 0 else r)
 
+        # G comes out times (q^2;q^2)_inf = 1 - q^2 - ...
         monkeypatch.setattr(series, "_apply_pentagonal", one_pass_short)
-        with pytest.raises(AssertionError, match="routes disagree"):
+        with pytest.raises(AssertionError, match=r"routes disagree.* q\^2:"):
             crank_parity_series(300)
 
+    def test_broken_check_product_is_caught(self, monkeypatch, fresh_memo):
+        real = cranks._conv_sparse
+
+        def last_coefficient_dropped(terms, b, rlen):
+            return real(terms, b, rlen - 1) + [0]
+
+        # the Lambert sum is 8 at q^298, the last exponent below 299
+        monkeypatch.setattr(cranks, "_conv_sparse", last_coefficient_dropped)
+        with pytest.raises(AssertionError,
+                           match=r"routes disagree.* q\^298: .*has 0, "
+                                 r"the Lambert sum 8$"):
+            crank_parity_series(299)
+
     def test_routes_share_no_kernel(self, monkeypatch, fresh_memo):
-        # route one holds its own binding of _apply_binomial; the series
-        # module's, and every dense product, must not be reached
+        # G by pentagonal passes, L by slice passes, the check by the
+        # sparse product: no binomial pass and no dense product is reached
         def unreachable(*args):
             raise AssertionError("dense or binomial kernel reached")
 
-        monkeypatch.setattr(series, "_apply_binomial", unreachable)
-        monkeypatch.setattr(series, "_conv", unreachable)
+        for kernel in ("_apply_binomial", "_conv", "_conv_kronecker"):
+            monkeypatch.setattr(series, kernel, unreachable)
         assert [crank_parity_series(300).coeff(n) for n in range(5)] \
             == [1, -3, 2, -1, 5]
 
@@ -87,6 +150,20 @@ class TestRankParitySeries:
         # disagree; surviving construction at 1000 terms is the assertion
         f = rank_parity_series(1000)
         assert f.trunc >= 1000
+
+    def test_broken_watson_side_is_caught(self, monkeypatch, fresh_memo):
+        real = cranks.partition_series
+
+        def one_coefficient_off(t):
+            p = real(t)
+            return p + IntLaurentSeries.monomial(5, 1, p.trunc)
+
+        # 1/(q;q)_inf is Watson's base, its k = 0 summand: 7 becomes 8 at q^5
+        monkeypatch.setattr(cranks, "partition_series", one_coefficient_off)
+        with pytest.raises(AssertionError,
+                           match=r"Watson's expansion: first at q\^5: "
+                                 r"the sum has \S+, Watson's form \S+$"):
+            rank_parity_series(100)
 
 
 class TestFamilyCongruence:

@@ -396,6 +396,17 @@ class TestTruncationDiscipline:
             x.eq_to_order(y, 9)
         assert x.eq_to_order(y, 5)
 
+    def test_first_mismatch(self):
+        x = IntLaurentSeries.from_terms({-2: 1, 3: 7}, 9)
+        y = IntLaurentSeries.from_terms({0: 4, 3: 7}, 12)
+        # below both offsets the exponents are exact zeros on each side
+        assert x.first_mismatch(y, 9) == (-2, 1, 0)
+        assert y.first_mismatch(x + IntLaurentSeries.monomial(-2, -1, 9),
+                                9) == (0, 4, 0)
+        assert x.first_mismatch(x.truncate(5), 5) is None
+        with pytest.raises(TruncationError):
+            x.first_mismatch(y, 10)
+
     def test_truncate_cannot_extend(self):
         x = euler_factor(1, 1, 5)
         with pytest.raises(TruncationError):
