@@ -13,7 +13,9 @@ computed as exact rationals; the root-of-unity sums and the cosh main term
 are evaluated in configurable-precision arithmetic (mpmath), 128 bits by
 default.  B_k(n) is real because the h and 2k-h terms are conjugate, and
 the imaginary residue is asserted below 2^(-bits/2) rather than discarded
-silently.
+silently.  B_k(n) depends on n only through n mod 2k (the factor
+e^(-pi i n h/k) has period 2k in n), so it is memoised on (k, n mod 2k,
+bits), as the phase tables it sums are memoised on (k, bits).
 
 Also here: a direct numerical check of the modular transformation of the
 partition generating function F(q) = 1/(q;q)_inf,
@@ -91,14 +93,22 @@ def kloosterman_sum(k: int, n: int, precision_bits: int = 128) -> mpf:
     2^(-precision_bits/2)."""
     if k < 1:
         raise ValueError("k must be positive")
-    with workprec(precision_bits + 16):
-        units = _unit_phases(k, precision_bits)
+    return _kloosterman_residue(k, n % (2 * k), precision_bits)
+
+
+@lru_cache(maxsize=None)
+def _kloosterman_residue(k: int, r: int, bits: int) -> mpf:
+    """B_k(n) for every n == r (mod 2k): the sum reads n only through
+    units[(n*h) % (2k)], which is units[(r*h) % (2k)]."""
+    with workprec(bits + 16):
+        units = _unit_phases(k, bits)
         total = mpmath.mpc(0)
-        for h, phase in _arc_phases(k, precision_bits):
-            total += phase * units[(n * h) % (2 * k)]
-        if abs(total.imag) >= mpf(2) ** (-(precision_bits // 2)):
+        for h, phase in _arc_phases(k, bits):
+            total += phase * units[(r * h) % (2 * k)]
+        if abs(total.imag) >= mpf(2) ** (-(bits // 2)):
             raise PrecisionError(
-                f"B_{k}({n}) has imaginary residue {total.imag}")
+                f"B_{k}(n), n = {r} mod {2 * k}, has imaginary residue "
+                f"{total.imag}")
         return +total.real
 
 
@@ -108,12 +118,13 @@ def main_term(n: int, precision_bits: int = 128) -> mpf:
         raise ValueError("n must be positive")
     with workprec(precision_bits + 16):
         shifted = mpf(24 * n - 1) / 24
+        root = mpmath.sqrt(shifted / 6)
         total = mpf(0)
         k = 1
         while 4 * k * k < 25 * n:
             bk = kloosterman_sum(k, n, precision_bits)
             total += (bk / mpmath.sqrt(k)
-                      * mpmath.cosh(mpmath.pi / k * mpmath.sqrt(shifted / 6)))
+                      * mpmath.cosh(mpmath.pi / k * root))
             k += 1
         return +(total / mpmath.sqrt(shifted))
 

@@ -13,10 +13,14 @@ identity in the package is tested against:
 plus the run-length weights omega and omega_1 attached to the "initial run"
 of a partition, the maximal chain of part sizes 1, 2, ..., m all present.
 
-Enumeration streams partitions without materializing the full list; the
-aggregate sweeps (parity counts per n) run over an ascending-composition
-generator with a reused buffer and are cached per n, since several modules
-keep coming back for the same counts.
+Enumeration streams partitions without materializing the full list; with
+``distinct`` it prunes every branch whose remaining parts cannot fill the
+rest (parts <= c sum to at most c(c+1)/2).  The aggregate sweeps are cached
+per n, since several modules keep coming back for the same counts.  The
+crank/rank parity sweep and the omega weight sweep run over one
+ascending-composition generator with a reused buffer; the distinct-parts
+sweep stays on the pruned ``enumerate_partitions``, which visits only the
+q(n) distinct partitions instead of all p(n).
 """
 
 from __future__ import annotations
@@ -67,6 +71,10 @@ def enumerate_partitions(n: int, distinct: bool = False) -> Iterator[tuple[int, 
             yield tuple(prefix)
             return
         for part in range(min(remaining, cap), 0, -1):
+            if distinct and part * (part + 1) < 2 * remaining:
+                # distinct parts <= part sum to at most part(part+1)/2,
+                # and every smaller part can fill even less
+                break
             prefix.append(part)
             yield from gen(remaining - part, part - 1 if distinct else part,
                            prefix)
@@ -244,12 +252,33 @@ def _distinct_sweep(n: int) -> tuple[int, ParityCount, ParityCount]:
 @lru_cache(maxsize=None)
 def _weight_sweep(n: int) -> tuple[int, int, bool]:
     """(sum omega, sum omega_1, omega == omega_1 everywhere) over
-    partitions of n."""
+    partitions of n.
+
+    In ascending order the initial run 1, 2, ..., m is a prefix of the
+    buffer, so one scan finds each size's multiplicity; omega and omega_1
+    are then each evaluated by their own formula, as in weight_omega and
+    weight_omega1, and compared on every partition."""
+    if n < 0:
+        raise ValueError(f"cannot partition a negative integer: {n}")
+    if n == 0:
+        raise UndefinedStatisticError("statistic undefined for the empty "
+                                      "partition")
     total = total1 = 0
     agree = True
-    for p in enumerate_partitions(n):
-        w = weight_omega(p)
-        w1 = weight_omega1(p)
+    for a, k in _ascending_partitions(n):
+        nparts = k + 1
+        m = i = 0
+        w = 1
+        tail = 0   # sum over the run of (-1)^j (-1)^(mult of j)
+        while i < nparts and a[i] == m + 1:
+            m += 1
+            end = bisect_right(a, m, i, nparts)
+            mult = end - i
+            if mult & 1:
+                w += -4 if m & 1 else 4
+            tail += -1 if (m ^ mult) & 1 else 1
+            i = end
+        w1 = (-1 if m & 1 else 1) - 2 * tail
         total += w
         total1 += w1
         if w != w1:

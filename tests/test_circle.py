@@ -4,9 +4,11 @@ from math import gcd
 import mpmath
 import pytest
 
+from crankparity import circle
 from crankparity.circle import (
     AsymptoticReport,
     InvalidPairError,
+    PrecisionError,
     dedekind_sum,
     eta_transformation_check,
     kloosterman_sum,
@@ -75,6 +77,58 @@ class TestKloostermanSum:
         for k in range(1, 31):
             for n in range(0, 101):
                 kloosterman_sum(k, n)
+
+
+class TestKloostermanMemo:
+    """B_k(n) is memoised on (k, n mod 2k, bits); each test starts and
+    ends with an empty memo."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_memo(self):
+        circle._kloosterman_residue.cache_clear()
+        yield
+        circle._kloosterman_residue.cache_clear()
+
+    def test_matches_direct_evaluation(self):
+        # raw mpmath formula, n h / k taken as it stands, not reduced
+        for k in range(1, 21):
+            for n in range(4 * k + 4):
+                with mpmath.workprec(140):
+                    total = mpmath.mpc(0)
+                    for h in range(1, 2 * k):
+                        if gcd(h, 2 * k) != 1:
+                            continue
+                        theta = (2 * dedekind_sum(h, k)
+                                 - 3 * dedekind_sum(h, 2 * k))
+                        total += (mpmath.expjpi(mpmath.mpf(theta.numerator)
+                                                / theta.denominator)
+                                  * mpmath.expjpi(mpmath.mpf(-n * h) / k))
+                    want = total.real
+                got = kloosterman_sum(k, n)
+                assert abs(got - want) < mpmath.mpf(2) ** -100, (k, n)
+
+    def test_period_2k_is_exact(self):
+        # evaluated afresh on each side, so the equality is the formula's
+        # periodicity, not one memo entry read twice
+        for k in (1, 2, 3, 7, 12, 20):
+            for n in range(2 * k):
+                for j in (1, 3):
+                    circle._kloosterman_residue.cache_clear()
+                    base = kloosterman_sum(k, n)
+                    circle._kloosterman_residue.cache_clear()
+                    assert kloosterman_sum(k, n + 2 * k * j) == base, (k, n, j)
+
+    def test_broken_conjugate_pair_still_raises(self, monkeypatch):
+        honest = circle._arc_phases
+
+        def one_conjugated(k, bits):
+            (h, phase), *rest = honest(k, bits)
+            return ((h, mpmath.conj(phase)), *rest)
+
+        monkeypatch.setattr(circle, "_arc_phases", one_conjugated)
+        for n in (1, 1 + 10, 1 + 20):
+            with pytest.raises(PrecisionError):
+                kloosterman_sum(5, n)
 
 
 class TestMainTerm:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -233,6 +234,18 @@ class TestAsymptotic:
         code, out = run_cli(capsys, "asymptotic", "16", "16")
         row = list(csv.reader(io.StringIO(out)))[1]
         assert row[4].startswith("388")
+
+    @pytest.mark.parametrize("argv, digest", [
+        (("asymptotic", "1", "40"),
+         "2baeb5a92c6e71b55525b31ce71768a031cd7bf86e96878368cd83f57a28c20a"),
+        (("--precision-bits", "64", "asymptotic", "1", "40"),
+         "55dec9f227fb468a7bb582158a18c616294b1d91d1379feacb51faba63b70076"),
+    ], ids=["128-bit", "64-bit"])
+    def test_printed_digits_are_pinned(self, capsys, argv, digest):
+        # the circle sums may be reorganised, never re-rounded
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_parallel_is_deterministic(self, capsys):
         _, seq = run_cli(capsys, "asymptotic", "3", "8")

@@ -7,6 +7,7 @@ from crankparity.cranks import (
 )
 from crankparity.partitions import (
     NotDistinctError,
+    ParityCount,
     UndefinedStatisticError,
     crank,
     crank_parity,
@@ -53,6 +54,47 @@ class TestEnumeration:
         # q(0..10) = 1 1 1 2 2 3 4 5 6 8 10
         want = [1, 1, 1, 2, 2, 3, 4, 5, 6, 8, 10]
         assert [distinct_partition_count(n) for n in range(11)] == want
+
+
+class TestSweepsAgainstDefinitions:
+    """Each cached sweep equals the readable per-partition definitions
+    summed over the plain (unpruned) enumeration."""
+
+    @staticmethod
+    def strictly_decreasing(p):
+        return all(a > b for a, b in zip(p, p[1:]))
+
+    def test_distinct_enumeration_is_the_filtered_one(self):
+        for n in range(31):
+            want = [p for p in enumerate_partitions(n)
+                    if self.strictly_decreasing(p)]
+            assert list(enumerate_partitions(n, distinct=True)) == want, n
+
+    def test_weight_sweep(self):
+        for n in range(1, 26):
+            ws = [weight_omega(p) for p in enumerate_partitions(n)]
+            w1s = [weight_omega1(p) for p in enumerate_partitions(n)]
+            assert omega_totals(n) == (sum(ws), sum(w1s)), n
+            assert omega_weights_agree(n) == (ws == w1s), n
+
+    def test_distinct_sweep(self):
+        for n in range(1, 26):
+            parts = [p for p in enumerate_partitions(n)
+                     if self.strictly_decreasing(p)]
+            cranks = [distinct_crank(p) % 2 for p in parts]
+            ranks = [rank(p) % 2 for p in parts]
+            assert distinct_crank_parity(n) == ParityCount(
+                cranks.count(0), cranks.count(1)), n
+            assert distinct_rank_parity(n) == ParityCount(
+                ranks.count(0), ranks.count(1)), n
+
+    def test_weights_need_a_nonempty_partition(self):
+        with pytest.raises(UndefinedStatisticError):
+            omega_totals(0)
+        with pytest.raises(UndefinedStatisticError):
+            omega_weights_agree(0)
+        with pytest.raises(ValueError):
+            omega_totals(-1)
 
 
 class TestCrank:
