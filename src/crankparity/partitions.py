@@ -18,9 +18,13 @@ Enumeration streams partitions without materializing the full list; with
 rest (parts <= c sum to at most c(c+1)/2).  The aggregate sweeps are cached
 per n, since several modules keep coming back for the same counts.  The
 crank/rank parity sweep and the omega weight sweep run over one
-ascending-composition generator with a reused buffer; the distinct-parts
-sweep stays on the pruned ``enumerate_partitions``, which visits only the
-q(n) distinct partitions instead of all p(n).
+ascending-composition generator with a reused buffer.  The parity sweep
+walks only the cores of each m, the partitions with no part 1, once per m,
+and fans each out to every n = m + mu by adding mu ones: (-1)^nu(mu) is
+(-1)^(number of parts) below the smallest part and flips at every part, so
+one signed difference array per m gives the crank parity for every mu.
+The distinct-parts sweep stays on the pruned ``enumerate_partitions``,
+which visits only the q(n) distinct partitions instead of all p(n).
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterator
 
 
@@ -83,15 +88,16 @@ def enumerate_partitions(n: int, distinct: bool = False) -> Iterator[tuple[int, 
     return gen(n, n if n else 1, [])
 
 
-def _ascending_partitions(n: int):
-    """Internal sweep driver: yields (buffer, last_index) with the partition
-    stored ascending in buffer[0..last_index].  The buffer is reused, so
-    callers must consume it before advancing."""
-    if n == 0:
+def _ascending_partitions(n: int, smallest: int = 1):
+    """Internal sweep driver: yields (buffer, last_index) with each partition
+    of n into parts >= smallest stored ascending in buffer[0..last_index].
+    The buffer is reused, so callers must consume it before advancing."""
+    if n < smallest:
         return
     a = [0] * (n + 1)
+    a[0] = smallest - 1
     k = 1
-    y = n - 1
+    y = n - smallest
     while k != 0:
         x = a[k - 1] + 1
         k -= 1
@@ -195,35 +201,57 @@ def weight_omega1(p) -> int:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _full_sweep(n: int) -> tuple[int, ParityCount, ParityCount]:
-    """One pass over all partitions of n: (count, crank parity, rank parity).
+def _core_profile(m: int) -> tuple[int, int, int, tuple[int, ...]]:
+    """(count, # even largest part, # even rank, S) over the cores of m >= 2,
+    its partitions with no part 1, where S[mu - 1] = sum (-1)^nu(mu) for
+    1 <= mu < m and nu(mu) = # parts > mu.
 
-    The empty partition of 0 counts as even, matching the constant term 1
-    of both parity generating functions."""
+    Below the smallest part nu(mu) is the number of parts, and every part
+    (repeats included) lowers it by one from mu = part on, so S is the
+    prefix sum of one sign flip per part."""
+    count = largest_even = rank_even = 0
+    flips = [0] * (m + 1)
+    for a, k in _ascending_partitions(m, smallest=2):
+        count += 1
+        largest_even += not (a[k] & 1)
+        rank_even += not ((a[k] - k - 1) & 1)
+        sign = 1 if k & 1 else -1  # (-1)^nu(1): all k + 1 parts exceed 1
+        flips[1] += sign
+        for part in a[:k + 1]:
+            sign = -sign
+            flips[part] += 2 * sign
+    return count, largest_even, rank_even, tuple(accumulate(flips[1:m]))
+
+
+@lru_cache(maxsize=None)
+def _full_sweep(n: int) -> tuple[int, ParityCount, ParityCount]:
+    """(count, crank parity, rank parity) over all partitions of n.
+
+    Each partition of n is mu = n - m ones added to a core of m (see
+    _core_profile); m = 0 is 1^n, with crank -n and rank 1 - n.  With no
+    ones the crank is the largest part.  With mu >= 1 it is nu(mu) - mu, so
+    (-1)^crank = (-1)^mu (-1)^nu(mu), and nu(mu) = 0 once mu >= m.  Each
+    one lowers the rank by one.  The empty partition of 0 counts as even,
+    matching the constant term 1 of both parity generating functions."""
+    if n < 0:
+        raise ValueError(f"cannot partition a negative integer: {n}")
     if n == 0:
         return 1, ParityCount(1, 0), ParityCount(1, 0)
-    count = 0
-    crank_even = crank_odd = 0
-    rank_even = rank_odd = 0
-    for a, k in _ascending_partitions(n):
-        count += 1
-        nparts = k + 1
-        ones = bisect_right(a, 1, 0, nparts)
-        if ones == 0:
-            crk = a[k]
+    count = 1
+    crank_even = 1 - (n & 1)
+    rank_even = n & 1
+    for m in range(2, n + 1):
+        mu = n - m
+        cores, largest_even, core_rank_even, signs = _core_profile(m)
+        count += cores
+        if mu == 0:
+            crank_even += largest_even
         else:
-            # parts strictly greater than mu sit at the top of the buffer
-            crk = (nparts - bisect_right(a, ones, 0, nparts)) - ones
-        if crk & 1:
-            crank_odd += 1
-        else:
-            crank_even += 1
-        if (a[k] - nparts) & 1:
-            rank_odd += 1
-        else:
-            rank_even += 1
-    return (count, ParityCount(crank_even, crank_odd),
-            ParityCount(rank_even, rank_odd))
+            nu_sum = signs[mu - 1] if mu < m else cores
+            crank_even += (cores + (-nu_sum if mu & 1 else nu_sum)) // 2
+        rank_even += cores - core_rank_even if mu & 1 else core_rank_even
+    return (count, ParityCount(crank_even, count - crank_even),
+            ParityCount(rank_even, count - rank_even))
 
 
 @lru_cache(maxsize=None)

@@ -1,5 +1,6 @@
 import pytest
 
+from crankparity import partitions
 from crankparity.cranks import (
     crank_parity_series,
     partition_series,
@@ -69,6 +70,49 @@ class TestSweepsAgainstDefinitions:
             want = [p for p in enumerate_partitions(n)
                     if self.strictly_decreasing(p)]
             assert list(enumerate_partitions(n, distinct=True)) == want, n
+
+    def test_full_sweep(self):
+        for n in range(26):
+            parts = list(enumerate_partitions(n))
+            cranks = [crank(p) % 2 if p else 0 for p in parts]
+            ranks = [rank(p) % 2 if p else 0 for p in parts]
+            assert partition_count(n) == len(parts), n
+            assert crank_parity(n) == ParityCount(
+                cranks.count(0), cranks.count(1)), n
+            assert rank_parity(n) == ParityCount(
+                ranks.count(0), ranks.count(1)), n
+
+    def test_ascending_generator(self):
+        for n in range(1, 31):
+            for smallest in (1, 2, 3):
+                got = sorted(tuple(a[k::-1]) for a, k in
+                             partitions._ascending_partitions(n, smallest))
+                want = [p for p in enumerate_partitions(n)
+                        if min(p) >= smallest]
+                assert got == sorted(want), (n, smallest)
+
+    def test_cold_sweep_equals_ascending_calls(self):
+        def clear():
+            partitions._full_sweep.cache_clear()
+            partitions._core_profile.cache_clear()
+
+        clear()
+        try:
+            cold = crank_parity(45), rank_parity(45), partition_count(45)
+            clear()
+            for n in range(1, 45):
+                crank_parity(n)
+            assert (crank_parity(45), rank_parity(45),
+                    partition_count(45)) == cold
+        finally:
+            clear()
+
+    @pytest.mark.parametrize("count", [partition_count, crank_parity,
+                                       rank_parity])
+    def test_negative_n_refused(self, count):
+        with pytest.raises(ValueError,
+                           match="cannot partition a negative integer: -1"):
+            count(-1)
 
     def test_weight_sweep(self):
         for n in range(1, 26):

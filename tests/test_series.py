@@ -1,6 +1,7 @@
 import math
 import os
 import random
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -481,3 +482,29 @@ class TestMemo:
             assert err.count("\n") == 1 and str(path) in err
             assert path.read_bytes() == good
         assert built == [25] * 4
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_damaged_file_is_dropped_or_read_back_exactly(self, data):
+        from crankparity import series
+        want = eta_quotient(G_SPEC ** -1, 25)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "damaged.25.tsv")
+            series._store(path, want)
+            with open(path, "rb") as fp:
+                good = fp.read()
+            at = data.draw(st.integers(0, len(good) - 1), label="at")
+            if data.draw(st.booleans(), label="cut"):
+                damaged = good[:at]
+            else:
+                byte = data.draw(st.integers(0, 255).filter(
+                    lambda b: b != good[at]), label="byte")
+                damaged = good[:at] + bytes([byte]) + good[at + 1:]
+            with open(path, "wb") as fp:
+                fp.write(damaged)
+            got = series._load_checked(path, 25)
+            if got is None:
+                assert not os.path.exists(path)
+            else:
+                assert (got.offset, tuple(got.coeffs), got.trunc) == (
+                    want.offset, tuple(want.coeffs), want.trunc)
