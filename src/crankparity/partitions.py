@@ -19,12 +19,10 @@ rest (parts <= c sum to at most c(c+1)/2).  The aggregate sweeps are cached
 per n, since several modules keep coming back for the same counts.  The
 crank/rank parity sweep and the omega weight sweep run over one
 ascending-composition generator with a reused buffer.  The parity sweep
-walks only the cores of each m, the partitions with no part 1, once per m,
-and fans each out to every n = m + mu by adding mu ones: (-1)^nu(mu) is
-(-1)^(number of parts) below the smallest part and flips at every part, so
-one signed difference array per m gives the crank parity for every mu.
-The distinct-parts sweep stays on the pruned ``enumerate_partitions``,
-which visits only the q(n) distinct partitions instead of all p(n).
+walks the cores of each m (no part 1) once and fans them out to every
+n = m + mu by adding mu ones: (-1)^nu(mu) flips at every part, so one
+signed difference array per m gives the crank parity for every mu.  The
+distinct sweep stays on the pruned ``enumerate_partitions`` (q(n) visits).
 """
 
 from __future__ import annotations
@@ -206,21 +204,27 @@ def _core_profile(m: int) -> tuple[int, int, int, tuple[int, ...]]:
     its partitions with no part 1, where S[mu - 1] = sum (-1)^nu(mu) for
     1 <= mu < m and nu(mu) = # parts > mu.
 
-    Below the smallest part nu(mu) is the number of parts, and every part
-    (repeats included) lowers it by one from mu = part on, so S is the
-    prefix sum of one sign flip per part."""
-    count = largest_even = rank_even = 0
-    flips = [0] * (m + 1)
+    S is a prefix sum: (-1)^(# parts) at mu = 1, and from mu = part on each
+    part changes (-1)^nu by 2 (-1)^(# parts above it).  Over the cores that
+    extend a prefix a[0..d] of the buffer this adds 2V at a[d]: V = 1 for a
+    core (tops counts them by largest part), else minus the V of its
+    one-part extensions (flips).  Cores come in lexicographic order, so
+    a[0..k] is the last core extending a[0..k-1]; pending[d] sums the V of
+    the finished extensions of a[0..d-1]."""
+    rank_even = 0
+    tops, flips, pending = ([0] * (m + 1) for _ in range(3))
     for a, k in _ascending_partitions(m, smallest=2):
-        count += 1
-        largest_even += not (a[k] & 1)
-        rank_even += not ((a[k] - k - 1) & 1)
-        sign = 1 if k & 1 else -1  # (-1)^nu(1): all k + 1 parts exceed 1
-        flips[1] += sign
-        for part in a[:k + 1]:
-            sign = -sign
-            flips[part] += 2 * sign
-    return count, largest_even, rank_even, tuple(accumulate(flips[1:m]))
+        tops[a[k]] += 1
+        rank_even += (a[k] ^ k) & 1  # a[k] - (k + 1) is even
+        pending[k] += 1
+        if k:
+            v = -pending[k]
+            pending[k] = 0
+            flips[a[k - 1]] += v
+            pending[k - 1] += v
+    diffs = (2 * (f + t) for f, t in zip(flips[2:m], tops[2:m]))
+    return sum(tops), sum(tops[::2]), rank_even, tuple(
+        accumulate(diffs, initial=-pending[0]))  # sum (-1)^(k + 1)
 
 
 @lru_cache(maxsize=None)
@@ -228,18 +232,15 @@ def _full_sweep(n: int) -> tuple[int, ParityCount, ParityCount]:
     """(count, crank parity, rank parity) over all partitions of n.
 
     Each partition of n is mu = n - m ones added to a core of m (see
-    _core_profile); m = 0 is 1^n, with crank -n and rank 1 - n.  With no
-    ones the crank is the largest part.  With mu >= 1 it is nu(mu) - mu, so
-    (-1)^crank = (-1)^mu (-1)^nu(mu), and nu(mu) = 0 once mu >= m.  Each
-    one lowers the rank by one.  The empty partition of 0 counts as even,
-    matching the constant term 1 of both parity generating functions."""
+    _core_profile); m = 0 is 1^n, with crank -n and rank 1 - n.  For
+    mu >= 1, (-1)^crank = (-1)^mu (-1)^nu(mu), nu(mu) = 0 once mu >= m,
+    and each one lowers the rank by one.  The empty partition of 0 counts
+    as even, matching the constant term 1 of both parity series."""
     if n < 0:
         raise ValueError(f"cannot partition a negative integer: {n}")
     if n == 0:
         return 1, ParityCount(1, 0), ParityCount(1, 0)
-    count = 1
-    crank_even = 1 - (n & 1)
-    rank_even = n & 1
+    count, crank_even, rank_even = 1, 1 - (n & 1), n & 1  # 1^n
     for m in range(2, n + 1):
         mu = n - m
         cores, largest_even, core_rank_even, signs = _core_profile(m)

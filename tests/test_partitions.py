@@ -83,13 +83,25 @@ class TestSweepsAgainstDefinitions:
                 ranks.count(0), ranks.count(1)), n
 
     def test_ascending_generator(self):
+        # _core_profile relies on the lexicographic order of the buffers
         for n in range(1, 31):
             for smallest in (1, 2, 3):
-                got = sorted(tuple(a[k::-1]) for a, k in
-                             partitions._ascending_partitions(n, smallest))
-                want = [p for p in enumerate_partitions(n)
+                got = [tuple(a[:k + 1]) for a, k in
+                       partitions._ascending_partitions(n, smallest)]
+                want = [p[::-1] for p in enumerate_partitions(n)
                         if min(p) >= smallest]
-                assert got == sorted(want), (n, smallest)
+                assert got == sorted(set(want)), (n, smallest)
+
+    def test_core_profile(self):
+        for m in range(2, 26):
+            cores = [p for p in enumerate_partitions(m) if p[-1] != 1]
+            signs = tuple(sum((-1) ** sum(part > mu for part in p)
+                              for p in cores) for mu in range(1, m))
+            assert partitions._core_profile(m) == (
+                len(cores),
+                sum(p[0] % 2 == 0 for p in cores),
+                sum(rank(p) % 2 == 0 for p in cores),
+                signs), m
 
     def test_cold_sweep_equals_ascending_calls(self):
         def clear():
