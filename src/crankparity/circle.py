@@ -155,6 +155,12 @@ class AsymptoticReport:
                 "true" if self.passed else "false"]
 
 
+def report(n: int, exact: int, precision_bits: int = 128) -> AsymptoticReport:
+    """The report at n from its exact coefficient; a process pool maps it."""
+    with workprec(precision_bits + 16):
+        return AsymptoticReport.build(n, exact, main_term(n, precision_bits))
+
+
 def verify_error_bound(n_lo: int, n_hi: int, precision_bits: int = 128,
                        series: IntLaurentSeries | None = None
                        ) -> list[AsymptoticReport]:
@@ -162,13 +168,8 @@ def verify_error_bound(n_lo: int, n_hi: int, precision_bits: int = 128,
     |exact - main| < 194 n^(1/4)."""
     if series is None:
         series = cranks.crank_parity_series(n_hi + 1)
-    out = []
-    for n in range(n_lo, n_hi + 1):
-        with workprec(precision_bits + 16):
-            report = AsymptoticReport.build(
-                n, series.coeff(n), main_term(n, precision_bits))
-        out.append(report)
-    return out
+    return [report(n, series.coeff(n), precision_bits)
+            for n in range(n_lo, n_hi + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,15 @@
 asymptotic reports, distinct-parts tables, ladder dumps, and raw series
 dumps.
 
-Every command is deterministic for a given configuration; --parallel only
-fans the per-n asymptotic evaluations out to worker processes and reassembles
-them in index order, so it never changes an emitted number.  Exit status is
-0 exactly when everything requested passed.
+The parsed ``args`` are the one configuration object, and argparse the only
+validator of options.  Every command is deterministic for given ``args``;
+--parallel only maps ``circle.report`` over worker processes, keeping index
+order, so it never changes an emitted number.  Exit status is 0 exactly when
+everything requested passed.
 
 ``_emit`` is the one writer of a command's result to stdout, in the format
---output names; only dump-series bypasses it, always writing the dump TSV.
+``args.output`` names; only dump-series bypasses it, always writing the dump
+TSV.
 Big integers in JSON output are serialized as decimal strings (coefficients
 overflow 64-bit machinery long before the default truncations).
 """
@@ -21,7 +23,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from itertools import repeat
 
 from . import circle, cranks, distinct, fivetower, partitions
 from .series import TruncationError, dump_series
@@ -39,39 +41,27 @@ _CHECK_DEFAULT_TERMS = {
 }
 
 
-@dataclass
-class RunConfig:
-    terms: int | None = None
-    precision_bits: int = 128
-    oracle_max: int = 60
-    output: str = "text"
-    parallel: bool = False
-
-    def __post_init__(self):
-        if self.terms is not None and self.terms < 8:
-            raise ValueError("--terms must be at least 8")
-        if self.precision_bits < 53:
-            raise ValueError("--precision-bits must be at least 53")
-        if not 0 < self.oracle_max <= 90:
-            raise ValueError("--oracle-max must be in 1..90")
-        if self.output not in ("json", "csv", "text"):
-            raise ValueError(f"unknown output format {self.output}")
-
-    def check_terms(self, check: str) -> int:
-        if self.terms is not None:
-            return self.terms
-        return _CHECK_DEFAULT_TERMS.get(check, 2000)
+def _terms(args, check: str) -> int:
+    """--terms (argparse keeps it >= 8), or the check's default truncation."""
+    return args.terms or _CHECK_DEFAULT_TERMS.get(check, 2000)
 
 
-def _emit(config: RunConfig, payload: dict, columns: list[str],
-          rows: list[dict], text: str | None = None) -> None:
-    """Write one command's result to stdout as ``config.output`` says.
+def _n_range(args, low: int) -> tuple[int, int]:
+    """The command's N_LO and N_HI, refused unless low <= N_LO <= N_HI."""
+    if args.n_lo < low or args.n_hi < args.n_lo:
+        raise SystemExit(f"{args.command}: need {low} <= N_LO <= N_HI")
+    return args.n_lo, args.n_hi
+
+
+def _emit(args, payload: dict, columns: list[str], rows: list[dict],
+          text: str | None = None) -> None:
+    """Write one command's result to stdout as ``args.output`` says.
 
     json is ``{"schema", **payload}``; csv is ``columns``, then each row's
     values under them; text is ``text``, or a padded table of the rows when
     it is None, or the csv or json form when it is "csv" or "json".
     """
-    output = config.output
+    output = args.output
     if output == "text" and text in ("csv", "json"):
         output = text
     if output == "json":
@@ -96,19 +86,17 @@ def _emit(config: RunConfig, payload: dict, columns: list[str],
 # coeffs
 # ---------------------------------------------------------------------------
 
-def cmd_coeffs(args, config: RunConfig) -> int:
-    n_lo, n_hi = args.n_lo, args.n_hi
-    if n_lo < 0 or n_hi < n_lo:
-        raise SystemExit("coeffs: need 0 <= N_LO <= N_HI")
+def cmd_coeffs(args) -> int:
+    n_lo, n_hi = _n_range(args, 0)
     source = args.source
-    terms = config.check_terms("coeffs")
+    terms = _terms(args, "coeffs")
     if source in ("series", "both") and n_hi >= terms:
         raise SystemExit(
             f"coeffs: truncation {terms} too small for n = {n_hi}; rerun "
             f"with --terms at least {n_hi + 1}")
-    if source in ("oracle", "both") and n_hi > config.oracle_max:
+    if source in ("oracle", "both") and n_hi > args.oracle_max:
         raise SystemExit(
-            f"coeffs: oracle sweep capped at {config.oracle_max}; raise "
+            f"coeffs: oracle sweep capped at {args.oracle_max}; raise "
             "--oracle-max (hard limit 90)")
 
     series = cranks.crank_parity_series(max(terms, n_hi + 1)) \
@@ -127,7 +115,7 @@ def cmd_coeffs(args, config: RunConfig) -> int:
                 row["flag"] = ("match" if row["series"] == row["oracle"]
                                else "MISMATCH")
         rows.append(row)
-    _emit(config, {"command": "coeffs", "rows": rows},
+    _emit(args, {"command": "coeffs", "rows": rows},
           ["n", "series", "oracle", "flag"], rows)
     return 0 if all(r["flag"] != "MISMATCH" for r in rows) else 1
 
@@ -136,11 +124,9 @@ def cmd_coeffs(args, config: RunConfig) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _verify_family(args, config: RunConfig) -> dict:
-    alpha = args.alpha
-    n_max = args.n_max if args.n_max is not None else \
-        config.check_terms("family")
-    report = cranks.verify_family_congruence(alpha, n_max)
+def _verify_family(args) -> dict:
+    n_max = args.n_max if args.n_max is not None else _terms(args, "family")
+    report = cranks.verify_family_congruence(args.alpha, n_max)
     return {
         "check": "family",
         "passed": report.passed,
@@ -162,14 +148,14 @@ _SIMPLE_CHECKS = {
 }
 
 
-def _verify_simple(args, config: RunConfig) -> dict:
-    terms = config.check_terms(args.check)
+def _verify_simple(args) -> dict:
+    terms = _terms(args, args.check)
     ok = _SIMPLE_CHECKS[args.check](terms)
     return {"check": args.check, "passed": bool(ok), "count": terms,
             "first_counterexample": None if ok else "see check definition"}
 
 
-def _verify_ladder(args, config: RunConfig) -> dict:
+def _verify_ladder(args) -> dict:
     states = fivetower.ladder(args.alpha_max)
     worst = []
     for state in states:
@@ -188,28 +174,28 @@ def _verify_ladder(args, config: RunConfig) -> dict:
             "first_counterexample": worst[0] if worst else None}
 
 
-def _verify_claim_l(args, config: RunConfig) -> dict:
-    terms = config.check_terms("claimL")
+def _verify_claim_l(args) -> dict:
+    terms = _terms(args, "claimL")
     ok = fivetower.ladder_subsequence_check(args.alpha, terms)
     return {"check": "claimL", "passed": bool(ok), "count": terms,
             "first_counterexample": None}
 
 
-def _oracle_n_max(args, config: RunConfig, default: int) -> int:
+def _oracle_n_max(args, default: int) -> int:
     """--n-max of a check that enumerates partitions, which --oracle-max
     caps; a request above the cap is refused, not cut."""
     if args.n_max is None:
-        return min(default, config.oracle_max)
-    if args.n_max > config.oracle_max:
+        return min(default, args.oracle_max)
+    if args.n_max > args.oracle_max:
         raise SystemExit(
             f"verify {args.check}: oracle sweep capped at "
-            f"{config.oracle_max}; lower --n-max or raise --oracle-max "
+            f"{args.oracle_max}; lower --n-max or raise --oracle-max "
             "(hard limit 90)")
     return args.n_max
 
 
-def _verify_adh(args, config: RunConfig) -> dict:
-    n_max = _oracle_n_max(args, config, config.oracle_max)
+def _verify_adh(args) -> dict:
+    n_max = _oracle_n_max(args, args.oracle_max)
     values = distinct.bootstrap_t_values(n_max)
     bad = [n for n in range(1, n_max + 1)
            if distinct.multiplicative_t(n, values)
@@ -218,8 +204,8 @@ def _verify_adh(args, config: RunConfig) -> dict:
             "first_counterexample": bad[0] if bad else None}
 
 
-def _verify_weighted(args, config: RunConfig) -> dict:
-    n_max = _oracle_n_max(args, config, 40)
+def _verify_weighted(args) -> dict:
+    n_max = _oracle_n_max(args, 40)
     series = cranks.crank_parity_series(n_max + 1)
     bad = []
     for n in range(1, n_max + 1):
@@ -245,12 +231,12 @@ _VERIFY_HANDLERS = {
 }
 
 
-def cmd_verify(args, config: RunConfig) -> int:
-    result = _VERIFY_HANDLERS[args.check](args, config)
+def cmd_verify(args) -> int:
+    result = _VERIFY_HANDLERS[args.check](args)
     state = "PASS" if result["passed"] else "FAIL"
     extra = "" if result["passed"] else \
         f" (first counterexample: {result['first_counterexample']})"
-    _emit(config, result, ["check", "passed", "count", "first_counterexample"],
+    _emit(args, result, ["check", "passed", "count", "first_counterexample"],
           [result], f"{state} {result['check']}: {result['count']} cases{extra}")
     return 0 if result["passed"] else 1
 
@@ -259,34 +245,27 @@ def cmd_verify(args, config: RunConfig) -> int:
 # asymptotic
 # ---------------------------------------------------------------------------
 
-def _asymptotic_worker(payload):
-    n, exact, bits = payload
-    main = circle.main_term(n, bits)
-    return circle.AsymptoticReport.build(n, exact, main)
-
-
-def cmd_asymptotic(args, config: RunConfig) -> int:
-    n_lo, n_hi = args.n_lo, args.n_hi
-    if n_lo < 1 or n_hi < n_lo:
-        raise SystemExit("asymptotic: need 1 <= N_LO <= N_HI")
+def cmd_asymptotic(args) -> int:
+    n_lo, n_hi = _n_range(args, 1)
+    bits = args.precision_bits
     series = cranks.crank_parity_series(n_hi + 1)
-    jobs = [(n, series.coeff(n), config.precision_bits)
-            for n in range(n_lo, n_hi + 1)]
-    if config.parallel and len(jobs) > 1:
+    reports = None
+    if args.parallel and n_hi > n_lo:
+        ns = range(n_lo, n_hi + 1)
         try:
             with ProcessPoolExecutor() as pool:
-                reports = list(pool.map(_asymptotic_worker, jobs))
+                reports = list(pool.map(circle.report, ns,
+                                        map(series.coeff, ns), repeat(bits)))
         except OSError as exc:
             print(f"crank-parity: no worker processes ({exc}); running "
                   "sequentially", file=sys.stderr)
-            reports = [_asymptotic_worker(job) for job in jobs]
-    else:
-        reports = [_asymptotic_worker(job) for job in jobs]
+    if reports is None:
+        reports = circle.verify_error_bound(n_lo, n_hi, bits, series)
 
-    digits = max(10, int(config.precision_bits * 0.301) - 2)
+    digits = max(10, int(bits * 0.301) - 2)
     columns = ["n", "exact", "main", "abs_error", "bound", "pass"]
     rows = [dict(zip(columns, r.csv_row(digits))) for r in reports]
-    _emit(config, {"command": "asymptotic", "rows": rows}, columns, rows,
+    _emit(args, {"command": "asymptotic", "rows": rows}, columns, rows,
           "csv")
     return 0 if all(r.passed for r in reports) else 1
 
@@ -295,10 +274,8 @@ def cmd_asymptotic(args, config: RunConfig) -> int:
 # distinct
 # ---------------------------------------------------------------------------
 
-def cmd_distinct(args, config: RunConfig) -> int:
-    n_lo, n_hi = args.n_lo, args.n_hi
-    if n_lo < 1 or n_hi < n_lo:
-        raise SystemExit("distinct: need 1 <= N_LO <= N_HI")
+def cmd_distinct(args) -> int:
+    n_lo, n_hi = _n_range(args, 1)
     rows = []
     ok = True
     for n in range(n_lo, n_hi + 1):
@@ -311,12 +288,12 @@ def cmd_distinct(args, config: RunConfig) -> int:
             "floor_term": distinct.floor_part(n),
             "ceil_term": distinct.ceil_part(n),
         }
-        if n <= config.oracle_max:
+        if n <= args.oracle_max:
             oracle = partitions.distinct_crank_parity(n).diff
             row["oracle"] = oracle
             ok = ok and oracle == value
         rows.append(row)
-    _emit(config, {"command": "distinct", "rows": rows},
+    _emit(args, {"command": "distinct", "rows": rows},
           ["n", "case", "value", "oracle", "floor_term", "ceil_term"], rows)
     return 0 if ok else 1
 
@@ -325,7 +302,7 @@ def cmd_distinct(args, config: RunConfig) -> int:
 # ladder dump
 # ---------------------------------------------------------------------------
 
-def cmd_ladder(args, config: RunConfig) -> int:
+def cmd_ladder(args) -> int:
     a_rows = fivetower.u_matrix_rows(args.imax)
     b_rows = fivetower.v_matrix_rows(args.imax)
     states = fivetower.ladder(args.alpha_max)
@@ -351,7 +328,7 @@ def cmd_ladder(args, config: RunConfig) -> int:
         "B": encode_rows(b_rows),
         "ladder": ladder_payload,
     }
-    _emit(config, payload, ["nu", "j", "entry", "valuation"], rungs, "json")
+    _emit(args, payload, ["nu", "j", "entry", "valuation"], rungs, "json")
     return 0
 
 
@@ -369,8 +346,8 @@ _SERIES_BUILDERS = {
 }
 
 
-def cmd_dump_series(args, config: RunConfig) -> int:
-    series = _SERIES_BUILDERS[args.name](config.check_terms("dump-series"))
+def cmd_dump_series(args) -> int:
+    series = _SERIES_BUILDERS[args.name](_terms(args, "dump-series"))
     dump_series(series, sys.stdout)
     return 0
 
@@ -379,11 +356,18 @@ def cmd_dump_series(args, config: RunConfig) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _non_negative_int(text: str) -> int:
-    if not text.isdecimal():  # a sign, a space or a non-number
+def _int_at_least(low: int, high: int | None = None):
+    """An argparse type: a decimal integer >= low, and <= high if given."""
+    want = f">= {low}" if high is None else f"in {low}..{high}"
+
+    def parse(text: str) -> int:
+        # isdecimal refuses a sign, a space, a point or a non-number
+        if text.isdecimal() and low <= int(text) and (
+                high is None or int(text) <= high):
+            return int(text)
         raise argparse.ArgumentTypeError(
-            f"expected an integer >= 0, got {text!r}")
-    return int(text)
+            f"expected an integer {want}, got {text!r}")
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -392,18 +376,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Crank-parity partition function: exact series, "
                     "congruence sweeps, circle-method asymptotics, and the "
                     "distinct-parts closed form.")
-    parser.add_argument("--terms", type=int, default=None,
+    parser.add_argument("--terms", type=_int_at_least(8), default=None,
                         help="series truncation (per-check defaults apply "
                              "when omitted)")
-    parser.add_argument("--precision-bits", type=int, default=128)
-    parser.add_argument("--oracle-max", type=int, default=60,
+    parser.add_argument("--precision-bits", type=_int_at_least(53),
+                        default=128)
+    parser.add_argument("--oracle-max", type=_int_at_least(1, 90), default=60,
                         help="enumeration oracle cap (hard limit 90)")
     parser.add_argument("--output", choices=("json", "csv", "text"),
                         default="text")
     parser.add_argument("--parallel", action="store_true",
                         help="evaluate asymptotic sweeps in worker processes")
     sub = parser.add_subparsers(dest="command", required=True)
-    alpha_max = {"type": _non_negative_int, "default": 2,
+    non_negative = _int_at_least(0)
+    alpha_max = {"type": non_negative, "default": 2,
                  "help": "ladder depth (default 2)"}
 
     p = sub.add_parser("coeffs", help="coefficient table: series vs oracle")
@@ -415,10 +401,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run one named verification sweep")
     p.add_argument("check", choices=tuple(_VERIFY_HANDLERS))
-    p.add_argument("--alpha", type=_non_negative_int, default=0,
+    p.add_argument("--alpha", type=non_negative, default=0,
                    help="congruence level (family, claimL; default 0)")
     p.add_argument("--alpha-max", **alpha_max)
-    p.add_argument("--n-max", type=_non_negative_int, default=None,
+    p.add_argument("--n-max", type=non_negative, default=None,
                    help="sweep bound (family, adh, weighted)")
     p.set_defaults(func=cmd_verify)
 
@@ -436,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ladder", help="dump transfer matrices and ladder")
     p.add_argument("--alpha-max", **alpha_max)
-    p.add_argument("--imax", type=_non_negative_int, default=6,
+    p.add_argument("--imax", type=non_negative, default=6,
                    help="transfer matrix row count")
     p.set_defaults(func=cmd_ladder)
 
@@ -450,16 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = RunConfig(terms=args.terms,
-                           precision_bits=args.precision_bits,
-                           oracle_max=args.oracle_max,
-                           output=args.output,
-                           parallel=args.parallel)
-    except ValueError as exc:
-        print(f"crank-parity: {exc}", file=sys.stderr)
-        return 2
-    try:
-        code = args.func(args, config)
+        code = args.func(args)
         sys.stdout.flush()
         return code
     except (TruncationError, fivetower.BudgetExceededError) as exc:

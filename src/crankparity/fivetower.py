@@ -64,6 +64,8 @@ HAUPTMODUL_SPEC = EtaQuotientSpec(((1, 2), (2, -4), (10, 4), (5, -2)))
 NEWTON_QUOTIENT_SPEC = EtaQuotientSpec(((1, 1), (2, -2), (50, 2), (25, -1)))
 
 COEFFICIENT_CEILING = 10 ** 6
+JMAX = 11          # ladder rungs are read off and cross-checked on G^1..G^JMAX
+NEWTON_ORDER = 40  # q-order at which the sigma polynomials are read off, checked
 
 
 def ladder_multiplier(trunc: int) -> IntLaurentSeries:
@@ -302,7 +304,7 @@ def _vec_mat(vec: dict[int, int], rows: Rows) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def newton_sigma_polys(order: int = 40) -> tuple[HauptmodulPoly, ...]:
+def newton_sigma_polys() -> tuple[HauptmodulPoly, ...]:
     """Elementary symmetric polynomials sigma_1..sigma_5 (in G) of the five
     functions phi((tau + lam)/5), recovered from the power sums
     p_mu = 5 * (phi^mu | U_5) via Newton's identities.
@@ -316,7 +318,8 @@ def newton_sigma_polys(order: int = 40) -> tuple[HauptmodulPoly, ...]:
     """
     power_sums = {}
     for mu in range(1, 6):
-        poly = reduce_to_hauptmodul(newton_power_u5(mu, order), 0, 3 * mu)
+        poly = reduce_to_hauptmodul(newton_power_u5(mu, NEWTON_ORDER), 0,
+                                    3 * mu)
         power_sums[mu] = poly * 5
     elementary: list[HauptmodulPoly] = [HauptmodulPoly({0: 1})]
     for k in range(1, 6):
@@ -329,10 +332,11 @@ def newton_sigma_polys(order: int = 40) -> tuple[HauptmodulPoly, ...]:
     sigmas = tuple(elementary[1:])
 
     for mu in (5, 6, 7, -5, -6):
-        lhs = newton_power_u5(mu, order)
-        rhs = IntLaurentSeries.zero(order)
+        lhs = newton_power_u5(mu, NEWTON_ORDER)
+        rhs = IntLaurentSeries.zero(NEWTON_ORDER)
         for i, sigma in enumerate(sigmas, start=1):
-            term = sigma.evaluate(order) * newton_power_u5(mu - i, order)
+            term = (sigma.evaluate(NEWTON_ORDER)
+                    * newton_power_u5(mu - i, NEWTON_ORDER))
             rhs = rhs + (term if i % 2 else -term)
         check_to = min(lhs.trunc, rhs.trunc)
         if not lhs.eq_to_order(rhs, check_to):
@@ -370,36 +374,35 @@ def required_multiplier_trunc(alpha_max: int, top_trunc: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def ladder(alpha_max: int, jmax: int = 11,
-           ceiling: int = COEFFICIENT_CEILING) -> tuple[LadderState, ...]:
+def ladder(alpha_max: int) -> tuple[LadderState, ...]:
     """Rungs L_0 .. L_(2*alpha_max+1) by series recursion, cross-checked
-    against the matrix vector forms on the first jmax coefficients."""
+    against the matrix vector forms on the first JMAX coefficients."""
     if alpha_max < 0:
         raise ValueError("alpha_max must be >= 0")
-    f_trunc = required_multiplier_trunc(alpha_max, jmax + 1)
-    if f_trunc > ceiling:
+    f_trunc = required_multiplier_trunc(alpha_max, JMAX + 1)
+    if f_trunc > COEFFICIENT_CEILING:
         raise BudgetExceededError(
             f"ladder depth alpha={alpha_max} needs {f_trunc} multiplier "
-            f"coefficients, above the ceiling {ceiling}")
+            f"coefficients, above the ceiling {COEFFICIENT_CEILING}")
     mult = ladder_multiplier(f_trunc)
     states = [LadderState(0, IntLaurentSeries.one(f_trunc),
                           HauptmodulPoly({0: 1}))]
     cur = states[0].series
     for a in range(alpha_max + 1):
         odd = apply_U(5, mult * cur)
-        states.append(LadderState(2 * a + 1, odd, _rung_poly(odd, jmax)))
+        states.append(LadderState(2 * a + 1, odd, _rung_poly(odd)))
         if a < alpha_max:
             even = apply_U(5, odd)
             states.append(LadderState(2 * a + 2, even,
-                                      _rung_poly(even, jmax)))
+                                      _rung_poly(even)))
             cur = even
 
-    _check_matrix_agreement(states, alpha_max, jmax)
+    _check_matrix_agreement(states, alpha_max)
     return tuple(states)
 
 
-def _rung_poly(series: IntLaurentSeries, jmax: int) -> HauptmodulPoly:
-    poly = reduce_to_hauptmodul(series, 0, min(jmax, series.trunc - 1),
+def _rung_poly(series: IntLaurentSeries) -> HauptmodulPoly:
+    poly = reduce_to_hauptmodul(series, 0, min(JMAX, series.trunc - 1),
                                 exact=False)
     if poly[0]:
         raise NotHauptmodulPolynomialError(
@@ -407,12 +410,12 @@ def _rung_poly(series: IntLaurentSeries, jmax: int) -> HauptmodulPoly:
     return poly
 
 
-def ladder_vectors(alpha_max: int, jmax: int = 11) -> dict[int, dict[int, int]]:
-    """Matrix-route rungs: nu -> {j: l_j(nu)}, exact for j <= jmax.
+def ladder_vectors(alpha_max: int) -> dict[int, dict[int, int]]:
+    """Matrix-route rungs: nu -> {j: l_j(nu)}, exact for j <= JMAX.
 
     Every step except the last is taken with fully certified matrix rows;
-    the final step reads only columns <= jmax of B, to which rows beyond
-    5*jmax provably contribute nothing.
+    the final step reads only columns <= JMAX of B, to which rows beyond
+    5*JMAX provably contribute nothing.
     """
     vec = {1: 5}
     vectors = {1: dict(vec)}
@@ -420,7 +423,7 @@ def ladder_vectors(alpha_max: int, jmax: int = 11) -> dict[int, dict[int, int]]:
         vec = _vec_mat(vec, u_matrix_rows(max(vec)))
         vectors[2 * a + 2] = dict(vec)
         if a == alpha_max - 1:
-            b_rows = _transfer_rows(LADDER_MULTIPLIER_SPEC, max(vec), jmax)
+            b_rows = _transfer_rows(LADDER_MULTIPLIER_SPEC, max(vec), JMAX)
         else:
             b_rows = v_matrix_rows(max(vec))
         vec = _vec_mat(vec, b_rows)
@@ -428,11 +431,11 @@ def ladder_vectors(alpha_max: int, jmax: int = 11) -> dict[int, dict[int, int]]:
     return vectors
 
 
-def _check_matrix_agreement(states: list[LadderState], alpha_max: int,
-                            jmax: int) -> None:
+def _check_matrix_agreement(states: list[LadderState],
+                            alpha_max: int) -> None:
     if alpha_max < 1:
         return
-    vectors = ladder_vectors(alpha_max, jmax)
+    vectors = ladder_vectors(alpha_max)
     for state in states:
         if state.nu == 0:
             continue
@@ -440,7 +443,7 @@ def _check_matrix_agreement(states: list[LadderState], alpha_max: int,
         if want is None:
             continue
         got = state.gpoly.as_dict()
-        top = min(jmax, state.series.trunc - 1)
+        top = min(JMAX, state.series.trunc - 1)
         for j in range(1, top + 1):
             if got.get(j, 0) != want.get(j, 0):
                 raise LadderConsistencyError(
@@ -459,8 +462,7 @@ def five_adic(n: int) -> int:
     return v
 
 
-def ladder_subsequence_check(alpha: int, terms: int,
-                             ceiling: int = COEFFICIENT_CEILING) -> bool:
+def ladder_subsequence_check(alpha: int, terms: int) -> bool:
     """Verify, coefficientwise below q^terms, that
 
         L_(2a+1) = (q^10;q^10)^2/(q^5;q^5)^3
@@ -473,10 +475,11 @@ def ladder_subsequence_check(alpha: int, terms: int,
     delta = sum(5 ** (2 * i) for i in range(alpha + 1))
     g_need = step * (terms - 1) - delta + 1
     f_need = required_multiplier_trunc(alpha, terms)
-    if max(g_need, f_need) > ceiling:
+    if max(g_need, f_need) > COEFFICIENT_CEILING:
         raise BudgetExceededError(
             f"subsequence check alpha={alpha}, terms={terms} needs "
-            f"{max(g_need, f_need)} coefficients, above ceiling {ceiling}")
+            f"{max(g_need, f_need)} coefficients, above ceiling "
+            f"{COEFFICIENT_CEILING}")
 
     mult = ladder_multiplier(f_need)
     cur = IntLaurentSeries.one(f_need)

@@ -42,7 +42,7 @@ from typing import Iterable, Iterator, Mapping, TextIO
 
 try:
     from gmpy2 import mpz as _mpz
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # gmpy2 is the optional 'fast' extra; int is exact too
     _mpz = int
 
 
@@ -95,8 +95,9 @@ def _conv_sparse(terms: list, b: list, rlen: int) -> list:
     return out
 
 
-def _pack_split(xs: list, width: int) -> tuple[int, int]:
-    """Pack |positive part| and |negative part| into little-endian integers."""
+def _pack(xs: list, width: int) -> int:
+    """sum xs[i] * 256^(width*i): the packed positive part minus the packed
+    negative part, one signed integer."""
     pos = bytearray(width * len(xs))
     neg = bytearray(width * len(xs))
     for i, x in enumerate(xs):
@@ -104,29 +105,23 @@ def _pack_split(xs: list, width: int) -> tuple[int, int]:
             pos[i * width:i * width + width] = x.to_bytes(width, "little")
         elif x < 0:
             neg[i * width:i * width + width] = (-x).to_bytes(width, "little")
-    return int.from_bytes(pos, "little"), int.from_bytes(neg, "little")
-
-
-def _digits(n: int, width: int, count: int) -> list:
-    nbytes = max(count * width, (n.bit_length() + 7) // 8)
-    buf = n.to_bytes(nbytes, "little")
-    return [int.from_bytes(buf[i * width:i * width + width], "little")
-            for i in range(count)]
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 def _conv_kronecker(a: list, b: list, rlen: int) -> list:
-    # Digit bound: every convolution coefficient of |a| * |b| is at most
-    # max|a| * max|b| * min(len); U and V below each stay under 2x that.
-    amax = max(map(abs, a))
-    bmax = max(map(abs, b))
-    bound = amax * bmax * min(len(a), len(b)) * 2 + 1
+    # One signed product A*B = sum c_i 256^(width*i).  Every |c_i| is at
+    # most bound = max|a| * max|b| * min(len) < 2^(8*width-1), so adding
+    # half a slot to each of the first rlen slots makes them all digits in
+    # [0, 256^width), and masking drops the slots past rlen, borrows and all.
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
     width = bound.bit_length() // 8 + 1
-    p1, p3 = _pack_split(a, width)
-    p2, p4 = _pack_split(b, width)
-    p1, p2, p3, p4 = _mpz(p1), _mpz(p2), _mpz(p3), _mpz(p4)
-    u = _digits(int(p1 * p2 + p3 * p4), width, rlen)
-    v = _digits(int(p1 * p4 + p3 * p2), width, rlen)
-    return [x - y for x, y in zip(u, v)]
+    half = 1 << (8 * width - 1)
+    nbytes = rlen * width
+    c = int(_mpz(_pack(a, width)) * _mpz(_pack(b, width)))
+    c += int.from_bytes((bytes(width - 1) + b"\x80") * rlen, "little")
+    buf = (c & ((1 << (8 * nbytes)) - 1)).to_bytes(nbytes, "little")
+    return [int.from_bytes(buf[i:i + width], "little") - half
+            for i in range(0, nbytes, width)]
 
 
 def _conv(a: list, b: list, rlen: int) -> list:

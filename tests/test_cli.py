@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import crankparity
-from crankparity.cli import RunConfig, main
+from crankparity.cli import build_parser, main
 
 SRC = str(Path(crankparity.__file__).resolve().parent.parent)
 
@@ -29,18 +29,55 @@ def run_cli(capsys, *argv):
     return code, out
 
 
-class TestRunConfig:
+class TestGlobalOptions:
     def test_defaults(self):
-        cfg = RunConfig()
-        assert cfg.precision_bits == 128 and cfg.oracle_max == 60
+        args = build_parser().parse_args(["coeffs", "1", "2"])
+        assert (args.terms, args.precision_bits, args.oracle_max,
+                args.output, args.parallel) == (None, 128, 60, "text", False)
 
-    def test_limits(self):
-        with pytest.raises(ValueError):
-            RunConfig(terms=4)
-        with pytest.raises(ValueError):
-            RunConfig(precision_bits=32)
-        with pytest.raises(ValueError):
-            RunConfig(oracle_max=91)
+    @pytest.mark.parametrize("argv", [
+        ("--terms", "8"),
+        ("--precision-bits", "53"),
+        ("--oracle-max", "1"),
+        ("--oracle-max", "90"),
+    ])
+    def test_boundary_values_parse(self, argv):
+        args = build_parser().parse_args([*argv, "coeffs", "1", "2"])
+        assert getattr(args, argv[0][2:].replace("-", "_")) == int(argv[1])
+
+    @pytest.mark.parametrize("argv, want", [
+        (("--terms", "7"), "--terms: expected an integer >= 8, got '7'"),
+        (("--precision-bits", "52"),
+         "--precision-bits: expected an integer >= 53, got '52'"),
+        (("--oracle-max", "0"),
+         "--oracle-max: expected an integer in 1..90, got '0'"),
+        (("--oracle-max", "91"),
+         "--oracle-max: expected an integer in 1..90, got '91'"),
+        (("--terms", "8.0"), "--terms: expected an integer >= 8, got '8.0'"),
+        (("--terms", "-8"), "--terms: expected an integer >= 8, got '-8'"),
+    ])
+    def test_out_of_range_is_refused_by_parser(self, capsys, argv, want):
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "coeffs", "1", "2"])
+        captured = capsys.readouterr()
+        assert err.value.code == 2 and captured.out == ""
+        errors = [line for line in captured.err.splitlines()
+                  if line.startswith("crank-parity: error:")]
+        assert errors == [f"crank-parity: error: argument {want}"]
+        assert captured.err.startswith("usage: crank-parity")
+        assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("coeffs", "-1", "3"), "coeffs: need 0 <= N_LO <= N_HI"),
+    (("coeffs", "5", "1"), "coeffs: need 0 <= N_LO <= N_HI"),
+    (("asymptotic", "0", "3"), "asymptotic: need 1 <= N_LO <= N_HI"),
+    (("distinct", "3", "1"), "distinct: need 1 <= N_LO <= N_HI"),
+])
+def test_empty_or_negative_range_is_refused(argv, message):
+    with pytest.raises(SystemExit) as err:
+        main(list(argv))
+    assert err.value.code == message
 
 
 class TestCoeffs:

@@ -221,7 +221,7 @@ class TestLadder:
 
     def test_budget_guard(self):
         with pytest.raises(BudgetExceededError):
-            ladder(4, jmax=11, ceiling=10 ** 6)
+            ladder(4)
 
     def test_cached_states_are_frozen(self):
         states = ladder(0)

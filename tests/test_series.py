@@ -263,6 +263,21 @@ class TestMulKernels:
             assert _conv_kronecker(a, b, rlen) == want
             assert _conv_sparse(terms, b, rlen) == want
             assert _conv(a, b, rlen) == want
+        # Kronecker's digit bound: coefficients that reach it with either
+        # sign (equal magnitudes), magnitudes at and around powers of two,
+        # and every rlen from one slot to past the full product
+        signs = (lambda i: 1, lambda i: -1, lambda i: (-1) ** i)
+        for la, lb in ((1, 1), (1, 4), (3, 3), (5, 2), (8, 8)):
+            for k in (1, 7, 8, 15, 16, 63, 64):
+                for m in (2 ** k - 1, 2 ** k, 2 ** k + 1):
+                    for sa, sb in ((signs[0], signs[0]), (signs[0], signs[1]),
+                                   (signs[1], signs[1]), (signs[2], signs[0])):
+                        a = [sa(i) * m for i in range(la)]
+                        b = [sb(i) * m for i in range(lb)]
+                        for rlen in range(1, la + lb + 1):
+                            assert (_conv_kronecker(a, b, rlen)
+                                    == _conv_schoolbook(a, b, rlen))
+        assert _conv_kronecker([0, 0, 0], [5, -5], 4) == [0] * 4
 
     def test_big_series_product_consistency(self):
         # repeated multiplication vs binary powering vs Newton reciprocal,
