@@ -29,11 +29,22 @@ def run_cli(capsys, *argv):
     return code, out
 
 
-class TestGlobalOptions:
+class TestRunConfig:
+    """The global options, which the parser alone defaults and bounds."""
+
     def test_defaults(self):
         args = build_parser().parse_args(["coeffs", "1", "2"])
         assert (args.terms, args.precision_bits, args.oracle_max,
                 args.output, args.parallel) == (None, 128, 60, "text", False)
+
+    def test_limits(self, capsys):
+        for option, value in [("--terms", "4"), ("--precision-bits", "32"),
+                              ("--oracle-max", "91")]:
+            with pytest.raises(SystemExit) as err:
+                build_parser().parse_args([option, value, "coeffs", "1", "2"])
+            assert err.value.code == 2
+            assert (f"argument {option}: expected an integer"
+                    in capsys.readouterr().err)
 
     @pytest.mark.parametrize("argv", [
         ("--terms", "8"),
