@@ -126,6 +126,11 @@ def cmd_coeffs(args) -> int:
 
 def _verify_family(args) -> dict:
     n_max = args.n_max if args.n_max is not None else _terms(args, "family")
+    first = cranks.qualifying_residue(args.alpha)[0]
+    if n_max < first:
+        raise SystemExit(
+            f"verify family: no n <= {n_max} has 24n == 1 (mod "
+            f"5^{2 * args.alpha + 1}); raise --n-max to at least {first}")
     report = cranks.verify_family_congruence(args.alpha, n_max)
     return {
         "check": "family",

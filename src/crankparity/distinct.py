@@ -32,7 +32,7 @@ from functools import lru_cache
 from typing import Mapping
 
 from .partitions import distinct_rank_parity
-from .series import IntLaurentSeries, memo, pentagonal_product, q_sum
+from .series import IntLaurentSeries, pentagonal_product, q_sum
 
 
 class BootstrapNeededError(LookupError):
@@ -157,12 +157,6 @@ def _second_sum(trunc: int) -> IntLaurentSeries:
     return q_sum(trunc, lambda n: (
         (-1) ** n, n * (n + 1) // 2, [(n - 1, -1, -1)] if n >= 2 else [],
         []), start=1)
-
-
-def distinct_crank_series(trunc: int) -> IntLaurentSeries:
-    """sum_n (M_e(D,n) - M_o(D,n)) q^n as the two-sum generating function."""
-    return memo("distinct_crank", trunc,
-                lambda t: _first_sum(t) + _second_sum(t))
 
 
 def floor_part_series(trunc: int) -> IntLaurentSeries:

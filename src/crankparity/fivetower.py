@@ -63,7 +63,9 @@ LADDER_MULTIPLIER_SPEC = EtaQuotientSpec(((1, 3), (2, -2), (50, 2), (25, -3)))
 HAUPTMODUL_SPEC = EtaQuotientSpec(((1, 2), (2, -4), (10, 4), (5, -2)))
 NEWTON_QUOTIENT_SPEC = EtaQuotientSpec(((1, 1), (2, -2), (50, 2), (25, -1)))
 
-COEFFICIENT_CEILING = 10 ** 6
+# alpha = 2 needs 121,226 coefficients (claimL at 40 terms), alpha = 3 needs
+# 843,101, whose multiplier build alone runs for minutes: refuse it at once
+COEFFICIENT_CEILING = 2 * 10 ** 5
 JMAX = 11          # ladder rungs are read off and cross-checked on G^1..G^JMAX
 NEWTON_ORDER = 40  # q-order at which the sigma polynomials are read off, checked
 
@@ -91,16 +93,6 @@ def newton_power_u5(mu: int, order: int) -> IntLaurentSeries:
     """phi^mu | U_5, exact below q^order (mu may be negative)."""
     return apply_U(5, eta_quotient(NEWTON_QUOTIENT_SPEC ** mu,
                                    5 * (order - 1) + 1))
-
-
-def multiplier_newton_power_u5(mu: int, order: int) -> IntLaurentSeries:
-    """(multiplier * phi^mu) | U_5, exact below q^order."""
-    t = 5 * (order - 1) + 1
-    # phi^mu has offset 3*mu, which eats into the product truncation when
-    # mu is negative; pad the multiplier accordingly
-    prod = (ladder_multiplier(t + max(0, -3 * mu))
-            * eta_quotient(NEWTON_QUOTIENT_SPEC ** mu, t))
-    return apply_U(5, prod)
 
 
 # ---------------------------------------------------------------------------

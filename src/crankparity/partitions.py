@@ -50,10 +50,6 @@ class ParityCount:
     odd: int
 
     @property
-    def total(self) -> int:
-        return self.even + self.odd
-
-    @property
     def diff(self) -> int:
         return self.even - self.odd
 
@@ -313,19 +309,6 @@ def _weight_sweep(n: int) -> tuple[int, int, bool]:
         if w != w1:
             agree = False
     return total, total1, agree
-
-
-def partition_count(n: int) -> int:
-    """p(n) by direct enumeration."""
-    if n < 0:
-        raise ValueError(f"cannot partition a negative integer: {n}")
-    return _full_sweep(n)[0]
-
-
-def distinct_partition_count(n: int) -> int:
-    if n < 0:
-        raise ValueError(f"cannot partition a negative integer: {n}")
-    return _distinct_sweep(n)[0]
 
 
 def crank_parity(n: int) -> ParityCount:

@@ -161,24 +161,6 @@ def _recip_unit(c: list, rlen: int) -> list:
     return z[:rlen]
 
 
-def _divide_exact(x: list, y: list, rlen: int) -> list:
-    """Long division with a non-unit leading coefficient; every step must
-    divide exactly over the integers."""
-    y0 = y[0]
-    rem = list(x[:rlen]) + [0] * max(0, rlen - len(x))
-    out = []
-    for i in range(rlen):
-        quot, r = divmod(rem[i], y0)
-        if r:
-            raise NonUnitDivisorError(
-                f"inexact division at q^{i}: {rem[i]} by {y0}")
-        out.append(quot)
-        if quot:
-            for j in range(1, min(len(y), rlen - i)):
-                rem[i + j] -= quot * y[j]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the series type
 # ---------------------------------------------------------------------------
@@ -408,16 +390,7 @@ class IntLaurentSeries:
             return IntLaurentSeries(self.offset, out, self.trunc)
         if not isinstance(other, IntLaurentSeries):
             return NotImplemented
-        val = other.valuation()
-        if val is None:
-            raise ZeroDivisionError("division by a series that is zero "
-                                    "to its truncation")
-        if other.coeff(val) in (1, -1):
-            return self * other.reciprocal()
-        rlen = min(len(self.coeffs), len(other.coeffs))
-        out = _divide_exact(list(self.coeffs), list(other.coeffs), rlen)
-        off = self.offset - other.offset
-        return IntLaurentSeries(off, out, off + rlen)
+        return self * other.reciprocal()
 
     def __pow__(self, n: int) -> "IntLaurentSeries":
         if not isinstance(n, int):
@@ -461,20 +434,6 @@ class IntLaurentSeries:
         """Multiply by q^k."""
         return IntLaurentSeries(self.offset + k, self.coeffs, self.trunc + k)
 
-    def dilate(self, d: int) -> "IntLaurentSeries":
-        """Substitute q -> q^d.  The result is exact below d*(trunc-1)+1
-        because exponents not divisible by d are exactly zero."""
-        if d < 1:
-            raise ValueError("dilation factor must be >= 1")
-        if d == 1:
-            return self
-        new_off = d * self.offset
-        new_trunc = d * (self.trunc - 1) + 1
-        out = [0] * (new_trunc - new_off)
-        for i, c in enumerate(self.coeffs):
-            out[d * i] = c
-        return IntLaurentSeries(new_off, out, new_trunc)
-
     def extract(self, step: int, residue: int = 0) -> "IntLaurentSeries":
         """Arithmetic subsequence: coefficient of q^t in the result is the
         coefficient of q^(step*t + residue) here."""
@@ -487,9 +446,6 @@ class IntLaurentSeries:
             return IntLaurentSeries(t_end - 1, (0,), t_end)
         out = [self.coeff(step * t + r) for t in range(t0, t_end)]
         return IntLaurentSeries(t0, out, t_end)
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.terms())
 
 
 # ---------------------------------------------------------------------------
@@ -729,29 +685,30 @@ def memo(name: str, trunc: int, build) -> IntLaurentSeries:
     """``build(trunc)``, keeping the longest series built under ``name`` to
     serve shorter requests by truncation.
 
-    With CRANK_PARITY_CACHE_DIR set, the series also persists there as
-    ``<name>.<trunc>.tsv``: the dump format, then a trailer line with
-    ``trunc`` and the sha256 of the lines above it, written under a temporary
-    name and renamed into place.  A file whose trailer does not match is
-    named in one line on stderr, rebuilt and rewritten.
+    With CRANK_PARITY_CACHE_DIR set, that longest series also persists there
+    as ``<name>.tsv``: the dump format, then a trailer line with the sha256
+    of the lines above it, written under a temporary name and renamed into
+    place.  A miss in memory reads the file and keeps it when it reaches
+    ``trunc``; only a series built here is written.  A file whose trailer
+    does not match is named in one line on stderr, rebuilt and rewritten.
     """
-    cache_dir = os.environ.get("CRANK_PARITY_CACHE_DIR")
-    path = cache_dir and os.path.join(cache_dir, f"{name}.{trunc}.tsv")
     cur = _memo.get(name)
     if cur is None or cur.trunc < trunc:
-        found = path and os.path.exists(path) and _load_checked(path, trunc)
-        cur = _memo[name] = found or build(trunc)
-    if cur.trunc > trunc:
-        cur = cur.truncate(trunc)
-    if path and not os.path.exists(path):
-        _store(path, cur)
-    return cur
+        cache_dir = os.environ.get("CRANK_PARITY_CACHE_DIR")
+        path = cache_dir and os.path.join(cache_dir, f"{name}.tsv")
+        cur = path and os.path.exists(path) and _load_checked(path)
+        if not cur or cur.trunc < trunc:
+            cur = build(trunc)
+            if path:
+                _store(path, cur)
+        _memo[name] = cur
+    return cur.truncate(trunc) if cur.trunc > trunc else cur
 
 
-def _trailer(trunc: int, body: bytes) -> bytes:
+def _trailer(body: bytes) -> bytes:
     import hashlib  # not at import time: it maps OpenSSL, ~4 MB of RSS
     digest = hashlib.sha256(body).hexdigest()
-    return f"# trunc={trunc} sha256={digest}\n".encode("ascii")
+    return f"# sha256={digest}\n".encode("ascii")
 
 
 def _store(path: str, x: IntLaurentSeries) -> None:
@@ -762,19 +719,19 @@ def _store(path: str, x: IntLaurentSeries) -> None:
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fp:
-            fp.write(body + _trailer(x.trunc, body))
+            fp.write(body + _trailer(body))
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
 
 
-def _load_checked(path: str, trunc: int) -> IntLaurentSeries | None:
+def _load_checked(path: str) -> IntLaurentSeries | None:
     """The series at ``path``, or None (and no file) if its trailer fails."""
     with open(path, "rb") as fp:
         data = fp.read()
     cut = data.rfind(b"\n", 0, len(data) - 1) + 1
-    if data[cut:] == _trailer(trunc, data[:cut]):
+    if data[cut:] == _trailer(data[:cut]):
         return load_series(io.StringIO(data[:cut].decode("ascii")))
     print(f"crank-parity: cache file {path} failed its check; rebuilding",
           file=sys.stderr)

@@ -181,6 +181,8 @@ class TestVerify:
     @pytest.mark.parametrize("argv", [
         ("verify", "ladder", "--alpha-max", "4"),
         ("verify", "claimL", "--alpha", "3"),
+        ("verify", "ladder", "--alpha-max", "3"),  # refused, not run
+        ("ladder", "--alpha-max", "3"),
     ])
     def test_over_budget_is_one_stderr_line(self, capsys, argv):
         code = main(list(argv))
@@ -188,6 +190,26 @@ class TestVerify:
         assert (code, captured.out) == (2, "")
         assert captured.err.startswith("crank-parity: ")
         assert captured.err.count("\n") == 1 and "ceiling" in captured.err
+
+    @pytest.mark.parametrize("argv, first", [
+        (("--alpha", "3"), 61849),
+        (("--alpha", "2", "--n-max", "500"), 2474),
+        (("--alpha", "1", "--n-max", "20"), 99),
+    ])
+    def test_family_with_no_case_is_refused(self, argv, first):
+        proc = subprocess.run(
+            [sys.executable, "-m", "crankparity", "verify", "family", *argv],
+            capture_output=True, text=True, env=cli_env(), timeout=60)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith("verify family: no n <= ")
+        assert proc.stderr.endswith(
+            f"raise --n-max to at least {first}\n")
+
+    def test_family_with_one_case_passes(self, capsys):
+        code, out = run_cli(capsys, "verify", "family", "--alpha", "2",
+                            "--n-max", "2474")
+        assert (code, out) == (0, "PASS family: 1 cases\n")
 
     @pytest.mark.parametrize("argv", [
         ("verify", "family", "--alpha", "-1"),
@@ -349,14 +371,24 @@ class TestDumpSeries:
         assert len(lines) == 12
 
     def test_cache_roundtrip(self, capsys, tmp_path, monkeypatch):
+        from crankparity import series
+        written = []
+        store = series._store
+
+        def spy_store(path, x):
+            written.append(os.path.basename(path))
+            store(path, x)
+
         monkeypatch.setenv("CRANK_PARITY_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(series, "_memo", {})  # built here, so written
+        monkeypatch.setattr(series, "_store", spy_store)
         _, first = run_cli(capsys, "--terms", "40", "coeffs", "2", "6",
                            "--source", "series")
-        cached = list(tmp_path.glob("crank_parity.*.tsv"))
-        assert cached, "cache file written"
+        assert os.listdir(tmp_path) == written == ["crank_parity.tsv"]
+        series._memo.clear()  # the second run reads the file back
         _, second = run_cli(capsys, "--terms", "40", "coeffs", "2", "6",
                             "--source", "series")
-        assert first == second
+        assert first == second and written == ["crank_parity.tsv"]
 
     def test_cut_cache_file_is_rebuilt(self, tmp_path):
         # a later run, in its own process, meets a file cut short by a crash
@@ -369,7 +401,7 @@ class TestDumpSeries:
                 env=env, capture_output=True, text=True, timeout=120)
 
         cold = run()
-        path = tmp_path / "crank_parity.40.tsv"
+        path = tmp_path / "crank_parity.tsv"
         good = path.read_bytes()
         path.write_bytes(good[:-3])
         warm = run()
@@ -377,6 +409,18 @@ class TestDumpSeries:
         assert warm.stdout.splitlines()[-1].split() == ["39", "-235"]
         assert warm.stderr.count("\n") == 1 and str(path) in warm.stderr
         assert path.read_bytes() == good
+
+    def test_one_file_per_series(self, tmp_path):
+        # each series is built once, at its longest truncation, and kept in
+        # <name>.tsv; the hauptmodul's shorter requests write nothing
+        proc = subprocess.run(
+            [sys.executable, "-m", "crankparity", "ladder", "--alpha-max",
+             "1", "--imax", "20"],
+            env=cli_env(CRANK_PARITY_CACHE_DIR=str(tmp_path)),
+            capture_output=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert sorted(os.listdir(tmp_path)) == [
+            "hauptmodul.tsv", "ladder_multiplier.tsv"]
 
 
 class TestClosedStdout:

@@ -5,6 +5,7 @@ import pytest
 from crankparity import fivetower
 from crankparity.fivetower import (
     LADDER_MULTIPLIER_SPEC,
+    NEWTON_QUOTIENT_SPEC,
     BudgetExceededError,
     HauptmodulPoly,
     NotHauptmodulPolynomialError,
@@ -14,7 +15,6 @@ from crankparity.fivetower import (
     ladder_multiplier,
     ladder_subsequence_check,
     ladder_vectors,
-    multiplier_newton_power_u5,
     newton_power_u5,
     newton_quotient,
     newton_sigma_polys,
@@ -25,7 +25,12 @@ from crankparity.fivetower import (
     _haupt_power,
     _transfer_rows,
 )
-from crankparity.series import EtaQuotientSpec, IntLaurentSeries, apply_U
+from crankparity.series import (
+    EtaQuotientSpec,
+    IntLaurentSeries,
+    apply_U,
+    eta_quotient,
+)
 
 
 class TestEtaQuotients:
@@ -129,8 +134,12 @@ class TestNewtonQuotientPowers:
         (4, {-2: 1, -1: 5, 0: -25}),
     ])
     def test_multiplier_weighted_closed_forms(self, mu, want):
-        poly = reduce_to_hauptmodul(multiplier_newton_power_u5(-mu, 40),
-                                    -(3 * mu // 5) - 2, 1)
+        # (multiplier * phi^-mu) | U_5 below q^40; phi^-mu starts at
+        # q^(-3mu), so the multiplier is padded by 3mu terms
+        t = 5 * (40 - 1) + 1
+        image = apply_U(5, ladder_multiplier(t + 3 * mu)
+                        * eta_quotient(NEWTON_QUOTIENT_SPEC ** -mu, t))
+        poly = reduce_to_hauptmodul(image, -(3 * mu // 5) - 2, 1)
         assert poly.as_dict() == want
 
 
@@ -220,8 +229,10 @@ class TestLadder:
         assert required_multiplier_trunc(0, 200) == 996
 
     def test_budget_guard(self):
-        with pytest.raises(BudgetExceededError):
-            ladder(4)
+        # alpha = 3 needs 843,101 multiplier terms: refused before any build
+        for alpha_max in (3, 4):
+            with pytest.raises(BudgetExceededError, match="above the ceiling"):
+                ladder(alpha_max)
 
     def test_cached_states_are_frozen(self):
         states = ladder(0)

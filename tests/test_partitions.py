@@ -15,18 +15,26 @@ from crankparity.partitions import (
     crank_parity_oracle,
     distinct_crank,
     distinct_crank_parity,
-    distinct_partition_count,
     distinct_rank_parity,
     enumerate_partitions,
     initial_run_length,
     omega_totals,
     omega_weights_agree,
-    partition_count,
     rank,
     rank_parity,
     weight_omega,
     weight_omega1,
 )
+
+
+def partition_count(n):
+    """p(n), the count the full enumeration sweep keeps."""
+    return partitions._full_sweep(n)[0]
+
+
+def distinct_partition_count(n):
+    """q(n), the count the distinct-parts sweep keeps."""
+    return partitions._distinct_sweep(n)[0]
 
 
 class TestEnumeration:

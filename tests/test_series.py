@@ -121,12 +121,6 @@ class TestDiv:
         z = IntLaurentSeries.one(11) / euler_factor(1, 1, 11)
         assert coeffs_of(z, 0, 11) == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
 
-    def test_non_unit_exact(self):
-        y = IntLaurentSeries.from_terms({0: 2, 1: 2}, 10)
-        q = IntLaurentSeries.from_terms({0: 3, 1: -1, 2: 4}, 10)
-        x = y * q
-        assert coeffs_of(x / y, 0, 4) == [3, -1, 4, 0]
-
     def test_non_unit_inexact_raises(self):
         x = IntLaurentSeries.from_terms({0: 1, 1: 1}, 6)
         y = IntLaurentSeries.from_terms({0: 2, 1: 1}, 6)
@@ -388,13 +382,16 @@ class TestApplyU:
         assert apply_U(5, x).trunc == 3
 
     def test_commutation_rule(self):
-        # (f(q^d) g(q)) | U_d == f(q) (g | U_d)
+        # (f(q^d) g(q)) | U_d == f(q) (g | U_d); f(q^d) is exact below
+        # d*(trunc-1)+1, as the exponents in between are exactly zero
         rng = random.Random(0xC0FFEE)
         for d in (2, 3, 5):
             for _ in range(6):
                 f = random_series(rng, 100, min_offset=0)
                 g = random_series(rng, 100, min_offset=0)
-                lhs = apply_U(d, f.dilate(d) * g)
+                f_d = IntLaurentSeries.from_terms(
+                    {d * e: c for e, c in f.terms()}, d * (f.trunc - 1) + 1)
+                lhs = apply_U(d, f_d * g)
                 rhs = f * apply_U(d, g)
                 assert lhs.eq_to_order(rhs, min(lhs.trunc, rhs.trunc))
 
@@ -481,7 +478,7 @@ class TestMemo:
             return memo("test-memo-disk", t, build)
 
         assert cold(25).eq_to_order(want, 25) and built == [25]
-        path = tmp_path / "test-memo-disk.25.tsv"
+        path = tmp_path / "test-memo-disk.tsv"
         good = path.read_bytes()
         assert cold(25).eq_to_order(want, 25) and built == [25]
         assert capsys.readouterr().err == ""
@@ -489,14 +486,54 @@ class TestMemo:
 
         flipped = good.replace(b"\t-", b"\t", 1)  # trailer intact
         assert flipped != good
-        old_format = good[:good.rindex(b"#")]  # written before the trailer
-        for damaged in (good[:-3], flipped, old_format):
+        body = good[:good.rindex(b"#")]
+        digest = good[good.rindex(b"=") + 1:]
+        no_trailer = body  # written before the trailer existed
+        trunc_trailer = body + b"# trunc=25 sha256=" + digest  # earlier form
+        for damaged in (good[:-3], flipped, no_trailer, trunc_trailer):
             path.write_bytes(damaged)
             assert cold(25).eq_to_order(want, 25)
             err = capsys.readouterr().err
             assert err.count("\n") == 1 and str(path) in err
             assert path.read_bytes() == good
-        assert built == [25] * 4
+        assert built == [25] * 5
+
+    def test_one_file_serves_shorter_requests_and_grows(self, tmp_path,
+                                                        monkeypatch, capsys):
+        monkeypatch.setenv("CRANK_PARITY_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr("crankparity.series._memo", {})
+        from crankparity import series
+        built, written = [], []
+        store = series._store
+
+        def build(t):
+            built.append(t)
+            return eta_quotient(G_SPEC ** -1, t)
+
+        def spy_store(path, x):
+            written.append(x.trunc)
+            store(path, x)
+
+        def cold(t):
+            series._memo.clear()  # as a fresh process would start
+            return memo("test-memo-grow", t, build)
+
+        monkeypatch.setattr(series, "_store", spy_store)
+        path = tmp_path / "test-memo-grow.tsv"
+        assert cold(40).trunc == 40 and built == written == [40]
+        got = cold(25)  # served from the file, cut to the request
+        assert (got.offset, got.trunc) == (-1, 25)
+        assert got.eq_to_order(eta_quotient(G_SPEC ** -1, 25), 25)
+        assert memo("test-memo-grow", 40, build).trunc == 40
+        assert built == written == [40]  # nothing built, nothing written
+
+        got = cold(60)  # the file is too short: rebuilt and replaced
+        assert built == written == [40, 60] and got.trunc == 60
+        assert got.eq_to_order(eta_quotient(G_SPEC ** -1, 60), 60)
+        assert series._load_checked(str(path)).trunc == 60
+        assert cold(50).trunc == 50 and built == written == [40, 60]
+        assert sorted(os.listdir(tmp_path)) == [path.name]
+        assert capsys.readouterr().err == ""
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -504,7 +541,7 @@ class TestMemo:
         from crankparity import series
         want = eta_quotient(G_SPEC ** -1, 25)
         with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "damaged.25.tsv")
+            path = os.path.join(tmp, "damaged.tsv")
             series._store(path, want)
             with open(path, "rb") as fp:
                 good = fp.read()
@@ -517,7 +554,7 @@ class TestMemo:
                 damaged = good[:at] + bytes([byte]) + good[at + 1:]
             with open(path, "wb") as fp:
                 fp.write(damaged)
-            got = series._load_checked(path, 25)
+            got = series._load_checked(path)
             if got is None:
                 assert not os.path.exists(path)
             else:
