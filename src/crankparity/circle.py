@@ -11,11 +11,15 @@ The coefficient of q^n in (q;q)_inf/(-q;q)_inf^2 equals
 with |E_n| < 194 n^(1/4) and s(h,k) the Dedekind sum.  Dedekind sums are
 computed as exact rationals; the root-of-unity sums and the cosh main term
 are evaluated in configurable-precision arithmetic (mpmath), 128 bits by
-default.  B_k(n) is real because the h and 2k-h terms are conjugate, and
-the imaginary residue is asserted below 2^(-bits/2) rather than discarded
-silently.  B_k(n) depends on n only through n mod 2k (the factor
-e^(-pi i n h/k) has period 2k in n), so it is memoised on (k, n mod 2k,
-bits), as the phase tables it sums are memoised on (k, bits).
+default.  Since 6k s(h,k) is an integer, each term of B_k(n) is the root
+of unity e^(pi i (M_h - 12 n h)/(12k)) with the integer
+M_h = 12k (2 s(h,k) - 3 s(h,2k)); the angles M_h mod 24k are exact and
+memoised on k.  B_k(n) is exactly real because M_(2k-h) == -M_h (mod 24k),
+which pairs the h and 2k-h terms as conjugates; this is checked once per k
+in integers rather than assumed.  B_k(n) is then a sum of cosines, added as
+integers in fixed point with 16 guard bits (each cosine rounded to
+2^-(bits+16) and memoised on (k, angle, bits)).  It depends on n only
+through n mod 2k, so it is memoised on (k, n mod 2k, bits).
 
 Also here: a direct numerical check of the modular transformation of the
 partition generating function F(q) = 1/(q;q)_inf,
@@ -68,29 +72,40 @@ def dedekind_sum(h: int, k: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _arc_phases(k: int, bits: int) -> tuple:
-    """(h, e^(pi i (2 s(h,k) - 3 s(h,2k)))) for 0 < h < 2k coprime to 2k."""
-    out = []
-    with workprec(bits + 16):
-        for h in range(1, 2 * k):
-            if gcd(h, 2 * k) != 1:
-                continue
-            theta = 2 * dedekind_sum(h, k) - 3 * dedekind_sum(h, 2 * k)
-            phase = mpmath.expjpi(mpf(theta.numerator) / theta.denominator)
-            out.append((h, phase))
-    return tuple(out)
+def _arc_angles(k: int) -> tuple:
+    """(h, M_h mod 24k) for 0 < h < 2k coprime to 2k, where
+    M_h = 12k (2 s(h,k) - 3 s(h,2k)); raises PrecisionError unless
+    M_(2k-h) == -M_h (mod 24k) for every h."""
+    period = 24 * k
+    angles = {}
+    for h in range(1, 2 * k):
+        if gcd(h, 2 * k) != 1:
+            continue
+        m = 12 * k * (2 * dedekind_sum(h, k) - 3 * dedekind_sum(h, 2 * k))
+        if m.denominator != 1:
+            raise ArithmeticError(
+                f"12k (2 s(h,k) - 3 s(h,2k)) = {m} at h = {h}, k = {k} "
+                f"is not an integer")
+        angles[h] = m.numerator % period
+    for h, m in angles.items():
+        if (m + angles[2 * k - h]) % period:
+            raise PrecisionError(
+                f"B_{k}: the terms h = {h} and h = {2 * k - h} are not "
+                f"conjugate: M = {m} and {angles[2 * k - h]} (mod {period})")
+    return tuple(angles.items())
 
 
 @lru_cache(maxsize=None)
-def _unit_phases(k: int, bits: int) -> tuple:
-    """e^(-pi i m / k) for m = 0 .. 2k-1 (the period of the n h exponent)."""
-    with workprec(bits + 16):
-        return tuple(mpmath.expjpi(mpf(-m) / k) for m in range(2 * k))
+def _cosine(j: int, k: int, bits: int) -> int:
+    """round(cos(pi j / (12k)) 2^(bits+16)), evaluated at bits + 32."""
+    with workprec(bits + 32):
+        x = mpmath.cospi(mpf(j) / (12 * k))
+        return int(mpmath.nint(mpmath.ldexp(x, bits + 16)))
 
 
 def kloosterman_sum(k: int, n: int, precision_bits: int = 128) -> mpf:
-    """B_k(n); raises PrecisionError if the imaginary residue exceeds
-    2^(-precision_bits/2)."""
+    """B_k(n), exactly real: raises PrecisionError unless the h and 2k-h
+    terms pair as conjugates, M_(2k-h) == -M_h (mod 24k)."""
     if k < 1:
         raise ValueError("k must be positive")
     return _kloosterman_residue(k, n % (2 * k), precision_bits)
@@ -98,33 +113,38 @@ def kloosterman_sum(k: int, n: int, precision_bits: int = 128) -> mpf:
 
 @lru_cache(maxsize=None)
 def _kloosterman_residue(k: int, r: int, bits: int) -> mpf:
-    """B_k(n) for every n == r (mod 2k): the sum reads n only through
-    units[(n*h) % (2k)], which is units[(r*h) % (2k)]."""
+    """B_k(n) for every n == r (mod 2k): the sum of cos(pi j/(12k)) over
+    j = M_h - 12 r h (mod 24k), folded into 0 <= j <= 12k, in fixed point."""
+    period = 24 * k
+    total = 0
+    for h, m in _arc_angles(k):
+        j = (m - 12 * r * h) % period
+        total += _cosine(min(j, period - j), k, bits)
     with workprec(bits + 16):
-        units = _unit_phases(k, bits)
-        total = mpmath.mpc(0)
-        for h, phase in _arc_phases(k, bits):
-            total += phase * units[(r * h) % (2 * k)]
-        if abs(total.imag) >= mpf(2) ** (-(bits // 2)):
-            raise PrecisionError(
-                f"B_{k}(n), n = {r} mod {2 * k}, has imaginary residue "
-                f"{total.imag}")
-        return +total.real
+        return mpmath.ldexp(mpf(total), -(bits + 16))
+
+
+@lru_cache(maxsize=None)
+def _k_constants(k: int, prec: int) -> tuple:
+    """(sqrt(k), pi/k) rounded to prec bits, for main_term."""
+    with workprec(prec):
+        return mpmath.sqrt(k), mpmath.pi / k
 
 
 def main_term(n: int, precision_bits: int = 128) -> mpf:
     """The finite k-sum of the asymptotic formula, 0 < k < 5 sqrt(n)/2."""
     if n < 1:
         raise ValueError("n must be positive")
-    with workprec(precision_bits + 16):
+    prec = precision_bits + 16
+    with workprec(prec):
         shifted = mpf(24 * n - 1) / 24
         root = mpmath.sqrt(shifted / 6)
         total = mpf(0)
         k = 1
         while 4 * k * k < 25 * n:
             bk = kloosterman_sum(k, n, precision_bits)
-            total += (bk / mpmath.sqrt(k)
-                      * mpmath.cosh(mpmath.pi / k * root))
+            sqrt_k, pi_over_k = _k_constants(k, prec)
+            total += bk / sqrt_k * mpmath.cosh(pi_over_k * root)
             k += 1
         return +(total / mpmath.sqrt(shifted))
 

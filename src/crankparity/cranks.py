@@ -175,16 +175,21 @@ def verify_family_congruence(alpha: int, n_max: int,
                              series: IntLaurentSeries | None = None
                              ) -> CongruenceReport:
     """Check 5^(alpha+1) divides the crank-parity coefficient at every
-    n <= n_max with 24n == 1 mod 5^(2*alpha+1)."""
+    n <= n_max with 24n == 1 mod 5^(2*alpha+1); raises ValueError if there
+    is no such n."""
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
+    residue, step = qualifying_residue(alpha)
+    if n_max < residue:
+        raise ValueError(
+            f"no n <= {n_max} has 24n == 1 (mod 5^{2 * alpha + 1}); the "
+            f"first is {residue}")
     if series is None:
         series = crank_parity_series(n_max + 1)
     if series.trunc <= n_max:
         raise TruncationError(
             f"congruence sweep to {n_max} needs trunc >= {n_max + 1}, "
             f"have {series.trunc}")
-    residue, step = qualifying_residue(alpha)
     modulus = 5 ** (alpha + 1)
     report = CongruenceReport(alpha=alpha, modulus=modulus)
     for n in range(residue, n_max + 1, step):

@@ -61,51 +61,67 @@ class TestKloostermanSum:
 
     def test_k2_at_zero_by_direct_evaluation(self):
         # independent route: raw mpmath formula with exact Dedekind sums
-        with mpmath.workprec(140):
-            total = mpmath.mpc(0)
-            for h in (1, 3):
-                theta = 2 * dedekind_sum(h, 2) - 3 * dedekind_sum(h, 4)
-                total += mpmath.expjpi(
-                    mpmath.mpf(theta.numerator) / theta.denominator)
-            want = total.real
+        want = _direct_kloosterman(2, 0, 128)
         got = kloosterman_sum(2, 0)
         assert abs(got - want) < mpmath.mpf(2) ** -100
 
     def test_real_to_precision(self):
         # conjugate pairing of h and 2k-h keeps the sum real; the
-        # implementation raises if the imaginary residue survives
+        # implementation checks the pairing exactly and raises if it fails
         for k in range(1, 31):
             for n in range(0, 101):
                 kloosterman_sum(k, n)
 
 
+def _clear_memos():
+    for memo in (circle._kloosterman_residue, circle._arc_angles,
+                 circle._cosine, circle._k_constants):
+        memo.cache_clear()
+
+
+def _direct_kloosterman(k, n, bits):
+    """Raw mpmath formula, n h / k taken as it stands, not reduced."""
+    with mpmath.workprec(bits + 40):
+        total = mpmath.mpc(0)
+        for h in range(1, 2 * k):
+            if gcd(h, 2 * k) != 1:
+                continue
+            theta = 2 * dedekind_sum(h, k) - 3 * dedekind_sum(h, 2 * k)
+            total += (mpmath.expjpi(mpmath.mpf(theta.numerator)
+                                    / theta.denominator)
+                      * mpmath.expjpi(mpmath.mpf(-n * h) / k))
+        return total.real
+
+
 class TestKloostermanMemo:
-    """B_k(n) is memoised on (k, n mod 2k, bits); each test starts and
-    ends with an empty memo."""
+    """B_k(n) is memoised on (k, n mod 2k, bits), its angles on k, its
+    cosines on (k, angle, bits) and main_term's constants on (k, prec);
+    each test starts and ends with every memo empty."""
 
     @pytest.fixture(autouse=True)
     def fresh_memo(self):
-        circle._kloosterman_residue.cache_clear()
+        _clear_memos()
         yield
-        circle._kloosterman_residue.cache_clear()
+        _clear_memos()
 
     def test_matches_direct_evaluation(self):
-        # raw mpmath formula, n h / k taken as it stands, not reduced
-        for k in range(1, 21):
-            for n in range(4 * k + 4):
-                with mpmath.workprec(140):
-                    total = mpmath.mpc(0)
-                    for h in range(1, 2 * k):
-                        if gcd(h, 2 * k) != 1:
-                            continue
-                        theta = (2 * dedekind_sum(h, k)
-                                 - 3 * dedekind_sum(h, 2 * k))
-                        total += (mpmath.expjpi(mpmath.mpf(theta.numerator)
-                                                / theta.denominator)
-                                  * mpmath.expjpi(mpmath.mpf(-n * h) / k))
-                    want = total.real
-                got = kloosterman_sum(k, n)
-                assert abs(got - want) < mpmath.mpf(2) ** -100, (k, n)
+        # every residue twice over for k <= 20; a spread of residues for
+        # k that asymptotic 1 600 reaches
+        cases = [(k, n) for k in range(1, 21) for n in range(4 * k + 4)]
+        cases += [(k, n) for k in (24, 30, 31, 45, 60, 61)
+                  for n in {0, 1, 2, k, 2 * k - 1, 2 * k + 5, 7 * k + 3,
+                            *range(3, 2 * k, 11)}]
+        for k, n in cases:
+            got = kloosterman_sum(k, n)
+            want = _direct_kloosterman(k, n, 128)
+            assert abs(got - want) < mpmath.mpf(2) ** -100, (k, n)
+
+    @pytest.mark.parametrize("bits", [64, 200])
+    def test_matches_direct_evaluation_at_other_precisions(self, bits):
+        for k, n in ((1, 3), (2, 0), (7, 5), (24, 13), (45, 600), (61, 599)):
+            got = kloosterman_sum(k, n, bits)
+            want = _direct_kloosterman(k, n, bits)
+            assert abs(got - want) < mpmath.mpf(2) ** (28 - bits), (k, n)
 
     def test_period_2k_is_exact(self):
         # evaluated afresh on each side, so the equality is the formula's
@@ -113,22 +129,35 @@ class TestKloostermanMemo:
         for k in (1, 2, 3, 7, 12, 20):
             for n in range(2 * k):
                 for j in (1, 3):
-                    circle._kloosterman_residue.cache_clear()
+                    _clear_memos()
                     base = kloosterman_sum(k, n)
-                    circle._kloosterman_residue.cache_clear()
+                    _clear_memos()
                     assert kloosterman_sum(k, n + 2 * k * j) == base, (k, n, j)
 
     def test_broken_conjugate_pair_still_raises(self, monkeypatch):
-        honest = circle._arc_phases
+        honest = circle.dedekind_sum
 
-        def one_conjugated(k, bits):
-            (h, phase), *rest = honest(k, bits)
-            return ((h, mpmath.conj(phase)), *rest)
+        def one_shifted(h, k):
+            # s(1,5) off by 1/120 moves M_1 of k = 5 by one, unpaired
+            # from M_9
+            return honest(h, k) + (Fraction(1, 120) if (h, k) == (1, 5)
+                                   else 0)
 
-        monkeypatch.setattr(circle, "_arc_phases", one_conjugated)
+        monkeypatch.setattr(circle, "dedekind_sum", one_shifted)
         for n in (1, 1 + 10, 1 + 20):
-            with pytest.raises(PrecisionError):
+            with pytest.raises(PrecisionError, match=r"h = 1 and h = 9"):
                 kloosterman_sum(5, n)
+
+    def test_non_integer_angle_raises(self, monkeypatch):
+        honest = circle.dedekind_sum
+
+        def off_by_half_step(h, k):
+            return honest(h, k) + (Fraction(1, 240) if (h, k) == (1, 5)
+                                   else 0)
+
+        monkeypatch.setattr(circle, "dedekind_sum", off_by_half_step)
+        with pytest.raises(ArithmeticError, match=r"is not an integer"):
+            kloosterman_sum(5, 1)
 
 
 class TestMainTerm:

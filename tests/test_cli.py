@@ -310,7 +310,9 @@ class TestAsymptotic:
          "2baeb5a92c6e71b55525b31ce71768a031cd7bf86e96878368cd83f57a28c20a"),
         (("--precision-bits", "64", "asymptotic", "1", "40"),
          "55dec9f227fb468a7bb582158a18c616294b1d91d1379feacb51faba63b70076"),
-    ], ids=["128-bit", "64-bit"])
+        (("--precision-bits", "200", "asymptotic", "1", "40"),
+         "dcd76feaa60e826474b2ab2b9f86866d69dc2eea81f00b71a525b0612a7bf099"),
+    ], ids=["128-bit", "64-bit", "200-bit"])
     def test_printed_digits_are_pinned(self, capsys, argv, digest):
         # the circle sums may be reorganised, never re-rounded
         code, out = run_cli(capsys, *argv)

@@ -198,6 +198,14 @@ class TestFamilyCongruence:
         with pytest.raises(ValueError):
             verify_family_congruence(-1, 100)
 
+    def test_no_qualifying_n_is_refused(self):
+        # the first n with 24n == 1 (mod 5^7) is 61849
+        with pytest.raises(ValueError, match=r"the first is 61849$"):
+            verify_family_congruence(3, 10_000)
+        with pytest.raises(ValueError, match=r"the first is 4$"):
+            verify_family_congruence(0, 3)
+        assert verify_family_congruence(0, 4).tested_n == [4]
+
 
 class TestSubsequence5n4:
     def test_constant_term_is_five(self):
