@@ -188,9 +188,14 @@ def _verify_claim_l(args) -> dict:
 
 def _oracle_n_max(args, default: int) -> int:
     """--n-max of a check that enumerates partitions, which --oracle-max
-    caps; a request above the cap is refused, not cut."""
+    caps; a request above the cap is refused, not cut, and so is one that
+    checks no n."""
     if args.n_max is None:
         return min(default, args.oracle_max)
+    if args.n_max < 1:
+        raise SystemExit(
+            f"verify {args.check}: --n-max {args.n_max} checks no n; raise "
+            "--n-max to at least 1")
     if args.n_max > args.oracle_max:
         raise SystemExit(
             f"verify {args.check}: oracle sweep capped at "

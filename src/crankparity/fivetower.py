@@ -29,10 +29,9 @@ refuse to start if the multiplier series would exceed a coefficient ceiling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from . import cranks
 from .series import (
@@ -101,7 +100,7 @@ def newton_power_u5(mu: int, order: int) -> IntLaurentSeries:
 
 @dataclass(frozen=True)
 class HauptmodulPoly:
-    """sum_j c_j G^j with integer (or, transiently, rational) coefficients."""
+    """sum_j c_j G^j with integer coefficients."""
 
     coeffs: tuple
 
@@ -113,43 +112,6 @@ class HauptmodulPoly:
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.coeffs)
-
-    def __getitem__(self, j: int):
-        return dict(self.coeffs).get(j, 0)
-
-    def is_integral(self) -> bool:
-        return all(Fraction(c).denominator == 1 for _, c in self.coeffs)
-
-    def to_integer(self) -> "HauptmodulPoly":
-        if not self.is_integral():
-            raise ValueError(f"non-integral coefficients: {self.coeffs}")
-        return HauptmodulPoly({j: int(c) for j, c in self.coeffs})
-
-    def __add__(self, other: "HauptmodulPoly") -> "HauptmodulPoly":
-        out = dict(self.coeffs)
-        for j, c in other.coeffs:
-            out[j] = out.get(j, 0) + c
-        return HauptmodulPoly(out)
-
-    def __sub__(self, other: "HauptmodulPoly") -> "HauptmodulPoly":
-        out = dict(self.coeffs)
-        for j, c in other.coeffs:
-            out[j] = out.get(j, 0) - c
-        return HauptmodulPoly(out)
-
-    def __mul__(self, other):
-        if isinstance(other, HauptmodulPoly):
-            out: dict = {}
-            for i, a in self.coeffs:
-                for j, b in other.coeffs:
-                    out[i + j] = out.get(i + j, 0) + a * b
-            return HauptmodulPoly(out)
-        return HauptmodulPoly({j: c * other for j, c in self.coeffs})
-
-    __rmul__ = __mul__
-
-    def scale(self, factor: Fraction) -> "HauptmodulPoly":
-        return HauptmodulPoly({j: c * factor for j, c in self.coeffs})
 
     def evaluate(self, order: int) -> IntLaurentSeries:
         """Expand sum c_j G^j as a q-series exact below q^order."""
@@ -194,6 +156,7 @@ def reduce_to_hauptmodul(x: IntLaurentSeries, jmin: int, jmax: int,
                          exact: bool = True) -> HauptmodulPoly:
     """Write x as sum_{jmin <= j <= jmax} c_j G^j by eliminating from the
     lowest exponent upward (G^j = q^j + ..., so the system is triangular).
+    A term below q^jmin is refused: with jmin = 1, a constant term.
 
     With ``exact`` the residual must vanish identically to x's truncation;
     otherwise only the prefix up to min(jmax, trunc - 1) is extracted, which
@@ -241,7 +204,8 @@ def _frozen(rows: dict[int, dict[int, int]]) -> Rows:
 def _transfer_rows(pre: EtaQuotientSpec, imax: int, jmax: int | None) -> Rows:
     """Row i, 1 <= i <= imax: (pre * G^i) | U_5 = sum_j c_ij G^j, where the
     eta quotient pre = q^v + O(q^(v+1)) is 1 (v = 0) or the multiplier
-    (v = 1).  No row has a constant term; that is verified.
+    (v = 1).  No row has a constant term: the window starts at G^1, and
+    reduce_to_hauptmodul refuses a nonzero q^0 coefficient below it.
 
     With jmax None each row has its full width 5i+v and is certified by a
     zero residual at order 5*imax+10+v.  With a column window jmax only
@@ -259,14 +223,10 @@ def _transfer_rows(pre: EtaQuotientSpec, imax: int, jmax: int | None) -> Rows:
         if jmax is not None and i + v > 5 * jmax:
             rows[i] = {}
             continue
-        poly = reduce_to_hauptmodul(
-            apply_U(5, cur).truncate(order), 0,
-            5 * i + v if jmax is None else jmax, exact=jmax is None)
-        if poly[0]:
-            raise NotHauptmodulPolynomialError(
-                f"(pre * G^{i})|U_5 with pre = q^{v} + ... has constant "
-                f"term {poly[0]}; expected none")
-        rows[i] = poly.as_dict()
+        rows[i] = reduce_to_hauptmodul(
+            apply_U(5, cur).truncate(order), 1,
+            5 * i + v if jmax is None else jmax,
+            exact=jmax is None).as_dict()
     return _frozen(rows)
 
 
@@ -299,7 +259,12 @@ def _vec_mat(vec: dict[int, int], rows: Rows) -> dict[int, int]:
 def newton_sigma_polys() -> tuple[HauptmodulPoly, ...]:
     """Elementary symmetric polynomials sigma_1..sigma_5 (in G) of the five
     functions phi((tau + lam)/5), recovered from the power sums
-    p_mu = 5 * (phi^mu | U_5) via Newton's identities.
+    p_mu = 5 * (phi^mu | U_5) via Newton's identities on q-series,
+
+        sigma_k = (sigma_(k-1) p_1 - sigma_(k-2) p_2 + ... +- p_k) / k,
+
+    where a coefficient not divisible by k raises NonUnitDivisorError.  Each
+    sigma_k is then reduced exactly to a polynomial of degree <= 3k in G.
 
     Validated by checking that the degree-5 recurrence they define,
 
@@ -308,20 +273,16 @@ def newton_sigma_polys() -> tuple[HauptmodulPoly, ...]:
 
     reproduces directly computed series at mu = 5, 6, 7, -5 and -6.
     """
-    power_sums = {}
-    for mu in range(1, 6):
-        poly = reduce_to_hauptmodul(newton_power_u5(mu, NEWTON_ORDER), 0,
-                                    3 * mu)
-        power_sums[mu] = poly * 5
-    elementary: list[HauptmodulPoly] = [HauptmodulPoly({0: 1})]
+    power_sums = [newton_power_u5(mu, NEWTON_ORDER) * 5 for mu in range(1, 6)]
+    elementary = [IntLaurentSeries.one(NEWTON_ORDER)]
     for k in range(1, 6):
-        acc = HauptmodulPoly({})
+        acc = IntLaurentSeries.zero(NEWTON_ORDER)
         for i in range(1, k + 1):
-            term = elementary[k - i] * power_sums[i]
+            term = elementary[k - i] * power_sums[i - 1]
             acc = acc + term if i % 2 else acc - term
-        sigma = acc.scale(Fraction(1, k)).to_integer()
-        elementary.append(sigma)
-    sigmas = tuple(elementary[1:])
+        elementary.append(acc / k)
+    sigmas = tuple(reduce_to_hauptmodul(e, 0, 3 * k)
+                   for k, e in enumerate(elementary[1:], start=1))
 
     for mu in (5, 6, 7, -5, -6):
         lhs = newton_power_u5(mu, NEWTON_ORDER)
@@ -376,30 +337,24 @@ def ladder(alpha_max: int) -> tuple[LadderState, ...]:
         raise BudgetExceededError(
             f"ladder depth alpha={alpha_max} needs {f_trunc} multiplier "
             f"coefficients, above the ceiling {COEFFICIENT_CEILING}")
-    mult = ladder_multiplier(f_trunc)
     states = [LadderState(0, IntLaurentSeries.one(f_trunc),
                           HauptmodulPoly({0: 1}))]
-    cur = states[0].series
-    for a in range(alpha_max + 1):
-        odd = apply_U(5, mult * cur)
-        states.append(LadderState(2 * a + 1, odd, _rung_poly(odd)))
-        if a < alpha_max:
-            even = apply_U(5, odd)
-            states.append(LadderState(2 * a + 2, even,
-                                      _rung_poly(even)))
-            cur = even
-
+    states += (LadderState(nu, rung,
+                           reduce_to_hauptmodul(rung, 1, JMAX, exact=False))
+               for nu, rung in _rungs(alpha_max, f_trunc))
     _check_matrix_agreement(states, alpha_max)
     return tuple(states)
 
 
-def _rung_poly(series: IntLaurentSeries) -> HauptmodulPoly:
-    poly = reduce_to_hauptmodul(series, 0, min(JMAX, series.trunc - 1),
-                                exact=False)
-    if poly[0]:
-        raise NotHauptmodulPolynomialError(
-            f"ladder rung has constant term {poly[0]}; expected none")
-    return poly
+def _rungs(alpha_max: int,
+           trunc: int) -> Iterator[tuple[int, IntLaurentSeries]]:
+    """(nu, L_nu) for nu = 1 .. 2*alpha_max+1, from the multiplier at
+    trunc: odd rungs multiply by it before U_5, even rungs do not."""
+    mult = ladder_multiplier(trunc)
+    cur = IntLaurentSeries.one(trunc)
+    for nu in range(1, 2 * alpha_max + 2):
+        cur = apply_U(5, mult * cur if nu % 2 else cur)
+        yield nu, cur
 
 
 def ladder_vectors(alpha_max: int) -> dict[int, dict[int, int]]:
@@ -473,12 +428,7 @@ def ladder_subsequence_check(alpha: int, terms: int) -> bool:
             f"{max(g_need, f_need)} coefficients, above ceiling "
             f"{COEFFICIENT_CEILING}")
 
-    mult = ladder_multiplier(f_need)
-    cur = IntLaurentSeries.one(f_need)
-    rung = None
-    for _ in range(alpha + 1):
-        rung = apply_U(5, mult * cur)
-        cur = apply_U(5, rung)
+    *_, (_, rung) = _rungs(alpha, f_need)
 
     g = cranks.crank_parity_series(g_need)
     sub = IntLaurentSeries.from_terms(

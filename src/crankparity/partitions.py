@@ -224,8 +224,8 @@ def _core_profile(m: int) -> tuple[int, int, int, tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def _full_sweep(n: int) -> tuple[int, ParityCount, ParityCount]:
-    """(count, crank parity, rank parity) over all partitions of n.
+def _full_sweep(n: int) -> tuple[ParityCount, ParityCount]:
+    """(crank parity, rank parity) over all partitions of n.
 
     Each partition of n is mu = n - m ones added to a core of m (see
     _core_profile); m = 0 is 1^n, with crank -n and rank 1 - n.  For
@@ -235,7 +235,7 @@ def _full_sweep(n: int) -> tuple[int, ParityCount, ParityCount]:
     if n < 0:
         raise ValueError(f"cannot partition a negative integer: {n}")
     if n == 0:
-        return 1, ParityCount(1, 0), ParityCount(1, 0)
+        return ParityCount(1, 0), ParityCount(1, 0)
     count, crank_even, rank_even = 1, 1 - (n & 1), n & 1  # 1^n
     for m in range(2, n + 1):
         mu = n - m
@@ -247,20 +247,18 @@ def _full_sweep(n: int) -> tuple[int, ParityCount, ParityCount]:
             nu_sum = signs[mu - 1] if mu < m else cores
             crank_even += (cores + (-nu_sum if mu & 1 else nu_sum)) // 2
         rank_even += cores - core_rank_even if mu & 1 else core_rank_even
-    return (count, ParityCount(crank_even, count - crank_even),
+    return (ParityCount(crank_even, count - crank_even),
             ParityCount(rank_even, count - rank_even))
 
 
 @lru_cache(maxsize=None)
-def _distinct_sweep(n: int) -> tuple[int, ParityCount, ParityCount]:
-    """(count, distinct-crank parity, rank parity) over distinct partitions."""
+def _distinct_sweep(n: int) -> tuple[ParityCount, ParityCount]:
+    """(distinct-crank parity, rank parity) over distinct partitions."""
     if n == 0:
-        return 1, ParityCount(1, 0), ParityCount(1, 0)
-    count = 0
+        return ParityCount(1, 0), ParityCount(1, 0)
     crank_even = crank_odd = 0
     rank_even = rank_odd = 0
     for p in enumerate_partitions(n, distinct=True):
-        count += 1
         crk = p[0] if p[-1] != 1 else len(p) - 2
         if crk & 1:
             crank_odd += 1
@@ -270,7 +268,7 @@ def _distinct_sweep(n: int) -> tuple[int, ParityCount, ParityCount]:
             rank_odd += 1
         else:
             rank_even += 1
-    return (count, ParityCount(crank_even, crank_odd),
+    return (ParityCount(crank_even, crank_odd),
             ParityCount(rank_even, rank_odd))
 
 
@@ -312,19 +310,19 @@ def _weight_sweep(n: int) -> tuple[int, int, bool]:
 
 
 def crank_parity(n: int) -> ParityCount:
-    return _full_sweep(n)[1]
+    return _full_sweep(n)[0]
 
 
 def rank_parity(n: int) -> ParityCount:
-    return _full_sweep(n)[2]
+    return _full_sweep(n)[1]
 
 
 def distinct_crank_parity(n: int) -> ParityCount:
-    return _distinct_sweep(n)[1]
+    return _distinct_sweep(n)[0]
 
 
 def distinct_rank_parity(n: int) -> ParityCount:
-    return _distinct_sweep(n)[2]
+    return _distinct_sweep(n)[1]
 
 
 def crank_parity_oracle(n: int) -> int:

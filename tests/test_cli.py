@@ -79,6 +79,23 @@ class TestRunConfig:
         assert "Traceback" not in captured.err
 
 
+def test_readme_commands_parse():
+    # parse only, run nothing: a renamed flag or check breaks this test
+    # instead of the README's command block
+    readme = (Path(__file__).resolve().parent.parent
+              / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    lines = [line.split("#", 1)[0].split()
+             for line in block.split("```", 1)[0].splitlines()]
+    commands = [words[1:] for words in lines if words[:1] == ["crank-parity"]]
+    assert len(commands) >= 10
+    for argv in commands:
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {' '.join(argv)}")
+
+
 @pytest.mark.parametrize("argv, message", [
     (("coeffs", "-1", "3"), "coeffs: need 0 <= N_LO <= N_HI"),
     (("coeffs", "5", "1"), "coeffs: need 0 <= N_LO <= N_HI"),
@@ -241,6 +258,18 @@ class TestVerify:
         assert proc.stderr == (
             f"verify {check}: oracle sweep capped at 60; lower --n-max or "
             "raise --oracle-max (hard limit 90)\n")
+
+    @pytest.mark.parametrize("check", ["adh", "weighted"])
+    def test_n_max_zero_is_refused(self, check):
+        # an empty sweep is not a pass: refused before any work
+        proc = subprocess.run(
+            [sys.executable, "-m", "crankparity", "verify", check,
+             "--n-max", "0"],
+            capture_output=True, text=True, env=cli_env(), timeout=60)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == (
+            f"verify {check}: --n-max 0 checks no n; raise --n-max to at "
+            "least 1\n")
 
     def test_default_n_max_stays_under_oracle_cap(self, capsys):
         code, out = run_cli(capsys, "--oracle-max", "12", "verify",

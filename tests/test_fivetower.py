@@ -28,6 +28,7 @@ from crankparity.fivetower import (
 from crankparity.series import (
     EtaQuotientSpec,
     IntLaurentSeries,
+    NonUnitDivisorError,
     apply_U,
     eta_quotient,
 )
@@ -76,6 +77,15 @@ class TestReduce:
     def test_window_start_enforced(self):
         with pytest.raises(NotHauptmodulPolynomialError):
             reduce_to_hauptmodul(newton_power_u5(-2, 40), 0, 3)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_window_from_one_refuses_a_constant_term(self, exact):
+        # G^j = q^j + ... for j >= 1, so a constant term is a q^0 term
+        t = 40
+        x = IntLaurentSeries.one(t) + hauptmodul(t)
+        with pytest.raises(NotHauptmodulPolynomialError,
+                           match="exponent 0 below the window start 1"):
+            reduce_to_hauptmodul(x, 1, 3, exact=exact)
 
     def test_inexact_reduction_reads_only_the_prefix(self):
         x = ladder_multiplier(2000)
@@ -153,6 +163,31 @@ class TestNewtonSigmas:
             d = sigma.as_dict()
             assert all(isinstance(c, int) for c in d.values())
             assert max(d) <= 3 * k
+        assert [s.as_dict() for s in sigmas] == [
+            {1: 5, 2: -25, 3: 25}, {2: -15, 3: 25}, {2: -5, 3: 15},
+            {3: 5}, {3: 1}]
+
+    @pytest.mark.parametrize("mu, error", [
+        (2, NonUnitDivisorError),  # sigma_2 = (sigma_1 p_1 - p_2) / 2
+        (7, AssertionError),       # read only by the recurrence check
+    ])
+    def test_perturbed_power_sum_is_caught(self, monkeypatch, mu, error):
+        # 5 q^5 added to p_mu: odd in sigma_2's numerator, and off the
+        # recurrence at mu = 7
+        exact = fivetower.newton_power_u5
+
+        def perturbed(m, order):
+            x = exact(m, order)
+            return x + IntLaurentSeries.monomial(5, 1, order) if m == mu \
+                else x
+
+        monkeypatch.setattr(fivetower, "newton_power_u5", perturbed)
+        newton_sigma_polys.cache_clear()
+        try:
+            with pytest.raises(error):
+                newton_sigma_polys()
+        finally:
+            newton_sigma_polys.cache_clear()
 
     def test_recurrence_reproduces_explicitly(self):
         sigmas = newton_sigma_polys()

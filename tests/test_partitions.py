@@ -28,13 +28,15 @@ from crankparity.partitions import (
 
 
 def partition_count(n):
-    """p(n), the count the full enumeration sweep keeps."""
-    return partitions._full_sweep(n)[0]
+    """p(n), read off the crank-parity counts of the full sweep."""
+    parity = crank_parity(n)
+    return parity.even + parity.odd
 
 
 def distinct_partition_count(n):
-    """q(n), the count the distinct-parts sweep keeps."""
-    return partitions._distinct_sweep(n)[0]
+    """q(n), read off the crank-parity counts of the distinct-parts sweep."""
+    parity = distinct_crank_parity(n)
+    return parity.even + parity.odd
 
 
 class TestEnumeration:

@@ -1,3 +1,4 @@
+import io
 import math
 import os
 import random
@@ -295,6 +296,97 @@ class TestRingAxioms:
             lhs = x * (y + z)
             rhs = x * y + x * z
             assert lhs.eq_to_order(rhs, min(lhs.trunc, rhs.trunc))
+
+
+@st.composite
+def series_st(draw, unit=False):
+    """A series with offset in -4..4 (negative ones included), nonzero
+    (with ``unit``, +-1) leading coefficient and up to 30 coefficients."""
+    offset = draw(st.integers(-4, 4))
+    coeffs = draw(st.lists(st.integers(-50, 50), min_size=1, max_size=30))
+    coeffs[0] = draw(st.sampled_from((1, -1)) if unit
+                     else st.integers(-50, 50).filter(bool))
+    return IntLaurentSeries(offset, coeffs, offset + len(coeffs))
+
+
+def extended(x, tail):
+    """x with ``tail`` appended past its truncation: one of the series
+    that x is a truncation of."""
+    return IntLaurentSeries(x.offset, x.coeffs + tuple(tail),
+                            x.trunc + len(tail))
+
+
+class TestSeriesProperties:
+    """Ring axioms, the truncation discipline and the dump reader on
+    random series, negative offsets included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=series_st(), y=series_st(), z=series_st())
+    def test_ring_axioms(self, x, y, z):
+        def agree(lhs, rhs):
+            return lhs.eq_to_order(rhs, min(lhs.trunc, rhs.trunc))
+
+        assert agree((x * y) * z, x * (y * z))
+        assert agree(x * y, y * x)
+        assert agree(x * (y + z), x * y + x * z)
+        assert agree((x + y) - y, x)
+        assert agree(x - x, IntLaurentSeries.zero(x.trunc))
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=series_st(), y=series_st())
+    def test_product_truncation_rule(self, x, y):
+        assert (x * y).trunc == min(x.trunc + y.offset, y.trunc + x.offset)
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=series_st(), y=series_st(), u=series_st(unit=True),
+           step=st.integers(1, 6), residue=st.integers(-6, 6),
+           tails=st.lists(st.lists(st.integers(-50, 50), min_size=1,
+                                   max_size=10), min_size=3, max_size=3))
+    def test_results_are_exact_below_trunc_and_end_there(
+            self, x, y, u, step, residue, tails):
+        # each result is read below its trunc only, where any longer
+        # operands give the same coefficients; at its trunc it raises
+        xe, ye, ue = (extended(s, t) for s, t in zip((x, y, u), tails))
+        for got, longer in ((x * y, xe * ye), (x + y, xe + ye),
+                            (x - y, xe - ye),
+                            (u.reciprocal(), ue.reciprocal()),
+                            (x.extract(step, residue),
+                             xe.extract(step, residue))):
+            assert longer.eq_to_order(got, got.trunc)
+            with pytest.raises(TruncationError):
+                got.coeff(got.trunc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=series_st(), data=st.data())
+    def test_load_series_on_damaged_dumps(self, x, data):
+        # a damaged dump raises ValueError, or reads back exactly what
+        # its lines state
+        buf = io.StringIO()
+        dump_series(x, buf)
+        text = buf.getvalue()
+        y = load_series(io.StringIO(text))
+        assert (y.offset, y.coeffs, y.trunc) == (x.offset, x.coeffs, x.trunc)
+        edits = data.draw(st.lists(st.tuples(
+            st.sampled_from(("cut", "delete", "replace", "insert")),
+            st.integers(0, len(text)),
+            st.sampled_from("0123456789-+_ \t\nx")), min_size=1,
+            max_size=3), label="edits")
+        for op, at, ch in edits:
+            at = min(at, len(text))
+            if op == "cut":
+                text = text[:at]
+            elif op == "delete":
+                text = text[:at] + text[at + 1:]
+            else:
+                text = text[:at] + ch + text[at + (op == "replace"):]
+        try:
+            got = load_series(io.StringIO(text))
+        except ValueError:
+            return
+        pairs = [[int(f) for f in line.strip().split("\t")]
+                 for line in text.split("\n") if line.strip()]
+        assert [e for e, _ in pairs] == list(range(pairs[0][0], got.trunc))
+        assert [got.coeff(e) for e, _ in pairs] == [c for _, c in pairs]
 
 
 class TestEtaQuotient:
