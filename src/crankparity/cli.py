@@ -22,10 +22,9 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from itertools import repeat
 
-from . import circle, cranks, distinct, fivetower, partitions
+from . import cranks, distinct, fivetower, partitions
 from .series import TruncationError, dump_series
 
 SCHEMA = "crank-parity/1"
@@ -256,11 +255,15 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_asymptotic(args) -> int:
+    from . import circle  # loads mpmath, which no other command needs
+
     n_lo, n_hi = _n_range(args, 1)
     bits = args.precision_bits
     series = cranks.crank_parity_series(n_hi + 1)
     reports = None
     if args.parallel and n_hi > n_lo:
+        from concurrent.futures import ProcessPoolExecutor
+
         ns = range(n_lo, n_hi + 1)
         try:
             with ProcessPoolExecutor() as pool:

@@ -275,6 +275,26 @@ def t_prime_power(p: int, e: int, prime_values: Mapping[int, int] | None = None
     return (e + 1) if tp == 2 else -(e + 1)
 
 
+def _split_t(n: int, values: Mapping[int, int] | None
+             ) -> tuple[int, list[tuple[int, int]]]:
+    """T(24n+1) split over its signed prime powers p^e: the product of the
+    T(p^e) that ``values`` determines, and the (p, e) whose T(p) it lacks.
+
+    A zero factor stops the walk: T(24n+1) is then 0 whatever is missing,
+    and the unknown list may be cut short.
+    """
+    known = 1
+    unknown = []
+    for p, e in signed_factorization(24 * n + 1):
+        try:
+            known *= t_prime_power(p, e, values)
+        except BootstrapNeededError:
+            unknown.append((p, e))
+        if not known:
+            break
+    return known, unknown
+
+
 def multiplicative_t(n: int, prime_values: Mapping[int, int] | None = None
                      ) -> int:
     """T(24n+1) as the product of T over the signed prime powers.
@@ -284,21 +304,10 @@ def multiplicative_t(n: int, prime_values: Mapping[int, int] | None = None
     """
     if n < 1:
         raise ValueError("n must be positive")
-    factors = signed_factorization(24 * n + 1)
-    total = 1
-    missing = None
-    for p, e in factors:
-        try:
-            value = t_prime_power(p, e, prime_values)
-        except BootstrapNeededError as exc:
-            missing = exc
-            continue
-        if value == 0:
-            return 0
-        total *= value
-    if missing is not None:
-        raise missing
-    return total
+    known, unknown = _split_t(n, prime_values)
+    if known and unknown:
+        raise BootstrapNeededError(unknown[-1][0])
+    return known
 
 
 def bootstrap_t_values(n_max: int) -> dict[int, int]:
@@ -306,45 +315,24 @@ def bootstrap_t_values(n_max: int) -> dict[int, int]:
     exponent in some 24n+1, n <= n_max, reading them off the distinct-parts
     rank-parity oracle.
 
-    Positive primes p are read directly at n = (p-1)/24.  Negatives of
-    primes == 23 (mod 24) never sit at an oracle index, so remaining values
-    are solved from composite equations T(24n+1) = oracle(n); whenever an
-    equation involves several unknowns only their product is observable at
-    this range, and the leftover sign freedom is fixed by assigning +2 to
-    all but the last unknown (the magnitude constraint is still verified,
-    so an inconsistent oracle raises).
+    Every equation T(24n+1) = oracle(n) with a nonzero known part and one
+    unknown T(p) is solved for it, until none is left; a prime 24n+1 is the
+    equation with known part 1.  Negatives of primes == 23 (mod 24) never
+    sit at an oracle index alone, and whenever an equation involves several
+    unknowns only their product is observable at this range: the leftover
+    sign freedom is fixed by assigning +2 to all but the last unknown (the
+    magnitude constraint is still verified, so an inconsistent oracle
+    raises).
     """
     def oracle(n: int) -> int:
         return distinct_rank_parity(n).diff
 
     values: dict[int, int] = {}
-    for n in range(1, n_max + 1):
-        m = 24 * n + 1
-        factors = signed_factorization(m)
-        if len(factors) == 1 and factors[0] == (m, 1):
-            t = oracle(n)
-            if t not in (2, -2):
-                raise AssertionError(
-                    f"oracle gives T({m}) = {t}, expected +-2")
-            values[m] = t
-
-    def unknowns_of(n: int) -> tuple[list[tuple[int, int]], int]:
-        known = 1
-        unknown = []
-        for p, e in signed_factorization(24 * n + 1):
-            try:
-                v = t_prime_power(p, e, values)
-            except BootstrapNeededError:
-                unknown.append((p, e))
-                continue
-            known *= v
-        return unknown, known
-
     progress = True
     while progress:
         progress = False
         for n in range(1, n_max + 1):
-            unknown, known = unknowns_of(n)
+            known, unknown = _split_t(n, values)
             if len(unknown) != 1 or known == 0:
                 continue
             (p, e), = unknown
@@ -357,7 +345,7 @@ def bootstrap_t_values(n_max: int) -> dict[int, int]:
             progress = True
 
     for n in range(1, n_max + 1):
-        unknown, known = unknowns_of(n)
+        known, unknown = _split_t(n, values)
         if not unknown or known == 0:
             continue
         magnitude = 1

@@ -208,12 +208,13 @@ def _transfer_rows(pre: EtaQuotientSpec, imax: int, jmax: int | None) -> Rows:
     reduce_to_hauptmodul refuses a nonzero q^0 coefficient below it.
 
     With jmax None each row has its full width 5i+v and is certified by a
-    zero residual at order 5*imax+10+v.  With a column window jmax only
+    zero residual at order 5*imax+11 for both prefactors, so A's rows and
+    B's read one table of G powers.  With a column window jmax only
     columns <= jmax are read off the prefix below q^(jmax+4), and rows with
     i+v > 5*jmax are empty: (pre * G^i)|U_5 starts at q^ceil((i+v)/5).
     """
     v = pre.prefactor_exponent
-    order = 5 * imax + 10 + v if jmax is None else jmax + 4
+    order = 5 * imax + 11 if jmax is None else jmax + 4
     t = 5 * order + 1
     g = hauptmodul(t)
     cur = eta_quotient(pre, t)

@@ -688,15 +688,16 @@ def memo(name: str, trunc: int, build) -> IntLaurentSeries:
     With CRANK_PARITY_CACHE_DIR set, that longest series also persists there
     as ``<name>.tsv``: the dump format, then a trailer line with the sha256
     of the lines above it, written under a temporary name and renamed into
-    place.  A miss in memory reads the file and keeps it when it reaches
-    ``trunc``; only a series built here is written.  A file whose trailer
-    does not match is named in one line on stderr, rebuilt and rewritten.
+    place.  A miss in memory checks the whole file but decodes only its
+    lines below q^trunc, and keeps them when they reach ``trunc``; only a
+    series built here is written.  A file whose trailer does not match is
+    named in one line on stderr, rebuilt and rewritten.
     """
     cur = _memo.get(name)
     if cur is None or cur.trunc < trunc:
         cache_dir = os.environ.get("CRANK_PARITY_CACHE_DIR")
         path = cache_dir and os.path.join(cache_dir, f"{name}.tsv")
-        cur = path and os.path.exists(path) and _load_checked(path)
+        cur = path and os.path.exists(path) and _load_checked(path, trunc)
         if not cur or cur.trunc < trunc:
             cur = build(trunc)
             if path:
@@ -726,12 +727,17 @@ def _store(path: str, x: IntLaurentSeries) -> None:
         raise
 
 
-def _load_checked(path: str) -> IntLaurentSeries | None:
-    """The series at ``path``, or None (and no file) if its trailer fails."""
+def _load_checked(path: str, trunc: int | None = None
+                  ) -> IntLaurentSeries | None:
+    """The series at ``path``, cut below q^trunc when given, or None (and
+    no file) if its trailer fails.  The trailer covers the whole file, so
+    all of it is hashed, but only the lines kept are decoded."""
     with open(path, "rb") as fp:
         data = fp.read()
     cut = data.rfind(b"\n", 0, len(data) - 1) + 1
     if data[cut:] == _trailer(data[:cut]):
+        if trunc is not None:  # end at the line of q^trunc, if there is one
+            cut = data.find(b"\n%d\t" % trunc, 0, cut) + 1 or cut
         return load_series(io.StringIO(data[:cut].decode("ascii")))
     print(f"crank-parity: cache file {path} failed its check; rebuilding",
           file=sys.stderr)

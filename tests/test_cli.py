@@ -354,13 +354,11 @@ class TestAsymptotic:
         assert seq == par
 
     def test_parallel_fallback_is_reported(self, capsys, monkeypatch):
-        from crankparity import cli
-
         def no_pool():
             raise OSError("no semaphores")
 
         _, seq = run_cli(capsys, "asymptotic", "3", "8")
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
         code = main(["--parallel", "asymptotic", "3", "8"])
         captured = capsys.readouterr()
         assert code == 0 and captured.out == seq
@@ -472,3 +470,32 @@ class TestClosedStdout:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert proc.stderr.count("crank-parity:") <= 1
+
+
+class TestImportContract:
+    """Each public name has one import path, its own module, so importing
+    the package loads nothing else and a command loads only what it runs."""
+
+    @staticmethod
+    def loaded(code):
+        """The modules a fresh interpreter holds after running ``code``."""
+        result = subprocess.run(
+            [sys.executable, "-c",
+             code + "\nimport sys\nprint(*sys.modules, file=sys.stderr)"],
+            env=cli_env(), capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        return set(result.stderr.split())
+
+    def test_package_import_loads_only_the_package(self):
+        bare = self.loaded("")
+        assert self.loaded("import crankparity") - bare == {"crankparity"}
+
+    @pytest.mark.parametrize("argv, needs_mpmath", [
+        (["--terms", "50", "dump-series", "crank"], False),
+        (["distinct", "1", "10"], False),
+        (["asymptotic", "1", "3"], True),
+    ])
+    def test_command_loads_only_what_it_runs(self, argv, needs_mpmath):
+        mods = self.loaded(f"from crankparity.cli import main\nmain({argv!r})")
+        assert ("mpmath" in mods) == needs_mpmath
+        assert "concurrent.futures" not in mods

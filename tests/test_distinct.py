@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 
 from crankparity.distinct import (
@@ -203,3 +205,29 @@ class TestMultiplicativeT:
         # 24*45+1 = (-23)(-47): both factors carry unknown Hecke signs, but
         # multiplicativity forces |T| = 4, a real check on the oracle
         assert abs(distinct_rank_parity(45).diff) == 4
+
+    @staticmethod
+    def perturb_oracle(monkeypatch, bad_n, change):
+        """Make the oracle bootstrap_t_values reads give change(diff) at
+        bad_n and the true diff elsewhere."""
+        import crankparity.distinct as module
+        true = module.distinct_rank_parity
+
+        def oracle(n):
+            diff = true(n).diff
+            return SimpleNamespace(diff=change(diff) if n == bad_n else diff)
+        monkeypatch.setattr(module, "distinct_rank_parity", oracle)
+
+    def test_bootstrap_refuses_a_prime_value_other_than_pm2(self,
+                                                           monkeypatch):
+        # 24*3+1 = 73 is prime, so the oracle at 3 is T(73) itself
+        self.perturb_oracle(monkeypatch, 3, lambda diff: diff + 1)
+        with pytest.raises(AssertionError, match=r"T\(73\)"):
+            bootstrap_t_values(60)
+
+    def test_bootstrap_refuses_a_wrong_magnitude_at_composite(self,
+                                                              monkeypatch):
+        # 24*45+1 = (-23)(-47): two unknown signs, but |T| must be 4
+        self.perturb_oracle(monkeypatch, 45, lambda diff: 2 * diff)
+        with pytest.raises(AssertionError, match="n=45"):
+            bootstrap_t_values(60)

@@ -627,6 +627,32 @@ class TestMemo:
         assert sorted(os.listdir(tmp_path)) == [path.name]
         assert capsys.readouterr().err == ""
 
+    def test_short_request_decodes_only_its_lines(self, tmp_path,
+                                                  monkeypatch):
+        monkeypatch.setenv("CRANK_PARITY_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr("crankparity.series._memo", {})
+        from crankparity import series
+        built, decoded = [], []
+        load = series.load_series
+
+        def build(t):
+            built.append(t)
+            return eta_quotient(G_SPEC ** -1, t)
+
+        def spy_load(fp):
+            text = fp.read()
+            decoded.append([int(line.split("\t")[0])
+                            for line in text.splitlines()])
+            return load(io.StringIO(text))
+
+        memo("test-memo-prefix", 60, build)
+        series._memo.clear()  # as a fresh process would start
+        monkeypatch.setattr(series, "load_series", spy_load)
+        got = memo("test-memo-prefix", 25, build)
+        assert built == [60] and decoded == [list(range(-1, 25))]
+        assert (got.offset, got.trunc) == (-1, 25)
+        assert got.eq_to_order(eta_quotient(G_SPEC ** -1, 25), 25)
+
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_damaged_file_is_dropped_or_read_back_exactly(self, data):
