@@ -6,16 +6,23 @@ The central object is the crank-parity series
                                  =  (q;q)_inf (q;q^2)_inf^2,
 
 where M_e / M_o count partitions with even / odd crank.  Three sides that
-share no kernel make it:
+share no code make it:
 
-  * G itself, as (q;q)_inf^3 / (q^2;q^2)_inf^2 by sparse in-place
-    pentagonal-number passes (``series.pentagonal_quotient``);
+  * G itself, as theta(-q)^2 / (q;q)_inf: Gauss's (q;q)_inf^2 /
+    (q^2;q^2)_inf = theta(-q) = sum_{n in Z} (-1)^n q^(n^2) turns
+    (q;q)_inf^3 / (q^2;q^2)_inf^2 into that quotient (Andrews, The Theory
+    of Partitions, ch. 2).  theta(-q)^2 = sum_{a,b in Z} (-1)^(a+b)
+    q^(a^2+b^2) is written from the lattice points, then one sparse
+    in-place pentagonal-number pass (``series._apply_pentagonal``) divides
+    by (q;q)_inf;
   * L, Garvan's form of the crank generating function at z = -1,
         (q;q)_inf * G  =  1 + 4 sum_{n>=1} (-1)^n q^(n(n+1)/2) / (1 + q^n),
     whose summands are geometric series written straight into a list by
     slice passes, with no series kernel;
-  * the check G * (q;q)_inf == L on every coefficient, the product taken by
-    ``series._conv_sparse`` against Euler's pentagonal terms.
+  * the check G * (q;q)_inf == L on every coefficient, the product taken
+    by one slice pass per term of Euler's pentagonal series, its exponents
+    written out here rather than taken from ``series``, so a fault in the
+    division's pentagonal terms cannot cancel in the check.
 
 On top of it sit the verification sweeps:
 
@@ -38,14 +45,15 @@ reported coefficient is exact.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from math import isqrt
 
 from .series import (
     IntLaurentSeries,
     TruncationError,
-    _conv_sparse,
+    _apply_pentagonal,
     memo,
-    pentagonal_product,
     pentagonal_quotient,
     q_sum,
 )
@@ -83,27 +91,64 @@ def _lambert_sum(trunc: int) -> list:
     return c
 
 
+def _theta_square(trunc: int) -> list:
+    """theta(-q)^2 = sum_{a,b in Z} (-1)^(a+b) q^(a^2+b^2) below q^trunc.
+
+    Each lattice point (a, b) with a^2 + b^2 < trunc adds one to its
+    exponent; since a + b == a^2 + b^2 (mod 2), the sign is then (-1)^n at
+    q^n, one slice pass over the odd exponents.
+    """
+    c = [0] * trunc
+    r = isqrt(trunc - 1)
+    squares = sorted(k * k for k in range(-r, r + 1))
+    for x in squares:
+        for y in squares:
+            if x + y >= trunc:
+                break
+            c[x + y] += 1
+    c[1::2] = [-x for x in c[1::2]]
+    return c
+
+
+def _times_euler(g: list) -> list:
+    """g * (q;q)_inf below q^len(g), by Euler's pentagonal number theorem.
+
+    (q;q)_inf = 1 + sum_{m>=1} (-1)^m (q^(m(3m-1)/2) + q^(m(3m+1)/2)); each
+    term adds or subtracts g shifted by its exponent, one map() pass.
+    """
+    out = g[:]
+    m = 1
+    while m * (3 * m - 1) // 2 < len(g):
+        op = operator.sub if m % 2 else operator.add
+        for e in (m * (3 * m - 1) // 2, m * (3 * m + 1) // 2):
+            out[e:] = map(op, out[e:], g)
+        m += 1
+    return out
+
+
 def crank_parity_series(trunc: int) -> IntLaurentSeries:
     """(q;q)_inf (q;q^2)_inf^2, built one way and checked against another.
 
-    Three sides, no kernel shared between them:
+    Three sides, no code shared between them:
 
-    * G = (q;q)_inf^3 / (q^2;q^2)_inf^2 by ``pentagonal_quotient``, sparse
-      in-place ``_apply_pentagonal`` passes; G is returned and memoised;
+    * G = theta(-q)^2 / (q;q)_inf: ``_theta_square`` writes theta(-q)^2
+      from the lattice points, then one in-place ``_apply_pentagonal``
+      pass divides by (q;q)_inf; G is returned and memoised;
     * L = Garvan's Lambert sum, sparse geometric series written into a
       plain list (``_lambert_sum``);
     * the check G * (q;q)_inf == L over every coefficient below q^trunc,
-      the product taken by ``_conv_sparse`` against the pentagonal terms of
-      (q;q)_inf, constant term included.
+      the product taken by ``_times_euler``, one slice pass per pentagonal
+      term of (q;q)_inf, its exponents written out here.
 
     Any disagreement raises AssertionError naming the first exponent that
     differs and both values there.
     """
     def build(t: int) -> IntLaurentSeries:
-        g = pentagonal_quotient(((1, 3), (2, -2)), t)
-        euler = list(pentagonal_product(1, t).terms())
-        product = _conv_sparse(euler, list(g.coeffs), t - g.offset)
-        bad = IntLaurentSeries(g.offset, product, t).first_mismatch(
+        if t <= 0:
+            raise TruncationError(f"truncation must be positive, got {t}")
+        c = _theta_square(t)
+        _apply_pentagonal(c, 1, -1)
+        bad = IntLaurentSeries(0, _times_euler(c), t).first_mismatch(
             IntLaurentSeries(0, _lambert_sum(t), t), t)
         if bad is not None:
             e, mine, theirs = bad
@@ -111,7 +156,7 @@ def crank_parity_series(trunc: int) -> IntLaurentSeries:
                 "crank-parity series routes disagree; series arithmetic is "
                 f"broken: first at q^{e}: G*(q;q)_inf has {mine}, the "
                 f"Lambert sum {theirs}")
-        return g
+        return IntLaurentSeries(0, c, t)
 
     return memo("crank_parity", trunc, build)
 

@@ -1,3 +1,6 @@
+from collections import Counter
+from math import isqrt
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,6 +19,7 @@ from crankparity.cranks import (
 from crankparity.series import (
     IntLaurentSeries,
     TruncationError,
+    _conv_sparse,
     pentagonal_product,
 )
 
@@ -65,10 +69,48 @@ class TestLambertSum:
         assert (k + 1) * (k + 2) // 2 >= trunc
 
 
+# truncations in 1..700, half of them within one of a square k^2
+_SQUARE_TRUNCS = st.one_of(
+    st.integers(1, 700),
+    st.builds(lambda k, d: k * k + d,
+              st.integers(1, 26), st.integers(-1, 1)).filter(lambda t: t >= 1))
+
+# truncations within one of a generalized pentagonal number m(3m -+ 1)/2
+_PENTAGONAL_TRUNCS = st.builds(
+    lambda m, sign, d: m * (3 * m + sign) // 2 + d,
+    st.integers(1, 20), st.sampled_from((-1, 1)),
+    st.integers(-1, 1)).filter(lambda t: t >= 1)
+
+
+class TestThetaSquare:
+    @settings(max_examples=100, deadline=None)
+    @given(trunc=_SQUARE_TRUNCS)
+    def test_equals_signed_lattice_count(self, trunc):
+        r = isqrt(trunc) + 1
+        r2 = Counter(a * a + b * b for a in range(-r, r + 1)
+                     for b in range(-r, r + 1))
+        assert cranks._theta_square(trunc) \
+            == [(-1) ** n * r2[n] for n in range(trunc)]
+
+
+class TestTimesEuler:
+    @settings(max_examples=60, deadline=None)
+    @given(trunc=_PENTAGONAL_TRUNCS, rnd=st.randoms(use_true_random=False))
+    def test_equals_sparse_product(self, trunc, rnd):
+        g = [rnd.randint(-10 ** 30, 10 ** 30) for _ in range(trunc)]
+        euler = list(pentagonal_product(1, trunc).terms())
+        assert cranks._times_euler(g) == _conv_sparse(euler, g, trunc)
+
+
 class TestCrankParitySeries:
     def test_first_coefficients(self):
         g = crank_parity_series(5)
         assert [g.coeff(n) for n in range(5)] == [1, -3, 2, -1, 5]
+
+    def test_non_positive_truncation_is_refused(self, fresh_memo):
+        for trunc in (0, -3):
+            with pytest.raises(TruncationError, match=r"must be positive"):
+                crank_parity_series(trunc)
 
     def test_routes_agree_to_2000(self):
         g = crank_parity_series(2000)
@@ -92,39 +134,95 @@ class TestCrankParitySeries:
 
     def test_broken_pentagonal_route_is_caught(self, monkeypatch,
                                                fresh_memo):
-        real = series._apply_pentagonal
+        real = cranks._apply_pentagonal
 
         def one_pass_short(x, d, r):
             real(x, d, r + 1 if r < 0 else r)
 
-        # G comes out times (q^2;q^2)_inf = 1 - q^2 - ...
-        monkeypatch.setattr(series, "_apply_pentagonal", one_pass_short)
-        with pytest.raises(AssertionError, match=r"routes disagree.* q\^2:"):
+        # the division by (q;q)_inf is skipped: G comes out as theta(-q)^2,
+        # and theta(-q)^2 (q;q)_inf = 1 - 5q + ... against L = 1 - 4q + ...
+        monkeypatch.setattr(cranks, "_apply_pentagonal", one_pass_short)
+        with pytest.raises(AssertionError,
+                           match=r"routes disagree.* q\^1: .*has -5, "
+                                 r"the Lambert sum -4$"):
+            crank_parity_series(300)
+
+    def test_broken_theta_square_is_caught(self, monkeypatch, fresh_memo):
+        real = cranks.isqrt
+
+        # the lattice stops one square short: below q^300 that drops
+        # (+-17, 0) and (0, +-17), so r_2(289) reads 8 instead of 12
+        monkeypatch.setattr(cranks, "isqrt", lambda n: real(n) - 1)
+        with pytest.raises(AssertionError,
+                           match=r"routes disagree.* q\^289: .*has -8, "
+                                 r"the Lambert sum -12$"):
             crank_parity_series(300)
 
     def test_broken_check_product_is_caught(self, monkeypatch, fresh_memo):
-        real = cranks._conv_sparse
+        real = cranks._times_euler
 
-        def last_coefficient_dropped(terms, b, rlen):
-            return real(terms, b, rlen - 1) + [0]
+        def last_coefficient_dropped(g):
+            return real(g[:-1]) + [0]
 
         # the Lambert sum is 8 at q^298, the last exponent below 299
-        monkeypatch.setattr(cranks, "_conv_sparse", last_coefficient_dropped)
+        monkeypatch.setattr(cranks, "_times_euler", last_coefficient_dropped)
         with pytest.raises(AssertionError,
                            match=r"routes disagree.* q\^298: .*has 0, "
                                  r"the Lambert sum 8$"):
             crank_parity_series(299)
 
-    def test_routes_share_no_kernel(self, monkeypatch, fresh_memo):
-        # G by pentagonal passes, L by slice passes, the check by the
-        # sparse product: no binomial pass and no dense product is reached
-        def unreachable(*args):
-            raise AssertionError("dense or binomial kernel reached")
+    def test_check_writes_its_own_pentagonal_terms(self, monkeypatch,
+                                                   fresh_memo):
+        real = series._pentagonal_terms
 
-        for kernel in ("_apply_binomial", "_conv", "_conv_kronecker"):
+        def fifth_power_dropped(d, trunc):
+            return ((e, s) for e, s in real(d, trunc) if e != 5)
+
+        # the division runs with (q;q)_inf missing its +q^5 and the check
+        # with the true one, so they no longer cancel from q^5 on
+        monkeypatch.setattr(series, "_pentagonal_terms", fifth_power_dropped)
+        with pytest.raises(AssertionError,
+                           match=r"routes disagree.* q\^5: .*has -7, "
+                                 r"the Lambert sum -8$"):
+            crank_parity_series(300)
+
+    def test_routes_share_no_kernel(self, monkeypatch, fresh_memo):
+        # G by the lattice and one pentagonal division, L by slice passes,
+        # the check by its own slice passes: no binomial pass and no dense
+        # or sparse product is reached
+        def unreachable(*args):
+            raise AssertionError("dense, sparse or binomial kernel reached")
+
+        for kernel in ("_apply_binomial", "_conv", "_conv_kronecker",
+                       "_conv_sparse"):
             monkeypatch.setattr(series, kernel, unreachable)
+
+        # each side's functions run only inside that side
+        owner = {"_theta_square": "G", "_apply_pentagonal": "G",
+                 "_lambert_sum": "L", "_add_lambert_summand": "L",
+                 "_times_euler": "check"}
+        running, called = [], set()
+
+        def owned(name, real):
+            def run(*args):
+                assert set(running) <= {owner[name]}, \
+                    f"{name} reached inside {running}"
+                called.add(name)
+                running.append(owner[name])
+                try:
+                    return real(*args)
+                finally:
+                    running.pop()
+            return run
+
+        for name in owner:
+            monkeypatch.setattr(cranks, name,
+                                owned(name, getattr(cranks, name)))
+        monkeypatch.setattr(series, "_apply_pentagonal",
+                            cranks._apply_pentagonal)
         assert [crank_parity_series(300).coeff(n) for n in range(5)] \
             == [1, -3, 2, -1, 5]
+        assert called == set(owner)
 
     def test_alternating_sign_to_2000(self):
         # even-index coefficients strictly positive, odd strictly negative
