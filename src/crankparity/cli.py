@@ -141,12 +141,15 @@ def _verify_family(args) -> dict:
     }
 
 
-# One call on the truncation each; plain dict values looked up at call time,
-# so a tracer that rebinds module globals and dict values reaches them.
+# The series identities: one call on the truncation each (claimL also on
+# --alpha), returning None or the first mismatch (exponent, lhs, rhs).  Plain
+# dict values looked up at call time, so a tracer that rebinds module
+# globals and dict values reaches them.
 _SIMPLE_CHECKS = {
     "ramatype": cranks.subsequence_5n4_check,
     "chan": cranks.chan_expansion_check,
     "combproof": cranks.run_weight_identity_check,
+    "claimL": fivetower.ladder_subsequence_check,
     "informative": distinct.gf_identity_check,
     "watson-whipple": distinct.watson_whipple_check,
 }
@@ -154,9 +157,11 @@ _SIMPLE_CHECKS = {
 
 def _verify_simple(args) -> dict:
     terms = _terms(args, args.check)
-    ok = _SIMPLE_CHECKS[args.check](terms)
-    return {"check": args.check, "passed": bool(ok), "count": terms,
-            "first_counterexample": None if ok else "see check definition"}
+    check = _SIMPLE_CHECKS[args.check]
+    bad = check(args.alpha, terms) if args.check == "claimL" else check(terms)
+    return {"check": args.check, "passed": bad is None, "count": terms,
+            "first_counterexample": None if bad is None
+            else "q^{}: {} != {}".format(*bad)}
 
 
 def _verify_ladder(args) -> dict:
@@ -166,23 +171,16 @@ def _verify_ladder(args) -> dict:
         if state.nu == 0:
             continue
         a = (state.nu - 1) // 2
-        for j, c in state.gpoly.as_dict().items():
+        for j, c in state.gpoly.items():
             if state.nu % 2:
                 required = a + 1 + (j - 1) // 2
             else:
                 required = a + 1 + j // 2
-            if c and fivetower.five_adic(c) < required:
+            if fivetower.five_adic(c) < required:
                 worst.append((state.nu, j))
     return {"check": "ladder", "passed": not worst,
             "count": len(states) - 1,
             "first_counterexample": worst[0] if worst else None}
-
-
-def _verify_claim_l(args) -> dict:
-    terms = _terms(args, "claimL")
-    ok = fivetower.ladder_subsequence_check(args.alpha, terms)
-    return {"check": "claimL", "passed": bool(ok), "count": terms,
-            "first_counterexample": None}
 
 
 def _oracle_n_max(args, default: int) -> int:
@@ -228,13 +226,8 @@ def _verify_weighted(args) -> dict:
 
 _VERIFY_HANDLERS = {
     "family": _verify_family,
-    "ramatype": _verify_simple,
-    "chan": _verify_simple,
-    "combproof": _verify_simple,
+    **dict.fromkeys(_SIMPLE_CHECKS, _verify_simple),
     "ladder": _verify_ladder,
-    "claimL": _verify_claim_l,
-    "informative": _verify_simple,
-    "watson-whipple": _verify_simple,
     "adh": _verify_adh,
     "weighted": _verify_weighted,
 }
@@ -327,9 +320,9 @@ def cmd_ladder(args) -> int:
     ladder_payload = []
     rungs = []
     for state in states:
-        entries = {str(j): str(c) for j, c in state.gpoly.as_dict().items()}
+        entries = {str(j): str(c) for j, c in state.gpoly.items()}
         vals = {str(j): fivetower.five_adic(c)
-                for j, c in state.gpoly.as_dict().items() if c}
+                for j, c in state.gpoly.items()}
         ladder_payload.append({"nu": state.nu, "entries": entries,
                                "valuations": vals})
         rungs += [{"nu": state.nu, "j": j, "entry": c,

@@ -33,6 +33,10 @@ On top of it sit the verification sweeps:
     1/(q;q)_inf + 4 * sum_n (-1)^n q^(n(n+1)/2) / [...], whose summands
     mirror the initial-run weights, and its companion identity.
 
+Each identity check returns None when the two sides agree below the
+truncation, or ``(exponent, lhs, rhs)`` at the first exponent where they
+differ (``IntLaurentSeries.first_mismatch``).
+
 The rank analogue  sum_n (N_e(n) - N_o(n)) q^n  =  sum_n q^(n^2)/(-q;q)_n^2
 (a third-order mock theta function) is cross-computed against Watson's
 expansion 1/(q;q)_inf (1 + 4 sum_k (-1)^k q^(k(3k+1)/2) / (1+q^k)).
@@ -254,23 +258,23 @@ def subsequence_5n4_series(terms: int) -> IntLaurentSeries:
     return g.extract(5, 4)
 
 
-def subsequence_5n4_check(terms: int) -> bool:
-    """Verify the 5n+4 subsequence equals
-    5 (q;q^2)^2 (q^5;q^5) (q^10;q^10)^2 / (q^2;q^2)^2  up to q^terms."""
+def subsequence_5n4_check(terms: int) -> tuple[int, int, int] | None:
+    """Compare the 5n+4 subsequence with
+    5 (q;q^2)^2 (q^5;q^5) (q^10;q^10)^2 / (q^2;q^2)^2  below q^terms."""
     lhs = subsequence_5n4_series(terms)
     # (q;q^2)_inf = (q;q)_inf / (q^2;q^2)_inf
     rhs = pentagonal_quotient(((1, 2), (2, -4), (5, 1), (10, 2)), terms) * 5
-    return lhs.eq_to_order(rhs, terms)
+    return lhs.first_mismatch(rhs, terms)
 
 
-def chan_expansion_check(terms: int) -> bool:
-    """Verify the x = -1 crank expansion
+def chan_expansion_check(terms: int) -> tuple[int, int, int] | None:
+    """Compare the x = -1 crank expansion
 
         g = 1/(q;q)_inf
             + 4 sum_{n>=1} (-1)^n q^(n(n+1)/2)
               / [ (q;q)_{n-1} (1 - q^{2n}) (q^{n+1};q)_inf ]
 
-    as exact series up to q^terms.  The running product is
+    with the crank-parity series below q^terms.  The running product is
     1/[(q;q)_{n-1} (q^{n+1};q)_inf], from 1/(q;q)_inf at n = 0; the n-th
     summand starts at q^(n(n+1)/2), so only triangularly many contribute.
     """
@@ -282,7 +286,7 @@ def chan_expansion_check(terms: int) -> bool:
                 [(2 * n, -1, -1)])
 
     total = q_sum(terms, term, base=partition_series(terms))
-    return total.eq_to_order(crank_parity_series(terms), terms)
+    return total.first_mismatch(crank_parity_series(terms), terms)
 
 
 def run_weight_expansion(terms: int) -> IntLaurentSeries:
@@ -298,7 +302,8 @@ def run_weight_expansion(terms: int) -> IntLaurentSeries:
     return q_sum(terms, term, base=partition_series(terms))
 
 
-def run_weight_identity_check(terms: int) -> bool:
-    """The signed run-weight expansion equals the crank-parity series."""
-    return run_weight_expansion(terms).eq_to_order(
+def run_weight_identity_check(terms: int) -> tuple[int, int, int] | None:
+    """Compare the signed run-weight expansion with the crank-parity series
+    below q^terms."""
+    return run_weight_expansion(terms).first_mismatch(
         crank_parity_series(terms), terms)

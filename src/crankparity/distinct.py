@@ -18,6 +18,10 @@ themselves the coefficients of
 
     1/(1+q) sum_{n>=1} q^(n(3n+1)/2) (1 - q^(2n+1))    and    -q (q^2;q)_inf.
 
+The identity checks (the two-sum form, Watson-Whipple) return None when
+they hold below the truncation, or ``(exponent, lhs, rhs)`` at the first
+disagreement.
+
 The same module houses the multiplicative function T on the signed-prime
 factorizations 6m+1 = p1^e1 ... pr^er (each p a prime == 1 mod 6 or the
 negative of a prime == 5 mod 6), which gives the rank parity over distinct
@@ -174,41 +178,40 @@ def ceil_part_series(trunc: int) -> IntLaurentSeries:
     return -tail.shift(1).truncate(t)
 
 
-def gf_identity_check(trunc: int) -> bool:
-    """All four generating-function facts at once, exactly below q^trunc:
+def gf_identity_check(trunc: int) -> tuple[int, int, int] | None:
+    """The generating-function facts, in order, exactly below q^trunc:
 
-    (i)  two-sum form == floor series + ceiling series,
-    (ii) first sum == floor series,
-    (iii) second sum == ceiling series,
-    (iv) every coefficient equals the closed-form value.
+    (i)   first sum == floor series,
+    (ii)  second sum == ceiling series,
+    (iii) every coefficient of the two-sum form (first + second) equals
+          the closed-form value: ``(n, coefficient, distinct_crank_exact(n))``
+          on failure.
+
+    (i) and (ii) at one truncation give two-sum form == floor series +
+    ceiling series exactly below q^trunc, so that is not compared again.
+    Returns the first failing fact's first mismatch, or None.
     """
     first = _first_sum(trunc)
     second = _second_sum(trunc)
-    floor_s = floor_part_series(trunc)
-    ceil_s = ceil_part_series(trunc)
-    if not first.eq_to_order(floor_s, trunc):
-        return False
-    if not second.eq_to_order(ceil_s, trunc):
-        return False
-    total = first + second
-    if not total.eq_to_order(floor_s + ceil_s, trunc):
-        return False
-    return all(total.coeff(n) == distinct_crank_exact(n)
-               for n in range(1, trunc))
+    closed = IntLaurentSeries.from_terms(
+        {n: distinct_crank_exact(n) for n in range(1, trunc)}, trunc)
+    return (first.first_mismatch(floor_part_series(trunc), trunc)
+            or second.first_mismatch(ceil_part_series(trunc), trunc)
+            or (first + second).first_mismatch(closed, trunc))
 
 
-def watson_whipple_check(trunc: int) -> bool:
+def watson_whipple_check(trunc: int) -> tuple[int, int, int] | None:
     """The shifted specialization
 
         sum_{n>=0} (-1)^n q^(n(n+5)/2) / (-q^2;q)_n
             == sum_{n>=0} q^((3n^2+7n)/2) (1 - q^(2n+3)),
 
-    verified as exact series below q^trunc."""
+    compared as exact series below q^trunc."""
     lhs = q_sum(trunc, lambda n: (
         (-1) ** n, n * (n + 5) // 2, [(n + 1, 1, -1)] if n else [], []))
     rhs = q_sum(trunc, lambda n: (
         1, (3 * n * n + 7 * n) // 2, [], [(2 * n + 3, -1, 1)]))
-    return lhs.eq_to_order(rhs, trunc)
+    return lhs.first_mismatch(rhs, trunc)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,10 @@ in the tower reduces to a Laurent polynomial in the hauptmodul G = q + ...
 (found by triangular elimination from the lowest exponent up, with the
 residual required to vanish identically to the working truncation), which
 turns U_5 and P |-> (multiplier * P)|U_5 into integer matrices A and B on
-the basis G, G^2, G^3, ...
+the basis G, G^2, G^3, ...  A polynomial sum_j c_j G^j is a read-only
+mapping {j: c_j} of its nonzero coefficients in increasing j, and a
+transfer matrix a read-only mapping {i: row i}; ``evaluate`` expands a
+polynomial back into a q-series.
 
 The ladder
 
@@ -21,6 +24,9 @@ is computed both by series recursion and by the vector forms
 (5,0,0,...) (AB)^a  /  (5,0,0,...) (AB)^a A, and the two must agree.  The
 5-adic valuations of the matrix entries and ladder entries are what the
 congruence family rests on, and are exported for direct verification.
+``ladder_subsequence_check`` compares a rung with the crank-parity
+subsequence it encodes (Claim L) and returns None, or ``(exponent, lhs,
+rhs)`` at the first disagreement.
 
 Truncations are budgeted backward from the requested ladder depth and
 refuse to start if the multiplier series would exceed a coefficient ceiling.
@@ -98,29 +104,6 @@ def newton_power_u5(mu: int, order: int) -> IntLaurentSeries:
 # Laurent polynomials in the hauptmodul
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HauptmodulPoly:
-    """sum_j c_j G^j with integer coefficients."""
-
-    coeffs: tuple
-
-    def __init__(self, coeffs):
-        items = dict(coeffs)
-        object.__setattr__(
-            self, "coeffs",
-            tuple(sorted((j, c) for j, c in items.items() if c)))
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.coeffs)
-
-    def evaluate(self, order: int) -> IntLaurentSeries:
-        """Expand sum c_j G^j as a q-series exact below q^order."""
-        total = IntLaurentSeries.zero(order)
-        for j, c in self.coeffs:
-            total = total + _haupt_power(j, order) * c
-        return total
-
-
 # G^j for a contiguous run of j around 0, all from G at one truncation
 # (the trunc of G^1); grown by _haupt_power, never handed out
 _haupt_table: dict[int, IntLaurentSeries] = {}
@@ -152,10 +135,20 @@ def _haupt_power(j: int, order: int) -> IntLaurentSeries:
     return table[j].truncate(order)
 
 
+def evaluate(poly: Mapping[int, int], order: int) -> IntLaurentSeries:
+    """Expand sum c_j G^j, given as {j: c_j}, as a q-series exact below
+    q^order."""
+    total = IntLaurentSeries.zero(order)
+    for j, c in poly.items():
+        total = total + _haupt_power(j, order) * c
+    return total
+
+
 def reduce_to_hauptmodul(x: IntLaurentSeries, jmin: int, jmax: int,
-                         exact: bool = True) -> HauptmodulPoly:
+                         exact: bool = True) -> Mapping[int, int]:
     """Write x as sum_{jmin <= j <= jmax} c_j G^j by eliminating from the
-    lowest exponent upward (G^j = q^j + ..., so the system is triangular).
+    lowest exponent upward (G^j = q^j + ..., so the system is triangular);
+    returns the read-only {j: c_j} of the nonzero c_j, in increasing j.
     A term below q^jmin is refused: with jmin = 1, a constant term.
 
     With ``exact`` the residual must vanish identically to x's truncation;
@@ -184,7 +177,7 @@ def reduce_to_hauptmodul(x: IntLaurentSeries, jmin: int, jmax: int,
             f"nonzero residual starting at q^{residual.valuation()}: not a "
             f"hauptmodul polynomial on [{jmin}, {jmax}] (or truncation "
             "too small)")
-    return HauptmodulPoly(coeffs)
+    return MappingProxyType(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -193,11 +186,6 @@ def reduce_to_hauptmodul(x: IntLaurentSeries, jmin: int, jmax: int,
 
 # row i -> {column j: entry}; read-only, since the builders below are cached
 Rows = Mapping[int, Mapping[int, int]]
-
-
-def _frozen(rows: dict[int, dict[int, int]]) -> Rows:
-    return MappingProxyType({i: MappingProxyType(row)
-                             for i, row in rows.items()})
 
 
 @lru_cache(maxsize=None)
@@ -222,13 +210,13 @@ def _transfer_rows(pre: EtaQuotientSpec, imax: int, jmax: int | None) -> Rows:
     for i in range(1, imax + 1):
         cur = cur * g
         if jmax is not None and i + v > 5 * jmax:
-            rows[i] = {}
+            rows[i] = MappingProxyType({})
             continue
         rows[i] = reduce_to_hauptmodul(
             apply_U(5, cur).truncate(order), 1,
             5 * i + v if jmax is None else jmax,
-            exact=jmax is None).as_dict()
-    return _frozen(rows)
+            exact=jmax is None)
+    return MappingProxyType(rows)
 
 
 def u_matrix_rows(imax: int) -> Rows:
@@ -257,7 +245,7 @@ def _vec_mat(vec: dict[int, int], rows: Rows) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def newton_sigma_polys() -> tuple[HauptmodulPoly, ...]:
+def newton_sigma_polys() -> tuple[Mapping[int, int], ...]:
     """Elementary symmetric polynomials sigma_1..sigma_5 (in G) of the five
     functions phi((tau + lam)/5), recovered from the power sums
     p_mu = 5 * (phi^mu | U_5) via Newton's identities on q-series,
@@ -289,13 +277,15 @@ def newton_sigma_polys() -> tuple[HauptmodulPoly, ...]:
         lhs = newton_power_u5(mu, NEWTON_ORDER)
         rhs = IntLaurentSeries.zero(NEWTON_ORDER)
         for i, sigma in enumerate(sigmas, start=1):
-            term = (sigma.evaluate(NEWTON_ORDER)
+            term = (evaluate(sigma, NEWTON_ORDER)
                     * newton_power_u5(mu - i, NEWTON_ORDER))
             rhs = rhs + (term if i % 2 else -term)
-        check_to = min(lhs.trunc, rhs.trunc)
-        if not lhs.eq_to_order(rhs, check_to):
+        bad = lhs.first_mismatch(rhs, min(lhs.trunc, rhs.trunc))
+        if bad is not None:
+            e, direct, recurrence = bad
             raise AssertionError(
-                f"Newton recurrence failed to reproduce phi^{mu}|U_5")
+                f"Newton recurrence failed to reproduce phi^{mu}|U_5: first "
+                f"at q^{e}: direct {direct}, recurrence {recurrence}")
     return sigmas
 
 
@@ -305,11 +295,12 @@ def newton_sigma_polys() -> tuple[HauptmodulPoly, ...]:
 
 @dataclass(frozen=True)
 class LadderState:
-    """One rung: its series, and its hauptmodul-polynomial prefix."""
+    """One rung: its series, and its hauptmodul-polynomial prefix
+    {j: c_j}, read-only."""
 
     nu: int
     series: IntLaurentSeries
-    gpoly: HauptmodulPoly
+    gpoly: Mapping[int, int]
 
 
 def required_multiplier_trunc(alpha_max: int, top_trunc: int) -> int:
@@ -339,7 +330,7 @@ def ladder(alpha_max: int) -> tuple[LadderState, ...]:
             f"ladder depth alpha={alpha_max} needs {f_trunc} multiplier "
             f"coefficients, above the ceiling {COEFFICIENT_CEILING}")
     states = [LadderState(0, IntLaurentSeries.one(f_trunc),
-                          HauptmodulPoly({0: 1}))]
+                          MappingProxyType({0: 1}))]
     states += (LadderState(nu, rung,
                            reduce_to_hauptmodul(rung, 1, JMAX, exact=False))
                for nu, rung in _rungs(alpha_max, f_trunc))
@@ -390,7 +381,7 @@ def _check_matrix_agreement(states: list[LadderState],
         want = vectors.get(state.nu)
         if want is None:
             continue
-        got = state.gpoly.as_dict()
+        got = state.gpoly
         top = min(JMAX, state.series.trunc - 1)
         for j in range(1, top + 1):
             if got.get(j, 0) != want.get(j, 0):
@@ -410,8 +401,9 @@ def five_adic(n: int) -> int:
     return v
 
 
-def ladder_subsequence_check(alpha: int, terms: int) -> bool:
-    """Verify, coefficientwise below q^terms, that
+def ladder_subsequence_check(alpha: int,
+                             terms: int) -> tuple[int, int, int] | None:
+    """Compare, coefficientwise below q^terms, the two sides of
 
         L_(2a+1) = (q^10;q^10)^2/(q^5;q^5)^3
                    * sum_{n>=1} c(5^(2a+1) n - 1 - 5^2 - ... - 5^(2a)) q^n
@@ -436,4 +428,4 @@ def ladder_subsequence_check(alpha: int, terms: int) -> bool:
         {n: g.coeff(step * n - delta) for n in range(1, terms)}, terms)
     rhs = pentagonal_quotient(((10, 2), (5, -3)), terms) * sub
     order = min(terms, rung.trunc, rhs.trunc)
-    return rung.eq_to_order(rhs, order)
+    return rung.first_mismatch(rhs, order)

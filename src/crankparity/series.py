@@ -277,11 +277,6 @@ class IntLaurentSeries:
                 return e, mine, theirs
         return None
 
-    def eq_to_order(self, other: "IntLaurentSeries", order: int) -> bool:
-        """Exact coefficient agreement for all exponents below ``order``;
-        see :meth:`first_mismatch`."""
-        return self.first_mismatch(other, order) is None
-
     def __repr__(self) -> str:
         parts = []
         for e, c in self.terms():

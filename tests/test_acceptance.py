@@ -54,20 +54,21 @@ def test_02_family_congruence():
 def test_03_progression_5n4():
     with criterion(3, "closed form of the 5n+4 coefficient subsequence, "
                       "n < 400, exact"):
-        assert cranks.subsequence_5n4_check(400)
+        assert cranks.subsequence_5n4_check(400) is None
 
 
 def test_04_keystone_and_phi_closed_forms():
     with criterion(4, "multiplier|U_5 == 5 * hauptmodul to 2000; the four "
                       "printed phi^-mu|U_5 closed forms"):
         image = apply_U(5, fivetower.ladder_multiplier(10_001))
-        assert image.eq_to_order(fivetower.hauptmodul(2000) * 5, 2000)
+        assert image.first_mismatch(fivetower.hauptmodul(2000) * 5,
+                                    2000) is None
         wanted = {1: {0: 1}, 2: {-1: 2, 0: -1},
                   3: {-1: 6, 0: -5}, 4: {-2: 6, 0: -5}}
         for mu, want in wanted.items():
             poly = fivetower.reduce_to_hauptmodul(
                 fivetower.newton_power_u5(-mu, 40), -3, 0)
-            assert poly.as_dict() == want, mu
+            assert poly == want, mu
 
 
 def test_05_valuation_lemmas():
@@ -88,7 +89,7 @@ def test_05_valuation_lemmas():
             if state.nu % 2 == 0:
                 continue
             a = (state.nu - 1) // 2
-            for j, c in state.gpoly.as_dict().items():
+            for j, c in state.gpoly.items():
                 assert fivetower.five_adic(c) >= a + 1 + (j - 1) // 2, \
                     (state.nu, j)
 
@@ -125,8 +126,8 @@ def test_08_weighted_identity():
             assert partitions.omega_weights_agree(n), n
             total, total1 = partitions.omega_totals(n)
             assert total == total1 == g.coeff(n), n
-        assert cranks.chan_expansion_check(300)
-        assert cranks.run_weight_identity_check(300)
+        assert cranks.chan_expansion_check(300) is None
+        assert cranks.run_weight_identity_check(300) is None
 
 
 def test_09_distinct_closed_form():
@@ -142,8 +143,8 @@ def test_09_distinct_closed_form():
             assert v in (-2, -1, 0, 1, 2), n
             zeros += v == 0
         assert zeros >= 100
-        assert distinct.gf_identity_check(2000)
-        assert distinct.watson_whipple_check(1000)
+        assert distinct.gf_identity_check(2000) is None
+        assert distinct.watson_whipple_check(1000) is None
 
 
 def test_10_multiplicative_t_cross_check():

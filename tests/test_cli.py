@@ -178,15 +178,15 @@ class TestVerify:
         assert code == 0
 
     def test_claim_l_defaults_to_alpha_0(self, capsys, monkeypatch):
-        from crankparity import fivetower
-        real = fivetower.ladder_subsequence_check
+        from crankparity import cli
+        real = cli._SIMPLE_CHECKS["claimL"]
         seen = []
 
         def spy(alpha, terms):
             seen.append(alpha)
             return real(alpha, terms)
 
-        monkeypatch.setattr(fivetower, "ladder_subsequence_check", spy)
+        monkeypatch.setitem(cli._SIMPLE_CHECKS, "claimL", spy)
         code, out = run_cli(capsys, "verify", "claimL")
         assert (code, seen) == (0, [0])
         assert out == "PASS claimL: 40 cases\n"
@@ -276,19 +276,33 @@ class TestVerify:
                             "weighted")
         assert (code, out) == (0, "PASS weighted: 12 cases\n")
 
-    def test_failed_check_is_reported(self, capsys, monkeypatch):
-        from crankparity import cli
-        monkeypatch.setitem(cli._SIMPLE_CHECKS, "chan", lambda terms: False)
-        code, out = run_cli(capsys, "--terms", "120", "verify", "chan")
-        assert (code, out) == (1, "FAIL chan: 120 cases (first "
-                                  "counterexample: see check definition)\n")
-        code, out = run_cli(capsys, "--output", "csv", "--terms", "120",
-                            "verify", "chan")
-        assert code == 1
-        assert out.splitlines()[1] == "chan,False,120,see check definition"
-        code, out = run_cli(capsys, "--output", "json", "--terms", "120",
-                            "verify", "chan")
-        assert code == 1 and '"passed": false' in out
+    def test_failed_check_is_reported(self, capsys, corrupt):
+        # one coefficient off by one (at q^99, see conftest) in the real
+        # crank series and closed form: each failing series check names the
+        # first exponent that disagrees and both sides there, as one string
+        corrupt("crank")
+        corrupt("closed form")
+        for argv, check, count, first in [
+            (("--terms", "120", "verify", "chan"), "chan", 120,
+             "q^99: -17425 != -17424"),
+            (("--terms", "120", "verify", "informative"), "informative", 120,
+             "q^99: 2 != 3"),
+            (("verify", "claimL"), "claimL", 40, "q^20: -9830 != -9829"),
+        ]:
+            assert run_cli(capsys, *argv) == (
+                1, f"FAIL {check}: {count} cases (first counterexample: "
+                   f"{first})\n")
+            assert run_cli(capsys, "--output", "csv", *argv) == (
+                1, "check,passed,count,first_counterexample\r\n"
+                   f"{check},False,{count},{first}\r\n")
+            assert run_cli(capsys, "--output", "json", *argv) == (
+                1, "{\n"
+                   '  "schema": "crank-parity/1",\n'
+                   f'  "check": "{check}",\n'
+                   '  "passed": false,\n'
+                   f'  "count": {count},\n'
+                   f'  "first_counterexample": "{first}"\n'
+                   "}\n")
 
 
 class TestOutputFormats:

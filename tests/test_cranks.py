@@ -116,7 +116,7 @@ class TestCrankParitySeries:
         g = crank_parity_series(2000)
         alt = (pentagonal_product(1, 2000) ** 3
                / pentagonal_product(2, 2000) ** 2)
-        assert g.eq_to_order(alt, 2000)
+        assert g.first_mismatch(alt, 2000) is None
 
     def test_broken_lambert_sum_is_caught(self, monkeypatch, fresh_memo):
         real = cranks._add_lambert_summand
@@ -311,7 +311,7 @@ class TestSubsequence5n4:
         assert sub.coeff(0) == 5
 
     def test_identity_to_200(self):
-        assert subsequence_5n4_check(200)
+        assert subsequence_5n4_check(200) is None
 
     def test_rhs_is_divisible_by_five(self):
         sub = subsequence_5n4_series(400)
@@ -325,17 +325,17 @@ class TestExpansionIdentities:
         # 1/(q;q) contributes 1 + q, the n=1 summand -4q: total 1 - 3q
         g = crank_parity_series(2)
         assert [g.coeff(0), g.coeff(1)] == [1, -3]
-        assert chan_expansion_check(2)
+        assert chan_expansion_check(2) is None
 
     def test_chan_to_300(self):
-        assert chan_expansion_check(300)
+        assert chan_expansion_check(300) is None
 
     def test_run_weight_constant_term(self):
         rhs = run_weight_expansion(10)
         assert rhs.coeff(0) == 1
 
     def test_run_weight_identity_to_300(self):
-        assert run_weight_identity_check(300)
+        assert run_weight_identity_check(300) is None
 
     def test_two_expansions_agree_directly(self):
         # corollary shape: both right-hand sides agree with each other,
@@ -359,7 +359,7 @@ class TestExpansionIdentities:
             middle = IntLaurentSeries.from_terms({0: 1, 2 * n: -1}, 120)
             total = total + numer / front / middle * tail_inv
             n += 1
-        assert total.eq_to_order(rhs, 120)
+        assert total.first_mismatch(rhs, 120) is None
 
     def test_triangular_summand_bound(self):
         # the n-th summand starts at q^(n(n+1)/2), so at order 300 the

@@ -122,14 +122,14 @@ class TestGeneratingFunctionIdentities:
         assert s.coeff(5) == -1   # cranks of (5), (4,1), (3,2): 5, 0, 3
 
     def test_all_identities_to_600(self):
-        assert gf_identity_check(600)
+        assert gf_identity_check(600) is None
 
     def test_watson_whipple_constant_and_q3(self):
         # constant term 1 from the n=0 factor; q^3 coefficient -1
-        assert watson_whipple_check(5)
+        assert watson_whipple_check(5) is None
 
     def test_watson_whipple_to_600(self):
-        assert watson_whipple_check(600)
+        assert watson_whipple_check(600) is None
 
 
 class TestSignedFactorization:

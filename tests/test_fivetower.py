@@ -7,8 +7,8 @@ from crankparity.fivetower import (
     LADDER_MULTIPLIER_SPEC,
     NEWTON_QUOTIENT_SPEC,
     BudgetExceededError,
-    HauptmodulPoly,
     NotHauptmodulPolynomialError,
+    evaluate,
     five_adic,
     hauptmodul,
     ladder,
@@ -51,22 +51,25 @@ class TestEtaQuotients:
 class TestKeystone:
     def test_multiplier_u5_is_five_hauptmodul(self):
         lhs = apply_U(5, ladder_multiplier(1501))
-        assert lhs.eq_to_order(hauptmodul(300) * 5, 300)
+        assert lhs.first_mismatch(hauptmodul(300) * 5, 300) is None
 
 
 class TestReduce:
     def test_identity(self):
         g = hauptmodul(60)
-        assert reduce_to_hauptmodul(g, 1, 1).as_dict() == {1: 1}
+        assert reduce_to_hauptmodul(g, 1, 1) == {1: 1}
 
     def test_keystone_reduction(self):
         image = apply_U(5, ladder_multiplier(251))
         poly = reduce_to_hauptmodul(image.truncate(50), 0, 6)
-        assert poly.as_dict() == {1: 5}
+        assert poly == {1: 5}
 
     def test_negative_window(self):
         poly = reduce_to_hauptmodul(newton_power_u5(-2, 40), -2, 0)
-        assert poly.as_dict() == {-1: 2, 0: -1}
+        # nonzero entries only, in increasing j, and read-only
+        assert list(poly.items()) == [(-1, 2), (0, -1)]
+        with pytest.raises(TypeError):
+            poly[0] = 1
 
     def test_non_polynomial_rejected(self):
         # the multiplier itself lives on level 50 and is not a polynomial
@@ -95,22 +98,21 @@ class TestReduce:
                 == reduce_to_hauptmodul(short, 0, jmax, exact=False)
 
     def test_evaluate_roundtrip(self):
-        poly = HauptmodulPoly({-1: 2, 0: -1, 3: 7})
-        series = poly.evaluate(40)
-        assert reduce_to_hauptmodul(series, -1, 3).as_dict() == poly.as_dict()
+        poly = {-1: 2, 0: -1, 3: 7}
+        assert reduce_to_hauptmodul(evaluate(poly, 40), -1, 3) == poly
 
     def test_evaluate_against_independent_powers(self):
         # grow the shared power table first: longer, then further negative
         _haupt_power(12, 80)
         _haupt_power(-3, 50)
         coeffs = {-2: 3, 0: -1, 4: 7, 9: 2}
-        got = HauptmodulPoly(coeffs).evaluate(40)
+        got = evaluate(coeffs, 40)
         g = hauptmodul(43)
         want = IntLaurentSeries.zero(40)
         for j, c in coeffs.items():
             power = g ** j if j >= 0 else g.reciprocal() ** -j
             want = want + power.truncate(40) * c
-        assert got.trunc == 40 and got.eq_to_order(want, 40)
+        assert got.trunc == 40 and got.first_mismatch(want, 40) is None
 
     def test_power_table_grows_and_rebuilds(self, monkeypatch):
         # from an empty table: extend both ways, rebuild at a larger base
@@ -122,7 +124,7 @@ class TestReduce:
             g = hauptmodul(order + 1 + max(0, -j))
             want = g ** j if j >= 0 else g.reciprocal() ** -j
             assert got.trunc == order, (j, order)
-            assert got.eq_to_order(want, order), (j, order)
+            assert got.first_mismatch(want, order) is None, (j, order)
 
 
 class TestNewtonQuotientPowers:
@@ -135,7 +137,7 @@ class TestNewtonQuotientPowers:
     def test_negative_power_closed_forms(self, mu, want):
         poly = reduce_to_hauptmodul(newton_power_u5(-mu, 40),
                                     -(3 * mu // 5) - 1, 0)
-        assert poly.as_dict() == want
+        assert poly == want
 
     @pytest.mark.parametrize("mu,want", [
         (1, {0: -1}),
@@ -150,7 +152,7 @@ class TestNewtonQuotientPowers:
         image = apply_U(5, ladder_multiplier(t + 3 * mu)
                         * eta_quotient(NEWTON_QUOTIENT_SPEC ** -mu, t))
         poly = reduce_to_hauptmodul(image, -(3 * mu // 5) - 2, 1)
-        assert poly.as_dict() == want
+        assert poly == want
 
 
 class TestNewtonSigmas:
@@ -160,10 +162,9 @@ class TestNewtonSigmas:
         sigmas = newton_sigma_polys()
         assert len(sigmas) == 5
         for k, sigma in enumerate(sigmas, start=1):
-            d = sigma.as_dict()
-            assert all(isinstance(c, int) for c in d.values())
-            assert max(d) <= 3 * k
-        assert [s.as_dict() for s in sigmas] == [
+            assert all(isinstance(c, int) for c in sigma.values())
+            assert max(sigma) <= 3 * k
+        assert list(sigmas) == [
             {1: 5, 2: -25, 3: 25}, {2: -15, 3: 25}, {2: -5, 3: 15},
             {3: 5}, {3: 1}]
 
@@ -184,10 +185,15 @@ class TestNewtonSigmas:
         monkeypatch.setattr(fivetower, "newton_power_u5", perturbed)
         newton_sigma_polys.cache_clear()
         try:
-            with pytest.raises(error):
+            with pytest.raises(error) as info:
                 newton_sigma_polys()
         finally:
             newton_sigma_polys.cache_clear()
+        if mu == 7:
+            # the perturbed p_7 is the recurrence's direct side
+            assert str(info.value) == (
+                "Newton recurrence failed to reproduce phi^7|U_5: first at "
+                "q^5: direct 267, recurrence 266")
 
     def test_recurrence_reproduces_explicitly(self):
         sigmas = newton_sigma_polys()
@@ -195,9 +201,9 @@ class TestNewtonSigmas:
         lhs = newton_power_u5(5, order)
         rhs = IntLaurentSeries.zero(order)
         for i, sigma in enumerate(sigmas, start=1):
-            term = sigma.evaluate(order) * newton_power_u5(5 - i, order)
+            term = evaluate(sigma, order) * newton_power_u5(5 - i, order)
             rhs = rhs + (term if i % 2 else -term)
-        assert lhs.eq_to_order(rhs, min(lhs.trunc, rhs.trunc))
+        assert lhs.first_mismatch(rhs, min(lhs.trunc, rhs.trunc)) is None
 
 
 class TestTransferMatrices:
@@ -206,7 +212,7 @@ class TestTransferMatrices:
         # L_1 = 5G means the V-image of the constant is (5,0,0,...); row 1
         # of A is the image of G itself
         image = apply_U(5, hauptmodul(301))
-        assert reduce_to_hauptmodul(image.truncate(60), 0, 5).as_dict() \
+        assert reduce_to_hauptmodul(image.truncate(60), 0, 5) \
             == a_rows[1]
         assert max(b_rows[1]) <= 6
 
@@ -234,6 +240,10 @@ class TestTransferMatrices:
         with pytest.raises(TypeError):
             rows[1] = {1: 999}
         assert u_matrix_rows(3)[1][1] == 11
+        # a windowed row past the window is empty, and read-only too
+        windowed = _transfer_rows(LADDER_MULTIPLIER_SPEC, 12, 1)
+        with pytest.raises(TypeError):
+            windowed[12][1] = 999
 
     @pytest.mark.parametrize("jmax", [1, 2, 5, 11])
     def test_windowed_rows_are_cut_full_rows(self, jmax):
@@ -274,10 +284,13 @@ class TestLadder:
         assert isinstance(states, tuple) and states is ladder(0)
         with pytest.raises(dataclasses.FrozenInstanceError):
             states[1].nu = 3
+        with pytest.raises(TypeError):
+            states[1].gpoly[1] = 999
+        assert ladder(0)[1].gpoly == {1: 5}
 
     def test_first_rung_is_five_hauptmodul(self):
         states = ladder(1)
-        assert states[1].gpoly.as_dict() == {1: 5}
+        assert states[1].gpoly == {1: 5}
 
     def test_series_and_matrix_routes_agree(self):
         # ladder() raises LadderConsistencyError internally on mismatch;
@@ -288,7 +301,7 @@ class TestLadder:
             if state.nu == 0:
                 continue
             top = min(11, state.series.trunc - 1)
-            got = state.gpoly.as_dict()
+            got = state.gpoly
             want = vectors[state.nu]
             for j in range(1, top + 1):
                 assert got.get(j, 0) == want.get(j, 0), (state.nu, j)
@@ -298,7 +311,7 @@ class TestLadder:
             if state.nu % 2 == 0:
                 continue
             a = (state.nu - 1) // 2
-            for j, c in state.gpoly.as_dict().items():
+            for j, c in state.gpoly.items():
                 assert five_adic(c) >= a + 1 + (j - 1) // 2, (state.nu, j)
 
     def test_even_rung_valuations(self):
@@ -306,7 +319,7 @@ class TestLadder:
             if state.nu % 2 or state.nu == 0:
                 continue
             a = (state.nu - 2) // 2
-            for j, c in state.gpoly.as_dict().items():
+            for j, c in state.gpoly.items():
                 assert five_adic(c) >= a + 1 + j // 2, (state.nu, j)
 
     def test_divisibility_theorem(self):
@@ -315,17 +328,17 @@ class TestLadder:
             if state.nu % 2 == 0:
                 continue
             a = (state.nu - 1) // 2
-            for c in state.gpoly.as_dict().values():
+            for c in state.gpoly.values():
                 assert c % 5 ** (a + 1) == 0
 
 
 class TestLadderSubsequence:
     def test_alpha0_matches_5n4_form(self):
         # at depth 0 the identity is the 5n+4 closed form reindexed
-        assert ladder_subsequence_check(0, 200)
+        assert ladder_subsequence_check(0, 200) is None
 
     def test_alpha1(self):
-        assert ladder_subsequence_check(1, 40)
+        assert ladder_subsequence_check(1, 40) is None
 
     def test_budget_guard(self):
         with pytest.raises(BudgetExceededError):

@@ -72,8 +72,8 @@ class TestEulerFactor:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 10, 25])
     def test_matches_pentagonal_product(self, d):
-        assert euler_factor(d, d, 400).eq_to_order(
-            pentagonal_product(d, 400), 400)
+        assert euler_factor(d, d, 400).first_mismatch(
+            pentagonal_product(d, 400), 400) is None
 
 
 class TestMul:
@@ -143,7 +143,7 @@ class TestDiv:
                                  (1,) + y.coeffs[1:], y.trunc)  # unit lead
             z = (x / y) * y
             order = min(z.trunc, x.trunc)
-            assert z.eq_to_order(x, order)
+            assert z.first_mismatch(x, order) is None
 
 
 _FACTORS = st.lists(st.tuples(st.integers(1, 6), st.sampled_from((-1, 1)),
@@ -194,7 +194,7 @@ class TestQSum:
 
         got = q_sum(trunc, term, start=start, base=base)
         assert got.trunc == trunc
-        assert got.eq_to_order(want, trunc)
+        assert got.first_mismatch(want, trunc) is None
 
     def test_rejects_bad_factors(self):
         with pytest.raises(ValueError):
@@ -279,8 +279,8 @@ class TestMulKernels:
         # at a size that forces the Kronecker path throughout
         x = pentagonal_product(1, 5000)
         cube = x * x * x
-        assert cube.eq_to_order(x ** 3, 5000)
-        assert (cube * x.reciprocal()).eq_to_order(x ** 2, 5000)
+        assert cube.first_mismatch(x ** 3, 5000) is None
+        assert (cube * x.reciprocal()).first_mismatch(x ** 2, 5000) is None
 
 
 class TestRingAxioms:
@@ -292,10 +292,10 @@ class TestRingAxioms:
             z = random_series(rng, 200, min_offset=0)
             lhs = (x * y) * z
             rhs = x * (y * z)
-            assert lhs.eq_to_order(rhs, min(lhs.trunc, rhs.trunc))
+            assert lhs.first_mismatch(rhs, min(lhs.trunc, rhs.trunc)) is None
             lhs = x * (y + z)
             rhs = x * y + x * z
-            assert lhs.eq_to_order(rhs, min(lhs.trunc, rhs.trunc))
+            assert lhs.first_mismatch(rhs, min(lhs.trunc, rhs.trunc)) is None
 
 
 @st.composite
@@ -323,14 +323,14 @@ class TestSeriesProperties:
     @settings(max_examples=200, deadline=None)
     @given(x=series_st(), y=series_st(), z=series_st())
     def test_ring_axioms(self, x, y, z):
-        def agree(lhs, rhs):
-            return lhs.eq_to_order(rhs, min(lhs.trunc, rhs.trunc))
+        def mismatch(lhs, rhs):
+            return lhs.first_mismatch(rhs, min(lhs.trunc, rhs.trunc))
 
-        assert agree((x * y) * z, x * (y * z))
-        assert agree(x * y, y * x)
-        assert agree(x * (y + z), x * y + x * z)
-        assert agree((x + y) - y, x)
-        assert agree(x - x, IntLaurentSeries.zero(x.trunc))
+        assert mismatch((x * y) * z, x * (y * z)) is None
+        assert mismatch(x * y, y * x) is None
+        assert mismatch(x * (y + z), x * y + x * z) is None
+        assert mismatch((x + y) - y, x) is None
+        assert mismatch(x - x, IntLaurentSeries.zero(x.trunc)) is None
 
     @settings(max_examples=200, deadline=None)
     @given(x=series_st(), y=series_st())
@@ -352,7 +352,7 @@ class TestSeriesProperties:
                             (u.reciprocal(), ue.reciprocal()),
                             (x.extract(step, residue),
                              xe.extract(step, residue))):
-            assert longer.eq_to_order(got, got.trunc)
+            assert longer.first_mismatch(got, got.trunc) is None
             with pytest.raises(TruncationError):
                 got.coeff(got.trunc)
 
@@ -413,7 +413,8 @@ class TestEtaQuotient:
         # independent binomial-product route
         z = eta_quotient(EtaQuotientSpec(((1, 24),)), 30)
         assert z.offset == 1
-        assert z.eq_to_order((euler_factor(1, 1, 29) ** 24).shift(1), 30)
+        assert z.first_mismatch((euler_factor(1, 1, 29) ** 24).shift(1),
+                                30) is None
 
 
 def _dense_quotient(factors, trunc):
@@ -436,7 +437,7 @@ class TestPentagonalQuotient:
         got = pentagonal_quotient(factors, trunc)
         want = _dense_quotient(factors, trunc)
         assert got.trunc == want.trunc == trunc
-        assert got.eq_to_order(want, trunc)
+        assert got.first_mismatch(want, trunc) is None
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(TruncationError):
@@ -454,7 +455,7 @@ class TestPentagonalQuotient:
         got = eta_quotient(spec, 300)
         want = _dense_quotient(spec.factors, 300 - shift).shift(shift)
         assert got.offset == want.offset and got.trunc == want.trunc == 300
-        assert got.eq_to_order(want, 300)
+        assert got.first_mismatch(want, 300) is None
 
 
 class TestApplyU:
@@ -485,7 +486,8 @@ class TestApplyU:
                     {d * e: c for e, c in f.terms()}, d * (f.trunc - 1) + 1)
                 lhs = apply_U(d, f_d * g)
                 rhs = f * apply_U(d, g)
-                assert lhs.eq_to_order(rhs, min(lhs.trunc, rhs.trunc))
+                assert lhs.first_mismatch(
+                    rhs, min(lhs.trunc, rhs.trunc)) is None
 
 
 class TestTruncationDiscipline:
@@ -498,8 +500,8 @@ class TestTruncationDiscipline:
         x = euler_factor(1, 1, 5)
         y = euler_factor(1, 1, 9)
         with pytest.raises(TruncationError):
-            x.eq_to_order(y, 9)
-        assert x.eq_to_order(y, 5)
+            x.first_mismatch(y, 9)
+        assert x.first_mismatch(y, 5) is None
 
     def test_first_mismatch(self):
         x = IntLaurentSeries.from_terms({-2: 1, 3: 7}, 9)
@@ -533,7 +535,7 @@ class TestDump:
         with open(path) as fp:
             y = load_series(fp)
         assert y.offset == x.offset and y.trunc == x.trunc
-        assert y.eq_to_order(x, x.trunc)
+        assert y.first_mismatch(x, x.trunc) is None
         first = path.read_text().splitlines()[0]
         assert first == f"{x.offset}\t{x.coeff(x.offset)}"
 
@@ -548,7 +550,8 @@ class TestMemo:
             built.append(t)
             return eta_quotient(G_SPEC, t)
 
-        assert memo("g", 30, build).eq_to_order(eta_quotient(G_SPEC, 30), 30)
+        assert memo("g", 30, build).first_mismatch(
+            eta_quotient(G_SPEC, 30), 30) is None
         assert memo("g", 10, build).trunc == 10
         assert memo("g", 40, build).trunc == 40
         assert built == [30, 40]
@@ -569,10 +572,10 @@ class TestMemo:
             series._memo.clear()  # as a fresh process would start
             return memo("test-memo-disk", t, build)
 
-        assert cold(25).eq_to_order(want, 25) and built == [25]
+        assert cold(25).first_mismatch(want, 25) is None and built == [25]
         path = tmp_path / "test-memo-disk.tsv"
         good = path.read_bytes()
-        assert cold(25).eq_to_order(want, 25) and built == [25]
+        assert cold(25).first_mismatch(want, 25) is None and built == [25]
         assert capsys.readouterr().err == ""
         assert sorted(os.listdir(tmp_path)) == [path.name]
 
@@ -584,7 +587,7 @@ class TestMemo:
         trunc_trailer = body + b"# trunc=25 sha256=" + digest  # earlier form
         for damaged in (good[:-3], flipped, no_trailer, trunc_trailer):
             path.write_bytes(damaged)
-            assert cold(25).eq_to_order(want, 25)
+            assert cold(25).first_mismatch(want, 25) is None
             err = capsys.readouterr().err
             assert err.count("\n") == 1 and str(path) in err
             assert path.read_bytes() == good
@@ -615,13 +618,13 @@ class TestMemo:
         assert cold(40).trunc == 40 and built == written == [40]
         got = cold(25)  # served from the file, cut to the request
         assert (got.offset, got.trunc) == (-1, 25)
-        assert got.eq_to_order(eta_quotient(G_SPEC ** -1, 25), 25)
+        assert got.first_mismatch(eta_quotient(G_SPEC ** -1, 25), 25) is None
         assert memo("test-memo-grow", 40, build).trunc == 40
         assert built == written == [40]  # nothing built, nothing written
 
         got = cold(60)  # the file is too short: rebuilt and replaced
         assert built == written == [40, 60] and got.trunc == 60
-        assert got.eq_to_order(eta_quotient(G_SPEC ** -1, 60), 60)
+        assert got.first_mismatch(eta_quotient(G_SPEC ** -1, 60), 60) is None
         assert series._load_checked(str(path)).trunc == 60
         assert cold(50).trunc == 50 and built == written == [40, 60]
         assert sorted(os.listdir(tmp_path)) == [path.name]
@@ -651,7 +654,7 @@ class TestMemo:
         got = memo("test-memo-prefix", 25, build)
         assert built == [60] and decoded == [list(range(-1, 25))]
         assert (got.offset, got.trunc) == (-1, 25)
-        assert got.eq_to_order(eta_quotient(G_SPEC ** -1, 25), 25)
+        assert got.first_mismatch(eta_quotient(G_SPEC ** -1, 25), 25) is None
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
