@@ -176,8 +176,10 @@ def _verify_ladder(args) -> dict:
                 required = a + 1 + (j - 1) // 2
             else:
                 required = a + 1 + j // 2
-            if fivetower.five_adic(c) < required:
-                worst.append((state.nu, j))
+            v = fivetower.five_adic(c)
+            if v < required:
+                worst.append(f"L_{state.nu} G^{j}: 5-adic valuation {v} "
+                             f"< {required}")
     return {"check": "ladder", "passed": not worst,
             "count": len(states) - 1,
             "first_counterexample": worst[0] if worst else None}

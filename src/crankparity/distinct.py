@@ -33,10 +33,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Mapping
 
 from .partitions import distinct_rank_parity
-from .series import IntLaurentSeries, pentagonal_product, q_sum
+from .series import (
+    IntLaurentSeries,
+    TruncationError,
+    pentagonal_product,
+    q_sum,
+)
 
 
 class BootstrapNeededError(LookupError):
@@ -171,11 +177,14 @@ def floor_part_series(trunc: int) -> IntLaurentSeries:
 
 
 def ceil_part_series(trunc: int) -> IntLaurentSeries:
-    """-q (q^2;q)_inf = -q (q;q)_inf / (1-q)."""
-    t = trunc
-    tail = pentagonal_product(1, t) / IntLaurentSeries.from_terms(
-        {0: 1, 1: -1}, t)
-    return -tail.shift(1).truncate(t)
+    """-q (q^2;q)_inf = -q (q;q)_inf / (1-q): dividing by 1-q is one
+    prefix sum."""
+    if trunc <= 1:
+        raise TruncationError(
+            f"ceiling series needs trunc >= 2, got {trunc}")
+    return IntLaurentSeries(
+        1, [-c for c in accumulate(pentagonal_product(1, trunc - 1).coeffs)],
+        trunc)
 
 
 def gf_identity_check(trunc: int) -> tuple[int, int, int] | None:

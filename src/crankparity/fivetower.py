@@ -341,12 +341,14 @@ def ladder(alpha_max: int) -> tuple[LadderState, ...]:
 def _rungs(alpha_max: int,
            trunc: int) -> Iterator[tuple[int, IntLaurentSeries]]:
     """(nu, L_nu) for nu = 1 .. 2*alpha_max+1, from the multiplier at
-    trunc: odd rungs multiply by it before U_5, even rungs do not."""
-    mult = ladder_multiplier(trunc)
-    cur = IntLaurentSeries.one(trunc)
+    trunc: L_1 = U_5(multiplier), L_(nu+1) = U_5(L_nu) after an odd rung
+    and U_5(multiplier * L_nu) after an even one."""
+    mult = cur = ladder_multiplier(trunc)
     for nu in range(1, 2 * alpha_max + 2):
-        cur = apply_U(5, mult * cur if nu % 2 else cur)
+        cur = apply_U(5, cur)
         yield nu, cur
+        if nu % 2 == 0:
+            cur = mult * cur
 
 
 def ladder_vectors(alpha_max: int) -> dict[int, dict[int, int]]:

@@ -22,11 +22,10 @@ e_n >= trunc, so the exponents must strictly increase.
 Pentagonal and eta quotients never multiply dense series: (q^d; q^d)_inf has
 O(sqrt(N/d)) nonzero terms below q^N, so each factor is applied to one
 coefficient list by sparse in-place passes, O(N^1.5) additions to multiply
-or to divide.  General multiplication switches between schoolbook
-convolution, a sparse loop, and Kronecker substitution (coefficients packed
-into one huge integer and multiplied with gmpy2 when available), and
-reciprocals run Newton's iteration on it; those stay for dense operands
-such as hauptmodul powers.
+or to divide.  Dense operands, such as hauptmodul powers, have one kernel:
+``_conv`` multiplies by Kronecker substitution (coefficients packed into one
+huge integer and multiplied with gmpy2 when available), and reciprocals run
+Newton's iteration on it.
 """
 
 from __future__ import annotations
@@ -66,35 +65,6 @@ class FractionalExponentError(SeriesError, ValueError):
 # multiplication kernels
 # ---------------------------------------------------------------------------
 
-_SCHOOLBOOK_CUTOFF = 1 << 14  # len(a)*len(b) at or below this: plain loops
-_SPARSE_NNZ = 8               # a factor with <= this many nonzeros: sparse loop
-
-
-def _conv_schoolbook(a: list, b: list, rlen: int) -> list:
-    out = [0] * rlen
-    for i, ai in enumerate(a):
-        top = rlen - i
-        if top <= 0:
-            break
-        if ai:
-            for j, bj in enumerate(b[:top]):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
-
-
-def _conv_sparse(terms: list, b: list, rlen: int) -> list:
-    out = [0] * rlen
-    for i, ai in terms:
-        top = rlen - i
-        if top <= 0:
-            continue
-        for j, bj in enumerate(b[:top]):
-            if bj:
-                out[i + j] += ai * bj
-    return out
-
-
 def _pack(xs: list, width: int) -> int:
     """sum xs[i] * 256^(width*i): the packed positive part minus the packed
     negative part, one signed integer."""
@@ -108,7 +78,15 @@ def _pack(xs: list, width: int) -> int:
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
-def _conv_kronecker(a: list, b: list, rlen: int) -> list:
+def _conv(a: list, b: list, rlen: int) -> list:
+    """First ``rlen`` coefficients of the convolution of two int lists, by
+    Kronecker substitution."""
+    a = a[:rlen]
+    b = b[:rlen]
+    if rlen <= 0:
+        return []
+    if not any(a) or not any(b):
+        return [0] * rlen
     # One signed product A*B = sum c_i 256^(width*i).  Every |c_i| is at
     # most bound = max|a| * max|b| * min(len) < 2^(8*width-1), so adding
     # half a slot to each of the first rlen slots makes them all digits in
@@ -122,25 +100,6 @@ def _conv_kronecker(a: list, b: list, rlen: int) -> list:
     buf = (c & ((1 << (8 * nbytes)) - 1)).to_bytes(nbytes, "little")
     return [int.from_bytes(buf[i:i + width], "little") - half
             for i in range(0, nbytes, width)]
-
-
-def _conv(a: list, b: list, rlen: int) -> list:
-    """First ``rlen`` coefficients of the convolution of two int lists."""
-    a = a[:rlen]
-    b = b[:rlen]
-    if rlen <= 0:
-        return []
-    if not any(a) or not any(b):
-        return [0] * rlen
-    if len(a) * len(b) <= _SCHOOLBOOK_CUTOFF:
-        return _conv_schoolbook(a, b, rlen)
-    terms_a = [(i, x) for i, x in enumerate(a) if x]
-    if len(terms_a) <= _SPARSE_NNZ:
-        return _conv_sparse(terms_a, b, rlen)
-    terms_b = [(i, x) for i, x in enumerate(b) if x]
-    if len(terms_b) <= _SPARSE_NNZ:
-        return _conv_sparse(terms_b, a, rlen)
-    return _conv_kronecker(a, b, rlen)
 
 
 def _recip_unit(c: list, rlen: int) -> list:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -303,6 +304,35 @@ class TestVerify:
                    f'  "count": {count},\n'
                    f'  "first_counterexample": "{first}"\n'
                    "}\n")
+
+    def test_failed_ladder_is_reported(self, capsys, monkeypatch):
+        # the real ladder to alpha 1, with L_3's coefficient of G^2 set to
+        # 5: 5-adic valuation 1 where the bound for L_3 asks 2
+        from crankparity import fivetower
+        real = fivetower.ladder
+
+        def ladder(alpha_max):
+            states = list(real(alpha_max))
+            states[3] = dataclasses.replace(
+                states[3], gpoly={**states[3].gpoly, 2: 5})
+            return tuple(states)
+
+        monkeypatch.setattr(fivetower, "ladder", ladder)
+        argv = ("verify", "ladder", "--alpha-max", "1")
+        first = "L_3 G^2: 5-adic valuation 1 < 2"
+        assert run_cli(capsys, *argv) == (
+            1, f"FAIL ladder: 3 cases (first counterexample: {first})\n")
+        assert run_cli(capsys, "--output", "csv", *argv) == (
+            1, "check,passed,count,first_counterexample\r\n"
+               f"ladder,False,3,{first}\r\n")
+        assert run_cli(capsys, "--output", "json", *argv) == (
+            1, "{\n"
+               '  "schema": "crank-parity/1",\n'
+               '  "check": "ladder",\n'
+               '  "passed": false,\n'
+               '  "count": 3,\n'
+               f'  "first_counterexample": "{first}"\n'
+               "}\n")
 
 
 class TestOutputFormats:

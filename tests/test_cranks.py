@@ -19,7 +19,7 @@ from crankparity.cranks import (
 from crankparity.series import (
     IntLaurentSeries,
     TruncationError,
-    _conv_sparse,
+    _conv,
     pentagonal_product,
 )
 
@@ -98,8 +98,8 @@ class TestTimesEuler:
     @given(trunc=_PENTAGONAL_TRUNCS, rnd=st.randoms(use_true_random=False))
     def test_equals_sparse_product(self, trunc, rnd):
         g = [rnd.randint(-10 ** 30, 10 ** 30) for _ in range(trunc)]
-        euler = list(pentagonal_product(1, trunc).terms())
-        assert cranks._times_euler(g) == _conv_sparse(euler, g, trunc)
+        euler = list(pentagonal_product(1, trunc).coeffs)
+        assert cranks._times_euler(g) == _conv(euler, g, trunc)
 
 
 class TestCrankParitySeries:
@@ -189,12 +189,11 @@ class TestCrankParitySeries:
     def test_routes_share_no_kernel(self, monkeypatch, fresh_memo):
         # G by the lattice and one pentagonal division, L by slice passes,
         # the check by its own slice passes: no binomial pass and no dense
-        # or sparse product is reached
+        # product is reached
         def unreachable(*args):
-            raise AssertionError("dense, sparse or binomial kernel reached")
+            raise AssertionError("dense or binomial kernel reached")
 
-        for kernel in ("_apply_binomial", "_conv", "_conv_kronecker",
-                       "_conv_sparse"):
+        for kernel in ("_apply_binomial", "_conv"):
             monkeypatch.setattr(series, kernel, unreachable)
 
         # each side's functions run only inside that side

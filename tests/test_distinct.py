@@ -21,6 +21,7 @@ from crankparity.distinct import (
     watson_whipple_check,
 )
 from crankparity.partitions import distinct_crank_parity, distinct_rank_parity
+from crankparity.series import TruncationError
 
 
 class TestPentInfo:
@@ -113,6 +114,14 @@ class TestFloorCeilSplit:
         for n in range(1, 2000):
             assert fs.coeff(n) == floor_part(n), n
             assert cs.coeff(n) == ceil_part(n), n
+
+    def test_ceiling_series_truncation(self):
+        cs = ceil_part_series(2)
+        assert (cs.offset, cs.coeffs, cs.trunc) == (1, (-1,), 2)
+        for trunc in (1, 0, -1):
+            with pytest.raises(TruncationError,
+                               match=rf"needs trunc >= 2, got {trunc}$"):
+                ceil_part_series(trunc)
 
 
 class TestGeneratingFunctionIdentities:

@@ -1,5 +1,4 @@
 import io
-import math
 import os
 import random
 import tempfile
@@ -18,6 +17,7 @@ from crankparity.series import (
     IntLaurentSeries,
     NonUnitDivisorError,
     TruncationError,
+    _conv,
     apply_U,
     dump_series,
     eta_quotient,
@@ -211,27 +211,15 @@ class TestQSum:
             q_sum(10, lambda n: (1, 5 - n, [], []))
 
 
+def naive_conv(a, b, rlen):
+    """c_k = sum_i a_i b_(k-i) for 0 <= k < rlen, the definition."""
+    return [sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b))
+            for k in range(rlen)]
+
+
 class TestMulKernels:
     def test_kronecker_matches_schoolbook(self):
-        from crankparity.series import (
-            _SCHOOLBOOK_CUTOFF,
-            _SPARSE_NNZ,
-            _conv,
-            _conv_kronecker,
-            _conv_schoolbook,
-            _conv_sparse,
-        )
         rng = random.Random(0x12AB)
-
-        def operand(length, scale, nnz=None):
-            xs = [rng.randint(-9 * scale, 9 * scale) for _ in range(length)]
-            xs[rng.randrange(length)] = rng.choice((-1, 1)) * 9 * scale
-            if nnz is not None:
-                keep = set(rng.sample(range(length), nnz))
-                xs = [x or 1 if i in keep else 0 for i, x in enumerate(xs)]
-            return xs
-
-        cases = []
         for _ in range(20):
             la = rng.randint(1, 300)
             lb = rng.randint(1, 300)
@@ -240,27 +228,10 @@ class TestMulKernels:
             b = [rng.randint(-9 * scale, 9 * scale) for _ in range(lb)]
             a[rng.randrange(la)] = rng.choice((-1, 1)) * 9 * scale
             rlen = rng.randint(1, la + lb - 1)
-            cases.append((a[:rlen], b[:rlen], rlen))
-        # _conv's kernel choice: len(a)*len(b) at and just past the
-        # schoolbook cutoff, then a sparse factor on either side with
-        # nonzero counts at and just past the sparse threshold
-        side = math.isqrt(_SCHOOLBOOK_CUTOFF)
-        for la, lb in ((side, side), (side, side + 1)):
-            cases.append((operand(la, 10 ** 20), operand(lb, 10 ** 20),
-                          la + lb - 1))
-        for nnz in (_SPARSE_NNZ, _SPARSE_NNZ + 1):
-            sparse, dense = operand(400, 10 ** 30, nnz), operand(300, 10 ** 5)
-            cases.append((sparse, dense, 699))
-            cases.append((dense, sparse, 500))
-        for a, b, rlen in cases:
-            want = _conv_schoolbook(a, b, rlen)
-            terms = [(i, x) for i, x in enumerate(a) if x]
-            assert _conv_kronecker(a, b, rlen) == want
-            assert _conv_sparse(terms, b, rlen) == want
-            assert _conv(a, b, rlen) == want
-        # Kronecker's digit bound: coefficients that reach it with either
-        # sign (equal magnitudes), magnitudes at and around powers of two,
-        # and every rlen from one slot to past the full product
+            assert _conv(a, b, rlen) == naive_conv(a, b, rlen)
+        # the digit bound: coefficients that reach it with either sign
+        # (equal magnitudes), magnitudes at and around powers of two, and
+        # every rlen from none to past the full product
         signs = (lambda i: 1, lambda i: -1, lambda i: (-1) ** i)
         for la, lb in ((1, 1), (1, 4), (3, 3), (5, 2), (8, 8)):
             for k in (1, 7, 8, 15, 16, 63, 64):
@@ -269,10 +240,31 @@ class TestMulKernels:
                                    (signs[1], signs[1]), (signs[2], signs[0])):
                         a = [sa(i) * m for i in range(la)]
                         b = [sb(i) * m for i in range(lb)]
-                        for rlen in range(1, la + lb + 1):
-                            assert (_conv_kronecker(a, b, rlen)
-                                    == _conv_schoolbook(a, b, rlen))
-        assert _conv_kronecker([0, 0, 0], [5, -5], 4) == [0] * 4
+                        for rlen in range(-1, la + lb + 1):
+                            assert _conv(a, b, rlen) == naive_conv(a, b, rlen)
+        for a, b in (([0, 0, 0], [5, -5]), ([5, -5], [0, 0, 0]), ([0], [0])):
+            assert _conv(a, b, 4) == [0] * 4
+
+    @settings(max_examples=300, deadline=None)
+    @given(w=st.integers(1, 6), la=st.integers(1, 6), lb=st.integers(1, 6),
+           ka=st.integers(0, 40), delta=st.integers(-2, 2),
+           up=st.booleans(), data=st.data())
+    def test_digit_width_boundary(self, w, la, lb, ka, delta, up, data):
+        # max|a| * max|b| * min(len) within max|a| * min(len) of
+        # 2^(8w-1) + delta, on either side: where the slot width steps
+        # from w to w + 1 bytes.  All entries at full magnitude, so the
+        # coefficients where the operands overlap fully reach the bound.
+        m = min(la, lb)
+        ma = 1 << min(ka, 8 * w - 5)
+        target = (1 << (8 * w - 1)) + delta
+        mb = max(1, -(-target // (ma * m)) if up else target // (ma * m))
+        sign = st.sampled_from((-1, 1))
+        a = [s * ma for s in data.draw(st.lists(sign, min_size=la,
+                                                max_size=la))]
+        b = [s * mb for s in data.draw(st.lists(sign, min_size=lb,
+                                                max_size=lb))]
+        rlen = data.draw(st.integers(0, la + lb))
+        assert _conv(a, b, rlen) == naive_conv(a, b, rlen)
 
     def test_big_series_product_consistency(self):
         # repeated multiplication vs binary powering vs Newton reciprocal,
@@ -426,9 +418,8 @@ def _dense_quotient(factors, trunc):
 
 
 class TestPentagonalQuotient:
-    # t up to 400 straddles _SCHOOLBOOK_CUTOFF (128 x 128) in the dense
-    # reference, and (q^d;q^d)_inf has more than _SPARSE_NNZ nonzeros below
-    # q^400 only for d <= 15, so the reference runs on all three kernels
+    # the reference multiplies dense lists with _conv and inverts with
+    # Newton's iteration on it; the quotient never calls _conv
     @settings(max_examples=120, deadline=None)
     @given(trunc=st.integers(1, 400),
            factors=st.lists(st.tuples(st.integers(1, 60),
