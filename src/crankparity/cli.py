@@ -165,23 +165,23 @@ def _verify_simple(args) -> dict:
 
 
 def _verify_ladder(args) -> dict:
-    states = fivetower.ladder(args.alpha_max)
+    rungs = fivetower.ladder(args.alpha_max)
     worst = []
-    for state in states:
-        if state.nu == 0:
+    for nu, poly in rungs.items():
+        if nu == 0:
             continue
-        a = (state.nu - 1) // 2
-        for j, c in state.gpoly.items():
-            if state.nu % 2:
+        a = (nu - 1) // 2
+        for j, c in poly.items():
+            if nu % 2:
                 required = a + 1 + (j - 1) // 2
             else:
                 required = a + 1 + j // 2
             v = fivetower.five_adic(c)
             if v < required:
-                worst.append(f"L_{state.nu} G^{j}: 5-adic valuation {v} "
+                worst.append(f"L_{nu} G^{j}: 5-adic valuation {v} "
                              f"< {required}")
     return {"check": "ladder", "passed": not worst,
-            "count": len(states) - 1,
+            "count": len(rungs) - 1,
             "first_counterexample": worst[0] if worst else None}
 
 
@@ -313,7 +313,6 @@ def cmd_distinct(args) -> int:
 def cmd_ladder(args) -> int:
     a_rows = fivetower.u_matrix_rows(args.imax)
     b_rows = fivetower.v_matrix_rows(args.imax)
-    states = fivetower.ladder(args.alpha_max)
 
     def encode_rows(rows):
         return {str(i): {str(j): str(c) for j, c in sorted(row.items())}
@@ -321,13 +320,12 @@ def cmd_ladder(args) -> int:
 
     ladder_payload = []
     rungs = []
-    for state in states:
-        entries = {str(j): str(c) for j, c in state.gpoly.items()}
-        vals = {str(j): fivetower.five_adic(c)
-                for j, c in state.gpoly.items()}
-        ladder_payload.append({"nu": state.nu, "entries": entries,
+    for nu, poly in fivetower.ladder(args.alpha_max).items():
+        entries = {str(j): str(c) for j, c in poly.items()}
+        vals = {str(j): fivetower.five_adic(c) for j, c in poly.items()}
+        ladder_payload.append({"nu": nu, "entries": entries,
                                "valuations": vals})
-        rungs += [{"nu": state.nu, "j": j, "entry": c,
+        rungs += [{"nu": nu, "j": j, "entry": c,
                    "valuation": vals.get(j, "")} for j, c in entries.items()]
     payload = {
         "command": "ladder",

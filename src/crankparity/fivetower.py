@@ -20,10 +20,12 @@ The ladder
 
     L_0 = 1,   L_{2a+1} = (multiplier * L_{2a}) | U_5,   L_{2a+2} = L_{2a+1} | U_5
 
-is computed both by series recursion and by the vector forms
-(5,0,0,...) (AB)^a  /  (5,0,0,...) (AB)^a A, and the two must agree.  The
-5-adic valuations of the matrix entries and ladder entries are what the
-congruence family rests on, and are exported for direct verification.
+is ``ladder``'s one read-only rung map {nu: {j: c_j}}: each rung comes from
+the series recursion, is read off on G^1..G^JMAX, and must match the vector
+forms (5,0,0,...) (AB)^a  /  (5,0,0,...) (AB)^a A on every one of those j
+before it is stored.  The 5-adic valuations of the matrix entries and ladder
+entries are what the congruence family rests on, and are exported for
+direct verification.
 ``ladder_subsequence_check`` compares a rung with the crank-parity
 subsequence it encodes (Claim L) and returns None, or ``(exponent, lhs,
 rhs)`` at the first disagreement.
@@ -34,7 +36,6 @@ refuse to start if the multiplier series would exceed a coefficient ceiling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterator, Mapping
@@ -149,25 +150,25 @@ def reduce_to_hauptmodul(x: IntLaurentSeries, jmin: int, jmax: int,
     """Write x as sum_{jmin <= j <= jmax} c_j G^j by eliminating from the
     lowest exponent upward (G^j = q^j + ..., so the system is triangular);
     returns the read-only {j: c_j} of the nonzero c_j, in increasing j.
-    A term below q^jmin is refused: with jmin = 1, a constant term.
+    A term below q^jmin is refused: with jmin = 1, a constant term, and so
+    is a truncation at or below jmax.
 
     With ``exact`` the residual must vanish identically to x's truncation;
-    otherwise only the prefix up to min(jmax, trunc - 1) is extracted, which
-    is still exact for those coefficients.
+    otherwise only the prefix up to q^jmax is read, which is still exact for
+    c_jmin .. c_jmax.
     """
     val = x.valuation()
     if val is not None and val < jmin:
         raise NotHauptmodulPolynomialError(
             f"series has exponent {val} below the window start {jmin}")
-    top = min(jmax, x.trunc - 1)
-    if exact and top < jmax:
+    if x.trunc <= jmax:
         raise NotHauptmodulPolynomialError(
             f"truncation {x.trunc} cannot close a degree-{jmax} reduction")
     if not exact:
-        x = x.truncate(top + 1)  # nothing past q^top is read
+        x = x.truncate(jmax + 1)  # nothing past q^jmax is read
     residual = x
     coeffs = {}
-    for j in range(jmin, top + 1):
+    for j in range(jmin, jmax + 1):
         c = residual.coeff(j)
         if c:
             coeffs[j] = c
@@ -277,10 +278,11 @@ def newton_sigma_polys() -> tuple[Mapping[int, int], ...]:
         lhs = newton_power_u5(mu, NEWTON_ORDER)
         rhs = IntLaurentSeries.zero(NEWTON_ORDER)
         for i, sigma in enumerate(sigmas, start=1):
-            term = (evaluate(sigma, NEWTON_ORDER)
-                    * newton_power_u5(mu - i, NEWTON_ORDER))
+            # phi^(mu-i)|U_5 may start below q^0: widen sigma to match
+            power = newton_power_u5(mu - i, NEWTON_ORDER)
+            term = evaluate(sigma, NEWTON_ORDER - power.offset) * power
             rhs = rhs + (term if i % 2 else -term)
-        bad = lhs.first_mismatch(rhs, min(lhs.trunc, rhs.trunc))
+        bad = lhs.first_mismatch(rhs, NEWTON_ORDER)
         if bad is not None:
             e, direct, recurrence = bad
             raise AssertionError(
@@ -292,16 +294,6 @@ def newton_sigma_polys() -> tuple[Mapping[int, int], ...]:
 # ---------------------------------------------------------------------------
 # the ladder
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LadderState:
-    """One rung: its series, and its hauptmodul-polynomial prefix
-    {j: c_j}, read-only."""
-
-    nu: int
-    series: IntLaurentSeries
-    gpoly: Mapping[int, int]
-
 
 def required_multiplier_trunc(alpha_max: int, top_trunc: int) -> int:
     """Multiplier truncation needed so L_(2*alpha_max+1) is exact below
@@ -319,9 +311,10 @@ def required_multiplier_trunc(alpha_max: int, top_trunc: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def ladder(alpha_max: int) -> tuple[LadderState, ...]:
-    """Rungs L_0 .. L_(2*alpha_max+1) by series recursion, cross-checked
-    against the matrix vector forms on the first JMAX coefficients."""
+def ladder(alpha_max: int) -> Mapping[int, Mapping[int, int]]:
+    """Rungs L_0 .. L_(2*alpha_max+1) as the read-only map {nu: {j: c_j}},
+    L_0 = {0: 1}; every other rung is read off its series on G^1..G^JMAX
+    and compared there with ladder_vectors before it is stored."""
     if alpha_max < 0:
         raise ValueError("alpha_max must be >= 0")
     f_trunc = required_multiplier_trunc(alpha_max, JMAX + 1)
@@ -329,13 +322,18 @@ def ladder(alpha_max: int) -> tuple[LadderState, ...]:
         raise BudgetExceededError(
             f"ladder depth alpha={alpha_max} needs {f_trunc} multiplier "
             f"coefficients, above the ceiling {COEFFICIENT_CEILING}")
-    states = [LadderState(0, IntLaurentSeries.one(f_trunc),
-                          MappingProxyType({0: 1}))]
-    states += (LadderState(nu, rung,
-                           reduce_to_hauptmodul(rung, 1, JMAX, exact=False))
-               for nu, rung in _rungs(alpha_max, f_trunc))
-    _check_matrix_agreement(states, alpha_max)
-    return tuple(states)
+    vectors = ladder_vectors(alpha_max)
+    rungs = {0: MappingProxyType({0: 1})}
+    for nu, rung in _rungs(alpha_max, f_trunc):
+        got = reduce_to_hauptmodul(rung, 1, JMAX, exact=False)
+        want = vectors[nu]
+        for j in range(1, JMAX + 1):
+            if got.get(j, 0) != want.get(j, 0):
+                raise LadderConsistencyError(
+                    f"rung {nu}, G^{j}: series gives {got.get(j, 0)}, "
+                    f"matrices give {want.get(j, 0)}")
+        rungs[nu] = got
+    return MappingProxyType(rungs)
 
 
 def _rungs(alpha_max: int,
@@ -370,26 +368,6 @@ def ladder_vectors(alpha_max: int) -> dict[int, dict[int, int]]:
         vec = _vec_mat(vec, b_rows)
         vectors[2 * a + 3] = dict(vec)
     return vectors
-
-
-def _check_matrix_agreement(states: list[LadderState],
-                            alpha_max: int) -> None:
-    if alpha_max < 1:
-        return
-    vectors = ladder_vectors(alpha_max)
-    for state in states:
-        if state.nu == 0:
-            continue
-        want = vectors.get(state.nu)
-        if want is None:
-            continue
-        got = state.gpoly
-        top = min(JMAX, state.series.trunc - 1)
-        for j in range(1, top + 1):
-            if got.get(j, 0) != want.get(j, 0):
-                raise LadderConsistencyError(
-                    f"rung {state.nu}, G^{j}: series gives {got.get(j, 0)}, "
-                    f"matrices give {want.get(j, 0)}")
 
 
 def five_adic(n: int) -> int:
@@ -429,5 +407,4 @@ def ladder_subsequence_check(alpha: int,
     sub = IntLaurentSeries.from_terms(
         {n: g.coeff(step * n - delta) for n in range(1, terms)}, terms)
     rhs = pentagonal_quotient(((10, 2), (5, -3)), terms) * sub
-    order = min(terms, rung.trunc, rhs.trunc)
-    return rung.first_mismatch(rhs, order)
+    return rung.first_mismatch(rhs, terms)

@@ -85,13 +85,13 @@ def test_05_valuation_lemmas():
             if i % 5 == 1:
                 for j, c in row.items():
                     assert fivetower.five_adic(c) >= 1, (i, j, c)
-        for state in fivetower.ladder(2):
-            if state.nu % 2 == 0:
+        for nu, poly in fivetower.ladder(2).items():
+            if nu % 2 == 0:
                 continue
-            a = (state.nu - 1) // 2
-            for j, c in state.gpoly.items():
+            a = (nu - 1) // 2
+            for j, c in poly.items():
                 assert fivetower.five_adic(c) >= a + 1 + (j - 1) // 2, \
-                    (state.nu, j)
+                    (nu, j)
 
 
 def test_06_asymptotic_error_bound():

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import hashlib
 import io
 import json
@@ -312,10 +311,8 @@ class TestVerify:
         real = fivetower.ladder
 
         def ladder(alpha_max):
-            states = list(real(alpha_max))
-            states[3] = dataclasses.replace(
-                states[3], gpoly={**states[3].gpoly, 2: 5})
-            return tuple(states)
+            rungs = real(alpha_max)
+            return {**rungs, 3: {**rungs[3], 2: 5}}
 
         monkeypatch.setattr(fivetower, "ladder", ladder)
         argv = ("verify", "ladder", "--alpha-max", "1")
@@ -422,6 +419,21 @@ class TestDistinct:
 
 
 class TestLadderDump:
+    @pytest.mark.parametrize("argv, digest", [
+        (("ladder", "--alpha-max", "2", "--imax", "6"),
+         "1fa56525ac584553fb3525de4f61a521185b296d00b706ed9a69e6ca81250e04"),
+        (("--output", "csv", "ladder", "--alpha-max", "2", "--imax", "6"),
+         "dda7f71c91fb64ecf5ca3e31579880488e64b7031748b40b21bf2a503deb2a73"),
+        (("--output", "json", "verify", "ladder", "--alpha-max", "2"),
+         "c4061dc1a5fca2aaf40dfd6a6753223e0dd1745681ba89af966b56cffe816c8e"),
+        (("ladder", "--alpha-max", "0", "--imax", "2"),
+         "079d79ccaa54c1cd51e202083123bdbffe9a5f9864a07ba349683c2363274889"),
+    ])
+    def test_stdout_is_pinned(self, capsys, argv, digest):
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_json_payload(self, capsys):
         code, out = run_cli(capsys, "ladder", "--alpha-max", "1",
                             "--imax", "2")

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from crankparity import fivetower
@@ -7,6 +5,7 @@ from crankparity.fivetower import (
     LADDER_MULTIPLIER_SPEC,
     NEWTON_QUOTIENT_SPEC,
     BudgetExceededError,
+    LadderConsistencyError,
     NotHauptmodulPolynomialError,
     evaluate,
     five_adic,
@@ -23,12 +22,14 @@ from crankparity.fivetower import (
     u_matrix_rows,
     v_matrix_rows,
     _haupt_power,
+    _rungs,
     _transfer_rows,
 )
 from crankparity.series import (
     EtaQuotientSpec,
     IntLaurentSeries,
     NonUnitDivisorError,
+    TruncationError,
     apply_U,
     eta_quotient,
 )
@@ -89,6 +90,14 @@ class TestReduce:
         with pytest.raises(NotHauptmodulPolynomialError,
                            match="exponent 0 below the window start 1"):
             reduce_to_hauptmodul(x, 1, 3, exact=exact)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_short_truncation_is_refused(self, exact):
+        # G^11 is read at q^11, so a series cut at q^11 cannot give c_11
+        x = ladder_multiplier(11)
+        with pytest.raises(NotHauptmodulPolynomialError,
+                           match="truncation 11 cannot close"):
+            reduce_to_hauptmodul(x, 0, 11, exact=exact)
 
     def test_inexact_reduction_reads_only_the_prefix(self):
         x = ladder_multiplier(2000)
@@ -195,6 +204,25 @@ class TestNewtonSigmas:
                 "Newton recurrence failed to reproduce phi^7|U_5: first at "
                 "q^5: direct 267, recurrence 266")
 
+    def test_recurrence_is_compared_to_newton_order(self, monkeypatch):
+        # phi^-5|U_5 starts at q^-3, so its recurrence side reaches only
+        # q^34 unless sigma is widened: a wrong q^36 must still be caught
+        exact = fivetower.newton_power_u5
+
+        def perturbed(m, order):
+            x = exact(m, order)
+            return x + IntLaurentSeries.monomial(36, 1, order) if m == -5 \
+                else x
+
+        monkeypatch.setattr(fivetower, "newton_power_u5", perturbed)
+        newton_sigma_polys.cache_clear()
+        try:
+            with pytest.raises(AssertionError, match=r"phi\^-5\|U_5: first "
+                                                     r"at q\^36"):
+                newton_sigma_polys()
+        finally:
+            newton_sigma_polys.cache_clear()
+
     def test_recurrence_reproduces_explicitly(self):
         sigmas = newton_sigma_polys()
         order = 30
@@ -280,56 +308,67 @@ class TestLadder:
                 ladder(alpha_max)
 
     def test_cached_states_are_frozen(self):
-        states = ladder(0)
-        assert isinstance(states, tuple) and states is ladder(0)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            states[1].nu = 3
+        rungs = ladder(0)
+        assert list(rungs) == [0, 1] and rungs is ladder(0)
         with pytest.raises(TypeError):
-            states[1].gpoly[1] = 999
-        assert ladder(0)[1].gpoly == {1: 5}
+            rungs[1] = {1: 999}
+        with pytest.raises(TypeError):
+            rungs[1][1] = 999
+        assert ladder(0)[1] == {1: 5}
 
     def test_first_rung_is_five_hauptmodul(self):
-        states = ladder(1)
-        assert states[1].gpoly == {1: 5}
+        rungs = ladder(1)
+        assert rungs[0] == {0: 1} and rungs[1] == {1: 5}
 
     def test_series_and_matrix_routes_agree(self):
         # ladder() raises LadderConsistencyError internally on mismatch;
-        # also compare explicitly here
-        states = ladder(2)
+        # also compare explicitly here, on every j <= 11
+        rungs = ladder(2)
         vectors = ladder_vectors(2)
-        for state in states:
-            if state.nu == 0:
+        for nu, got in rungs.items():
+            if nu == 0:
                 continue
-            top = min(11, state.series.trunc - 1)
-            got = state.gpoly
-            want = vectors[state.nu]
-            for j in range(1, top + 1):
-                assert got.get(j, 0) == want.get(j, 0), (state.nu, j)
+            want = vectors[nu]
+            for j in range(1, 12):
+                assert got.get(j, 0) == want.get(j, 0), (nu, j)
 
     def test_odd_rung_valuations(self):
-        for state in ladder(2):
-            if state.nu % 2 == 0:
+        for nu, poly in ladder(2).items():
+            if nu % 2 == 0:
                 continue
-            a = (state.nu - 1) // 2
-            for j, c in state.gpoly.items():
-                assert five_adic(c) >= a + 1 + (j - 1) // 2, (state.nu, j)
+            a = (nu - 1) // 2
+            for j, c in poly.items():
+                assert five_adic(c) >= a + 1 + (j - 1) // 2, (nu, j)
 
     def test_even_rung_valuations(self):
-        for state in ladder(2):
-            if state.nu % 2 or state.nu == 0:
+        for nu, poly in ladder(2).items():
+            if nu % 2 or nu == 0:
                 continue
-            a = (state.nu - 2) // 2
-            for j, c in state.gpoly.items():
-                assert five_adic(c) >= a + 1 + j // 2, (state.nu, j)
+            a = (nu - 2) // 2
+            for j, c in poly.items():
+                assert five_adic(c) >= a + 1 + j // 2, (nu, j)
 
     def test_divisibility_theorem(self):
         # entries of L_(2a+1) are divisible by 5^(a+1)
-        for state in ladder(2):
-            if state.nu % 2 == 0:
+        for nu, poly in ladder(2).items():
+            if nu % 2 == 0:
                 continue
-            a = (state.nu - 1) // 2
-            for c in state.gpoly.values():
+            a = (nu - 1) // 2
+            for c in poly.values():
                 assert c % 5 ** (a + 1) == 0
+
+    def test_depth_zero_is_cross_checked(self, monkeypatch):
+        # L_1 = 5G by series; a matrix route claiming 4G must be refused
+        monkeypatch.setattr(fivetower, "ladder_vectors",
+                            lambda alpha_max: {1: {1: 4}})
+        ladder.cache_clear()
+        try:
+            with pytest.raises(LadderConsistencyError,
+                               match=r"rung 1, G\^1: series gives 5, "
+                                     "matrices give 4"):
+                ladder(0)
+        finally:
+            ladder.cache_clear()
 
 
 class TestLadderSubsequence:
@@ -345,8 +384,17 @@ class TestLadderSubsequence:
             ladder_subsequence_check(3, 400)
 
     def test_first_coefficient_is_five(self):
-        states = ladder(0)
-        assert states[1].series.coeff(1) == 5
+        (nu, rung), = _rungs(0, required_multiplier_trunc(0, 2))
+        assert nu == 1 and rung.coeff(1) == 5
+
+    @pytest.mark.parametrize("short", [1, 5, 50])
+    def test_short_multiplier_is_refused(self, monkeypatch, short):
+        # a rung cut below q^terms cannot be compared there
+        exact = fivetower.required_multiplier_trunc
+        monkeypatch.setattr(fivetower, "required_multiplier_trunc",
+                            lambda alpha, terms: exact(alpha, terms) - short)
+        with pytest.raises(TruncationError, match="equality to order 40"):
+            ladder_subsequence_check(0, 40)
 
 
 class TestFiveAdic:
