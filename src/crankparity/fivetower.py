@@ -16,6 +16,19 @@ mapping {j: c_j} of its nonzero coefficients in increasing j, and a
 transfer matrix a read-only mapping {i: row i}; ``evaluate`` expands a
 polynomial back into a q-series.
 
+Only rows 0..6 of A and B are reduced from q-series.  The five values
+G((tau + lam)/5) are the roots of the degree-5 modular equation
+
+    X^5 - sigma_1 X^4 + sigma_2 X^3 - sigma_3 X^2 + sigma_4 X - sigma_5 = 0,
+
+    sigma_1 = 55G - 300G^2 + 875G^3 - 1250G^4 + 625G^5,
+    sigma_2 = 60G - 175G^2 + 250G^3 - 125G^4,
+    sigma_3 = 35G - 50G^2 + 25G^3,   sigma_4 = 10G - 5G^2,   sigma_5 = G,
+
+read off A's rows 1..5 by Newton's identities, so every later row of either
+matrix is sigma_1 row_(i-1) - sigma_2 row_(i-2) + ... + sigma_5 row_(i-5).
+Rows 5 and 6 are rebuilt that way from the series rows and must match.
+
 The ladder
 
     L_0 = 1,   L_{2a+1} = (multiplier * L_{2a}) | U_5,   L_{2a+2} = L_{2a+1} | U_5
@@ -44,6 +57,7 @@ from . import cranks
 from .series import (
     EtaQuotientSpec,
     IntLaurentSeries,
+    NonUnitDivisorError,
     apply_U,
     eta_quotient,
     memo,
@@ -58,7 +72,8 @@ class NotHauptmodulPolynomialError(ArithmeticError):
 
 
 class LadderConsistencyError(AssertionError):
-    """Series recursion and matrix product gave different ladder vectors."""
+    """Two routes to the same ladder data disagree: the series recursion
+    and the matrix product, or a series row and the modular equation."""
 
 
 class BudgetExceededError(RuntimeError):
@@ -188,45 +203,134 @@ def reduce_to_hauptmodul(x: IntLaurentSeries, jmin: int, jmax: int,
 # row i -> {column j: entry}; read-only, since the builders below are cached
 Rows = Mapping[int, Mapping[int, int]]
 
+SERIES_ROWS = 6  # rows 0..6 come from q-series, later ones from the quintic
+
 
 @lru_cache(maxsize=None)
-def _transfer_rows(pre: EtaQuotientSpec, imax: int, jmax: int | None) -> Rows:
-    """Row i, 1 <= i <= imax: (pre * G^i) | U_5 = sum_j c_ij G^j, where the
-    eta quotient pre = q^v + O(q^(v+1)) is 1 (v = 0) or the multiplier
-    (v = 1).  No row has a constant term: the window starts at G^1, and
-    reduce_to_hauptmodul refuses a nonzero q^0 coefficient below it.
-
-    With jmax None each row has its full width 5i+v and is certified by a
-    zero residual at order 5*imax+11 for both prefactors, so A's rows and
-    B's read one table of G powers.  With a column window jmax only
-    columns <= jmax are read off the prefix below q^(jmax+4), and rows with
-    i+v > 5*jmax are empty: (pre * G^i)|U_5 starts at q^ceil((i+v)/5).
-    """
+def _series_rows(pre: EtaQuotientSpec) -> tuple[Mapping[int, int], ...]:
+    """Rows 0..SERIES_ROWS of pre by the series route: (pre * G^i) | U_5 at
+    its full width 5i+v, each certified by a zero residual at order
+    5*SERIES_ROWS+11.  The eta quotient pre = q^v + O(q^(v+1)) is 1 (v = 0)
+    or the multiplier (v = 1), so row 0 is {0: 1} or, by the keystone,
+    {1: 5}.  No later row has a constant term: its window starts at G^1,
+    and reduce_to_hauptmodul refuses a nonzero q^0 coefficient below it."""
     v = pre.prefactor_exponent
-    order = 5 * imax + 11 if jmax is None else jmax + 4
+    order = 5 * SERIES_ROWS + 11
     t = 5 * order + 1
     g = hauptmodul(t)
     cur = eta_quotient(pre, t)
-    rows = {}
-    for i in range(1, imax + 1):
-        cur = cur * g
-        if jmax is not None and i + v > 5 * jmax:
-            rows[i] = MappingProxyType({})
-            continue
-        rows[i] = reduce_to_hauptmodul(
-            apply_U(5, cur).truncate(order), 1,
-            5 * i + v if jmax is None else jmax,
-            exact=jmax is None)
-    return MappingProxyType(rows)
+    rows = []
+    for i in range(SERIES_ROWS + 1):
+        if i:
+            cur = cur * g
+        rows.append(reduce_to_hauptmodul(apply_U(5, cur).truncate(order),
+                                         min(i, 1), 5 * i + v))
+    return tuple(rows)
+
+
+def _poly_sum(pairs, jmax: int) -> dict[int, int]:
+    """sum of x * y over the pairs (x, y) of polynomials {j: c}, each with
+    j >= 0 in increasing order, cut at G^jmax; nonzero, in increasing j."""
+    out = [0] * (jmax + 1)
+    for x, y in pairs:
+        for a, s in x.items():
+            for b, r in y.items():
+                if a + b > jmax:
+                    break
+                out[a + b] += s * r
+    return {j: c for j, c in enumerate(out) if c}
+
+
+@lru_cache(maxsize=None)
+def hauptmodul_sigma_polys() -> tuple[Mapping[int, int], ...]:
+    """Elementary symmetric polynomials sigma_1..sigma_5 (in G) of the five
+    values G((tau + lam)/5), the coefficients of their degree-5 modular
+    equation  X^5 - sigma_1 X^4 + sigma_2 X^3 - sigma_3 X^2 + sigma_4 X
+    - sigma_5 = 0.  They come from the power sums p_i = 5 * (G^i | U_5),
+    that is 5 times A's series rows 1..5, by Newton's identities
+
+        k sigma_k = sigma_(k-1) p_1 - sigma_(k-2) p_2 + ... +- p_k,
+
+    where a coefficient not divisible by k raises NonUnitDivisorError.  A
+    sigma_k with a term below G^1 is refused: column windows rest on it.
+    """
+    a_rows = _series_rows(EtaQuotientSpec(()))
+    signed = [{j: 5 * c if i % 2 else -5 * c for j, c in a_rows[i].items()}
+              for i in range(1, 6)]
+    sigmas = [{0: 1}]
+    for k in range(1, 6):
+        total = _poly_sum(((sigmas[k - i], signed[i - 1])
+                           for i in range(1, k + 1)), 5 * k)
+        sigma = {}
+        for j, c in total.items():
+            quot, rem = divmod(c, k)
+            if rem:
+                raise NonUnitDivisorError(
+                    f"sigma_{k}: coefficient {c} of G^{j} not divisible "
+                    f"by {k}")
+            sigma[j] = quot
+        if sigma and min(sigma) < 1:
+            raise LadderConsistencyError(
+                f"sigma_{k} has a term at G^{min(sigma)}, below G^1, so "
+                "column windows would not be exact")
+        sigmas.append(sigma)
+    return tuple(MappingProxyType(s) for s in sigmas[1:])
+
+
+def _modular_step(rows, i: int, jmax: int) -> dict[int, int]:
+    """Row i from rows i-5 .. i-1 by the modular equation, cut at G^jmax:
+    sigma_1 row_(i-1) - sigma_2 row_(i-2) + ... + sigma_5 row_(i-5).  Each
+    sigma starts at G^1, so columns <= jmax read only columns < jmax."""
+    return _poly_sum(
+        ((s if k % 2 else {j: -c for j, c in s.items()}, rows[i - k])
+         for k, s in enumerate(hauptmodul_sigma_polys(), start=1)), jmax)
+
+
+@lru_cache(maxsize=None)
+def _transfer_rows(pre: EtaQuotientSpec, imax: int, jmax: int | None) -> Rows:
+    """Row i, 1 <= i <= imax: (pre * G^i) | U_5 = sum_j c_ij G^j, at full
+    width 5i+v, or cut at a column window jmax.
+
+    Rows up to SERIES_ROWS come from _series_rows; each later row is the
+    modular equation's combination of the five before it (_modular_step),
+    the same for both prefactors since sum_lam pre((tau+lam)/5) X_lam^i
+    obeys the quintic's recurrence in i.  Rows 5..SERIES_ROWS are rebuilt
+    that way from the series rows before them and must match, which checks
+    the sigmas and the recurrence against the series on every call.  A window is exact
+    because no sigma has a term below G^1.
+    """
+    v = pre.prefactor_exponent
+    rows = list(_series_rows(pre))
+    for i in range(5, SERIES_ROWS + 1):
+        got, want = _modular_step(rows, i, 5 * i + v), rows[i]
+        if got != want:
+            j = min(j for j in got.keys() | want.keys()
+                    if got.get(j, 0) != want.get(j, 0))
+            raise LadderConsistencyError(
+                f"prefactor {pre.factors or 1}, row {i}, G^{j}: series "
+                f"gives {want.get(j, 0)}, modular equation gives "
+                f"{got.get(j, 0)}")
+
+    def width(i: int) -> int:
+        return 5 * i + v if jmax is None else min(5 * i + v, jmax)
+
+    rows = [{j: c for j, c in row.items() if j <= width(i)}
+            for i, row in enumerate(rows)]
+    for i in range(len(rows), imax + 1):
+        rows.append(_modular_step(rows, i, width(i)))
+    return MappingProxyType({i: MappingProxyType(rows[i])
+                             for i in range(1, imax + 1)})
 
 
 def u_matrix_rows(imax: int) -> Rows:
-    """A: row i is G^i | U_5, full width 5i (the empty eta quotient is 1)."""
+    """A: row i is G^i | U_5, full width 5i (the empty eta quotient is 1);
+    rows past SERIES_ROWS come from the modular equation of G."""
     return _transfer_rows(EtaQuotientSpec(()), imax, None)
 
 
 def v_matrix_rows(imax: int) -> Rows:
-    """B: row i is (multiplier * G^i) | U_5, full width 5i+1."""
+    """B: row i is (multiplier * G^i) | U_5, full width 5i+1; rows past
+    SERIES_ROWS come from the modular equation of G."""
     return _transfer_rows(LADDER_MULTIPLIER_SPEC, imax, None)
 
 
@@ -352,9 +456,9 @@ def _rungs(alpha_max: int,
 def ladder_vectors(alpha_max: int) -> dict[int, dict[int, int]]:
     """Matrix-route rungs: nu -> {j: l_j(nu)}, exact for j <= JMAX.
 
-    Every step except the last is taken with fully certified matrix rows;
-    the final step reads only columns <= JMAX of B, to which rows beyond
-    5*JMAX provably contribute nothing.
+    Every step except the last is taken with full-width matrix rows; the
+    final step reads only columns <= JMAX of B, to which rows beyond 5*JMAX
+    provably contribute nothing.
     """
     vec = {1: 5}
     vectors = {1: dict(vec)}

@@ -428,6 +428,11 @@ class TestLadderDump:
          "c4061dc1a5fca2aaf40dfd6a6753223e0dd1745681ba89af966b56cffe816c8e"),
         (("ladder", "--alpha-max", "0", "--imax", "2"),
          "079d79ccaa54c1cd51e202083123bdbffe9a5f9864a07ba349683c2363274889"),
+        # rows past 6 come from the modular equation, not from the series
+        (("ladder", "--alpha-max", "1", "--imax", "20"),
+         "c5aaddf2313ffdf67dd542d2c7dff9bbdc93abd7396efa51b549870d705d14d4"),
+        (("--output", "json", "ladder", "--alpha-max", "1", "--imax", "26"),
+         "e1fc282bb2c6ac2fb5cee4b34886da2a6568f13197b54e58a732223ccb484294"),
     ])
     def test_stdout_is_pinned(self, capsys, argv, digest):
         code, out = run_cli(capsys, *argv)

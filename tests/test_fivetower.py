@@ -10,6 +10,7 @@ from crankparity.fivetower import (
     evaluate,
     five_adic,
     hauptmodul,
+    hauptmodul_sigma_polys,
     ladder,
     ladder_multiplier,
     ladder_subsequence_check,
@@ -294,6 +295,101 @@ class TestTransferMatrices:
         for i, row in rows.items():
             for j, c in row.items():
                 assert five_adic(c) >= (5 * j - i - 1) // 6, (i, j, c)
+
+
+def series_route_rows(pre, imax, jmax=None):
+    """(pre * G^i) | U_5 for i = 1..imax, one series product per row: full
+    width certified by a zero residual, or the prefix read to column jmax
+    (empty once the image starts past q^jmax)."""
+    v = pre.prefactor_exponent
+    order = 5 * imax + 11 if jmax is None else jmax + 4
+    t = 5 * order + 1
+    g, cur = hauptmodul(t), eta_quotient(pre, t)
+    rows = {}
+    for i in range(1, imax + 1):
+        if jmax is not None and i + v > 5 * jmax:
+            rows[i] = {}
+            continue
+        cur = cur * g
+        image = apply_U(5, cur).truncate(order)
+        rows[i] = reduce_to_hauptmodul(image, 1, 5 * i + v) if jmax is None \
+            else reduce_to_hauptmodul(image, 1, jmax, exact=False)
+    return rows
+
+
+@pytest.fixture
+def fresh_rows():
+    """Rebuild sigmas and rows around a test that patches the series rows."""
+    caches = (fivetower.hauptmodul_sigma_polys, _transfer_rows)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+def corrupt_series_rows(monkeypatch, pre, i, j, delta):
+    exact = fivetower._series_rows
+
+    def corrupted(spec):
+        rows = list(exact(spec))
+        if spec == pre:
+            rows[i] = dict(rows[i])
+            rows[i][j] = rows[i].get(j, 0) + delta
+        return tuple(rows)
+
+    monkeypatch.setattr(fivetower, "_series_rows", corrupted)
+
+
+class TestModularEquation:
+    def test_sigmas_are_pinned(self):
+        assert [dict(s) for s in hauptmodul_sigma_polys()] == [
+            {1: 55, 2: -300, 3: 875, 4: -1250, 5: 625},
+            {1: 60, 2: -175, 3: 250, 4: -125},
+            {1: 35, 2: -50, 3: 25},
+            {1: 10, 2: -5},
+            {1: 1}]
+
+    @pytest.mark.parametrize("pre", [EtaQuotientSpec(()),
+                                     LADDER_MULTIPLIER_SPEC])
+    def test_full_rows_match_the_series_route(self, pre):
+        assert _transfer_rows(pre, 12, None) == series_route_rows(pre, 12)
+
+    def test_windowed_rows_match_the_series_route(self):
+        assert _transfer_rows(LADDER_MULTIPLIER_SPEC, 130, 11) \
+            == series_route_rows(LADDER_MULTIPLIER_SPEC, 130, 11)
+
+    @pytest.mark.parametrize("pre, i, j, delta, message", [
+        (EtaQuotientSpec(()), 6, 2, 1,
+         "prefactor 1, row 6, G^2: series gives 1522, modular equation "
+         "gives 1521"),
+        (LADDER_MULTIPLIER_SPEC, 6, 2, 1,
+         "prefactor ((1, 3), (2, -2), (50, 2), (25, -3)), row 6, G^2: "
+         "series gives -634, modular equation gives -635"),
+        # row 5 of B is rebuilt from rows 0..4, so it sees row 2
+        (LADDER_MULTIPLIER_SPEC, 2, 1, 1,
+         "prefactor ((1, 3), (2, -2), (50, 2), (25, -3)), row 5, G^2: "
+         "series gives 1640, modular equation gives 1675"),
+    ], ids=["A-row-6", "B-row-6", "B-row-2"])
+    def test_corrupt_series_row_is_refused(self, monkeypatch, fresh_rows,
+                                           pre, i, j, delta, message):
+        corrupt_series_rows(monkeypatch, pre, i, j, delta)
+        with pytest.raises(LadderConsistencyError) as info:
+            _transfer_rows(pre, 8, None)
+        assert str(info.value) == message
+
+    def test_sigma_below_g1_is_refused(self, monkeypatch, fresh_rows):
+        # a constant in A's row 1 gives sigma_1 = 5 A_1 a G^0 term
+        corrupt_series_rows(monkeypatch, EtaQuotientSpec(()), 1, 0, 1)
+        with pytest.raises(LadderConsistencyError,
+                           match=r"^sigma_1 has a term at G\^0, below G\^1"):
+            hauptmodul_sigma_polys()
+
+    def test_inexact_sigma_is_refused(self, monkeypatch, fresh_rows):
+        # sigma_2 = (sigma_1 p_1 - p_2) / 2 with p_2 = 5 A_2 moved by 5
+        corrupt_series_rows(monkeypatch, EtaQuotientSpec(()), 2, 3, 1)
+        with pytest.raises(NonUnitDivisorError, match=r"^sigma_2: "):
+            hauptmodul_sigma_polys()
 
 
 class TestLadder:
