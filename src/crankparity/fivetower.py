@@ -28,6 +28,8 @@ G((tau + lam)/5) are the roots of the degree-5 modular equation
 read off A's rows 1..5 by Newton's identities, so every later row of either
 matrix is sigma_1 row_(i-1) - sigma_2 row_(i-2) + ... + sigma_5 row_(i-5).
 Rows 5 and 6 are rebuilt that way from the series rows and must match.
+The same polynomial routine reads the quintic of the newton quotient phi
+off the G-polynomials phi^mu | U_5, mu = 1..5.
 
 The ladder
 
@@ -88,7 +90,7 @@ NEWTON_QUOTIENT_SPEC = EtaQuotientSpec(((1, 1), (2, -2), (50, 2), (25, -1)))
 # 843,101, whose multiplier build alone runs for minutes: refuse it at once
 COEFFICIENT_CEILING = 2 * 10 ** 5
 JMAX = 11          # ladder rungs are read off and cross-checked on G^1..G^JMAX
-NEWTON_ORDER = 40  # q-order at which the sigma polynomials are read off, checked
+NEWTON_ORDER = 40  # q-order of phi's power sums and of their recurrence check
 
 
 def ladder_multiplier(trunc: int) -> IntLaurentSeries:
@@ -160,17 +162,14 @@ def evaluate(poly: Mapping[int, int], order: int) -> IntLaurentSeries:
     return total
 
 
-def reduce_to_hauptmodul(x: IntLaurentSeries, jmin: int, jmax: int,
-                         exact: bool = True) -> Mapping[int, int]:
+def reduce_to_hauptmodul(x: IntLaurentSeries, jmin: int,
+                         jmax: int) -> Mapping[int, int]:
     """Write x as sum_{jmin <= j <= jmax} c_j G^j by eliminating from the
     lowest exponent upward (G^j = q^j + ..., so the system is triangular);
     returns the read-only {j: c_j} of the nonzero c_j, in increasing j.
-    A term below q^jmin is refused: with jmin = 1, a constant term, and so
-    is a truncation at or below jmax.
-
-    With ``exact`` the residual must vanish identically to x's truncation;
-    otherwise only the prefix up to q^jmax is read, which is still exact for
-    c_jmin .. c_jmax.
+    The residual must vanish identically to x's truncation.  A term below
+    q^jmin is refused: with jmin = 1, a constant term, and so is a
+    truncation at or below jmax.
     """
     val = x.valuation()
     if val is not None and val < jmin:
@@ -179,8 +178,6 @@ def reduce_to_hauptmodul(x: IntLaurentSeries, jmin: int, jmax: int,
     if x.trunc <= jmax:
         raise NotHauptmodulPolynomialError(
             f"truncation {x.trunc} cannot close a degree-{jmax} reduction")
-    if not exact:
-        x = x.truncate(jmax + 1)  # nothing past q^jmax is read
     residual = x
     coeffs = {}
     for j in range(jmin, jmax + 1):
@@ -188,7 +185,7 @@ def reduce_to_hauptmodul(x: IntLaurentSeries, jmin: int, jmax: int,
         if c:
             coeffs[j] = c
             residual = residual - _haupt_power(j, x.trunc) * c
-    if exact and residual.valuation() is not None:
+    if residual.valuation() is not None:
         raise NotHauptmodulPolynomialError(
             f"nonzero residual starting at q^{residual.valuation()}: not a "
             f"hauptmodul polynomial on [{jmin}, {jmax}] (or truncation "
@@ -229,11 +226,13 @@ def _series_rows(pre: EtaQuotientSpec) -> tuple[Mapping[int, int], ...]:
 
 
 def _poly_sum(pairs, jmax: int) -> dict[int, int]:
-    """sum of x * y over the pairs (x, y) of polynomials {j: c}, each with
-    j >= 0 in increasing order, cut at G^jmax; nonzero, in increasing j."""
+    """The alternating sum x_1 y_1 - x_2 y_2 + x_3 y_3 - ... over the pairs
+    (x_k, y_k) of polynomials {j: c}, each with j >= 0 in increasing order,
+    cut at G^jmax; nonzero, in increasing j."""
     out = [0] * (jmax + 1)
-    for x, y in pairs:
+    for k, (x, y) in enumerate(pairs):
         for a, s in x.items():
+            s = -s if k % 2 else s
             for b, r in y.items():
                 if a + b > jmax:
                     break
@@ -241,33 +240,28 @@ def _poly_sum(pairs, jmax: int) -> dict[int, int]:
     return {j: c for j, c in enumerate(out) if c}
 
 
-@lru_cache(maxsize=None)
-def hauptmodul_sigma_polys() -> tuple[Mapping[int, int], ...]:
-    """Elementary symmetric polynomials sigma_1..sigma_5 (in G) of the five
-    values G((tau + lam)/5), the coefficients of their degree-5 modular
-    equation  X^5 - sigma_1 X^4 + sigma_2 X^3 - sigma_3 X^2 + sigma_4 X
-    - sigma_5 = 0.  They come from the power sums p_i = 5 * (G^i | U_5),
-    that is 5 times A's series rows 1..5, by Newton's identities
+def _newton_sigmas(images) -> tuple[Mapping[int, int], ...]:
+    """sigma_1..sigma_5 of the five conjugates X((tau + lam)/5), given the
+    polynomials X^i | U_5 (i = 1..5, {j: c} with j >= 0 in increasing j),
+    by Newton's identities on the power sums p_i = 5 * (X^i | U_5),
 
         k sigma_k = sigma_(k-1) p_1 - sigma_(k-2) p_2 + ... +- p_k,
 
     where a coefficient not divisible by k raises NonUnitDivisorError.  A
     sigma_k with a term below G^1 is refused: column windows rest on it.
     """
-    a_rows = _series_rows(EtaQuotientSpec(()))
-    signed = [{j: 5 * c if i % 2 else -5 * c for j, c in a_rows[i].items()}
-              for i in range(1, 6)]
+    top = max(max(x, default=0) for x in images)  # deg sigma_k <= k * top
     sigmas = [{0: 1}]
     for k in range(1, 6):
-        total = _poly_sum(((sigmas[k - i], signed[i - 1])
-                           for i in range(1, k + 1)), 5 * k)
+        total = _poly_sum(((sigmas[k - i], images[i - 1])
+                           for i in range(1, k + 1)), k * top)
         sigma = {}
         for j, c in total.items():
-            quot, rem = divmod(c, k)
+            quot, rem = divmod(5 * c, k)
             if rem:
                 raise NonUnitDivisorError(
-                    f"sigma_{k}: coefficient {c} of G^{j} not divisible "
-                    f"by {k}")
+                    f"sigma_{k}: coefficient {5 * c} of G^{j} not "
+                    f"divisible by {k}")
             sigma[j] = quot
         if sigma and min(sigma) < 1:
             raise LadderConsistencyError(
@@ -277,13 +271,34 @@ def hauptmodul_sigma_polys() -> tuple[Mapping[int, int], ...]:
     return tuple(MappingProxyType(s) for s in sigmas[1:])
 
 
+@lru_cache(maxsize=None)
+def hauptmodul_sigma_polys() -> tuple[Mapping[int, int], ...]:
+    """Elementary symmetric polynomials sigma_1..sigma_5 (in G) of the five
+    values G((tau + lam)/5), the coefficients of their degree-5 modular
+    equation  X^5 - sigma_1 X^4 + sigma_2 X^3 - sigma_3 X^2 + sigma_4 X
+    - sigma_5 = 0, by _newton_sigmas from A's series rows 1..5, the
+    G^i | U_5."""
+    return _newton_sigmas(_series_rows(EtaQuotientSpec(()))[1:6])
+
+
 def _modular_step(rows, i: int, jmax: int) -> dict[int, int]:
     """Row i from rows i-5 .. i-1 by the modular equation, cut at G^jmax:
     sigma_1 row_(i-1) - sigma_2 row_(i-2) + ... + sigma_5 row_(i-5).  Each
     sigma starts at G^1, so columns <= jmax read only columns < jmax."""
-    return _poly_sum(
-        ((s if k % 2 else {j: -c for j, c in s.items()}, rows[i - k])
-         for k, s in enumerate(hauptmodul_sigma_polys(), start=1)), jmax)
+    return _poly_sum(((s, rows[i - k]) for k, s
+                      in enumerate(hauptmodul_sigma_polys(), start=1)), jmax)
+
+
+def _routes_agree(where: str, series: Mapping[int, int],
+                  other: Mapping[int, int], other_gives: str,
+                  jmax: int) -> None:
+    """Raise LadderConsistencyError at the first G^j, j <= jmax, where a
+    polynomial from the series route differs from another route's."""
+    for j in range(jmax + 1):
+        if series.get(j, 0) != other.get(j, 0):
+            raise LadderConsistencyError(
+                f"{where}, G^{j}: series gives {series.get(j, 0)}, "
+                f"{other_gives} {other.get(j, 0)}")
 
 
 @lru_cache(maxsize=None)
@@ -295,21 +310,16 @@ def _transfer_rows(pre: EtaQuotientSpec, imax: int, jmax: int | None) -> Rows:
     modular equation's combination of the five before it (_modular_step),
     the same for both prefactors since sum_lam pre((tau+lam)/5) X_lam^i
     obeys the quintic's recurrence in i.  Rows 5..SERIES_ROWS are rebuilt
-    that way from the series rows before them and must match, which checks
-    the sigmas and the recurrence against the series on every call.  A window is exact
-    because no sigma has a term below G^1.
+    that way from the series rows before them and must match, which
+    checks the sigmas and the recurrence against the series on every
+    call.  A window is exact because no sigma has a term below G^1.
     """
     v = pre.prefactor_exponent
     rows = list(_series_rows(pre))
     for i in range(5, SERIES_ROWS + 1):
-        got, want = _modular_step(rows, i, 5 * i + v), rows[i]
-        if got != want:
-            j = min(j for j in got.keys() | want.keys()
-                    if got.get(j, 0) != want.get(j, 0))
-            raise LadderConsistencyError(
-                f"prefactor {pre.factors or 1}, row {i}, G^{j}: series "
-                f"gives {want.get(j, 0)}, modular equation gives "
-                f"{got.get(j, 0)}")
+        _routes_agree(f"prefactor {pre.factors or 1}, row {i}", rows[i],
+                      _modular_step(rows, i, 5 * i + v),
+                      "modular equation gives", 5 * i + v)
 
     def width(i: int) -> int:
         return 5 * i + v if jmax is None else min(5 * i + v, jmax)
@@ -352,13 +362,8 @@ def _vec_mat(vec: dict[int, int], rows: Rows) -> dict[int, int]:
 @lru_cache(maxsize=None)
 def newton_sigma_polys() -> tuple[Mapping[int, int], ...]:
     """Elementary symmetric polynomials sigma_1..sigma_5 (in G) of the five
-    functions phi((tau + lam)/5), recovered from the power sums
-    p_mu = 5 * (phi^mu | U_5) via Newton's identities on q-series,
-
-        sigma_k = (sigma_(k-1) p_1 - sigma_(k-2) p_2 + ... +- p_k) / k,
-
-    where a coefficient not divisible by k raises NonUnitDivisorError.  Each
-    sigma_k is then reduced exactly to a polynomial of degree <= 3k in G.
+    functions phi((tau + lam)/5), by _newton_sigmas from phi^mu | U_5 for
+    mu = 1..5, each reduced exactly to a polynomial of degree <= 3 mu in G.
 
     Validated by checking that the degree-5 recurrence they define,
 
@@ -367,16 +372,9 @@ def newton_sigma_polys() -> tuple[Mapping[int, int], ...]:
 
     reproduces directly computed series at mu = 5, 6, 7, -5 and -6.
     """
-    power_sums = [newton_power_u5(mu, NEWTON_ORDER) * 5 for mu in range(1, 6)]
-    elementary = [IntLaurentSeries.one(NEWTON_ORDER)]
-    for k in range(1, 6):
-        acc = IntLaurentSeries.zero(NEWTON_ORDER)
-        for i in range(1, k + 1):
-            term = elementary[k - i] * power_sums[i - 1]
-            acc = acc + term if i % 2 else acc - term
-        elementary.append(acc / k)
-    sigmas = tuple(reduce_to_hauptmodul(e, 0, 3 * k)
-                   for k, e in enumerate(elementary[1:], start=1))
+    sigmas = _newton_sigmas([
+        reduce_to_hauptmodul(newton_power_u5(mu, NEWTON_ORDER), 0, 3 * mu)
+        for mu in range(1, 6)])
 
     for mu in (5, 6, 7, -5, -6):
         lhs = newton_power_u5(mu, NEWTON_ORDER)
@@ -429,13 +427,8 @@ def ladder(alpha_max: int) -> Mapping[int, Mapping[int, int]]:
     vectors = ladder_vectors(alpha_max)
     rungs = {0: MappingProxyType({0: 1})}
     for nu, rung in _rungs(alpha_max, f_trunc):
-        got = reduce_to_hauptmodul(rung, 1, JMAX, exact=False)
-        want = vectors[nu]
-        for j in range(1, JMAX + 1):
-            if got.get(j, 0) != want.get(j, 0):
-                raise LadderConsistencyError(
-                    f"rung {nu}, G^{j}: series gives {got.get(j, 0)}, "
-                    f"matrices give {want.get(j, 0)}")
+        got = reduce_to_hauptmodul(rung.truncate(JMAX + 1), 1, JMAX)
+        _routes_agree(f"rung {nu}", got, vectors[nu], "matrices give", JMAX)
         rungs[nu] = got
     return MappingProxyType(rungs)
 

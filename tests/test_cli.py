@@ -452,6 +452,25 @@ class TestLadderDump:
 
 
 class TestDumpSeries:
+    @pytest.mark.parametrize("name, digest", [
+        ("crank",
+         "3193b77e1cb6f7d276326552bd47cebdec8a2f723a128bf4ab030adf95b52bf8"),
+        ("rank",
+         "c240ea8ef621bc9cdb5ae2600ab2dcbcef619cd64a89810758deb4ec5e8424f5"),
+        ("partition",
+         "e679577c97b2d72c891d2e9625e074025d8e96211451d582135ba5e0961752a9"),
+        ("hauptmodul",
+         "f3a8fd9f9ed940a51cf7757d902d6c01566a947bc1cb3dff8d4532093676f3a5"),
+        ("multiplier",
+         "fbfeec30702fc09c8b8908755a721b434e724900c513d36a80f4af153f9166b1"),
+        ("newton",
+         "d789712a758d2dd34e0d6ec45e8b2c458d68b25a6ba509d5cf539e0c25a4da44"),
+    ])
+    def test_stdout_is_pinned(self, capsys, name, digest):
+        code, out = run_cli(capsys, "--terms", "40", "dump-series", name)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_crank_dump(self, capsys):
         code, out = run_cli(capsys, "--terms", "12", "dump-series", "crank")
         assert code == 0

@@ -83,29 +83,20 @@ class TestReduce:
         with pytest.raises(NotHauptmodulPolynomialError):
             reduce_to_hauptmodul(newton_power_u5(-2, 40), 0, 3)
 
-    @pytest.mark.parametrize("exact", [True, False])
-    def test_window_from_one_refuses_a_constant_term(self, exact):
+    def test_window_from_one_refuses_a_constant_term(self):
         # G^j = q^j + ... for j >= 1, so a constant term is a q^0 term
         t = 40
         x = IntLaurentSeries.one(t) + hauptmodul(t)
         with pytest.raises(NotHauptmodulPolynomialError,
                            match="exponent 0 below the window start 1"):
-            reduce_to_hauptmodul(x, 1, 3, exact=exact)
+            reduce_to_hauptmodul(x, 1, 3)
 
-    @pytest.mark.parametrize("exact", [True, False])
-    def test_short_truncation_is_refused(self, exact):
+    def test_short_truncation_is_refused(self):
         # G^11 is read at q^11, so a series cut at q^11 cannot give c_11
         x = ladder_multiplier(11)
         with pytest.raises(NotHauptmodulPolynomialError,
                            match="truncation 11 cannot close"):
-            reduce_to_hauptmodul(x, 0, 11, exact=exact)
-
-    def test_inexact_reduction_reads_only_the_prefix(self):
-        x = ladder_multiplier(2000)
-        for jmax in (1, 11, 40):
-            short = x.truncate(jmax + 1)
-            assert reduce_to_hauptmodul(x, 0, jmax, exact=False) \
-                == reduce_to_hauptmodul(short, 0, jmax, exact=False)
+            reduce_to_hauptmodul(x, 0, 11)
 
     def test_evaluate_roundtrip(self):
         poly = {-1: 2, 0: -1, 3: 7}
@@ -165,6 +156,25 @@ class TestNewtonQuotientPowers:
         assert poly == want
 
 
+def perturb_power(monkeypatch, mu, extra):
+    """Add extra(order) to phi^mu | U_5 wherever the tower builds it."""
+    exact = fivetower.newton_power_u5
+
+    def perturbed(m, order):
+        x = exact(m, order)
+        return x + extra(order) if m == mu else x
+
+    monkeypatch.setattr(fivetower, "newton_power_u5", perturbed)
+
+
+@pytest.fixture
+def fresh_sigmas():
+    """Rebuild phi's sigmas around a test that perturbs its power sums."""
+    newton_sigma_polys.cache_clear()
+    yield
+    newton_sigma_polys.cache_clear()
+
+
 class TestNewtonSigmas:
     def test_integral_and_validated(self):
         # newton_sigma_polys raises if the degree-5 recurrence fails to
@@ -178,51 +188,38 @@ class TestNewtonSigmas:
             {1: 5, 2: -25, 3: 25}, {2: -15, 3: 25}, {2: -5, 3: 15},
             {3: 5}, {3: 1}]
 
-    @pytest.mark.parametrize("mu, error", [
-        (2, NonUnitDivisorError),  # sigma_2 = (sigma_1 p_1 - p_2) / 2
-        (7, AssertionError),       # read only by the recurrence check
-    ])
-    def test_perturbed_power_sum_is_caught(self, monkeypatch, mu, error):
-        # 5 q^5 added to p_mu: odd in sigma_2's numerator, and off the
-        # recurrence at mu = 7
-        exact = fivetower.newton_power_u5
+    @pytest.mark.parametrize("mu, extra, error, match", [
+        # G^5 = q^5 + ... is a polynomial in G, so p_2 moves by 5 G^5, odd
+        # in sigma_2 = (sigma_1 p_1 - p_2) / 2
+        (2, lambda order: _haupt_power(5, order), NonUnitDivisorError,
+         r"^sigma_2: "),
+        # p_7 is read only by the recurrence check, as its direct side
+        (7, lambda order: _haupt_power(5, order), AssertionError,
+         r"^Newton recurrence failed to reproduce phi\^7\|U_5: first at "
+         r"q\^5: direct 267, recurrence 266$"),
+        # q^5 is no polynomial in G: phi^2|U_5 + q^5 leaves a residual
+        (2, lambda order: IntLaurentSeries.monomial(5, 1, order),
+         NotHauptmodulPolynomialError, "nonzero residual"),
+        # a constant in phi|U_5 gives sigma_1 = p_1 a G^0 term
+        (1, IntLaurentSeries.one, LadderConsistencyError,
+         r"^sigma_1 has a term at G\^0, below G\^1"),
+    ], ids=["2-NonUnitDivisorError", "7-AssertionError",
+            "2-NotHauptmodulPolynomialError", "1-LadderConsistencyError"])
+    def test_perturbed_power_sum_is_caught(self, monkeypatch, fresh_sigmas,
+                                           mu, extra, error, match):
+        perturb_power(monkeypatch, mu, extra)
+        with pytest.raises(error, match=match):
+            newton_sigma_polys()
 
-        def perturbed(m, order):
-            x = exact(m, order)
-            return x + IntLaurentSeries.monomial(5, 1, order) if m == mu \
-                else x
-
-        monkeypatch.setattr(fivetower, "newton_power_u5", perturbed)
-        newton_sigma_polys.cache_clear()
-        try:
-            with pytest.raises(error) as info:
-                newton_sigma_polys()
-        finally:
-            newton_sigma_polys.cache_clear()
-        if mu == 7:
-            # the perturbed p_7 is the recurrence's direct side
-            assert str(info.value) == (
-                "Newton recurrence failed to reproduce phi^7|U_5: first at "
-                "q^5: direct 267, recurrence 266")
-
-    def test_recurrence_is_compared_to_newton_order(self, monkeypatch):
+    def test_recurrence_is_compared_to_newton_order(self, monkeypatch,
+                                                    fresh_sigmas):
         # phi^-5|U_5 starts at q^-3, so its recurrence side reaches only
         # q^34 unless sigma is widened: a wrong q^36 must still be caught
-        exact = fivetower.newton_power_u5
-
-        def perturbed(m, order):
-            x = exact(m, order)
-            return x + IntLaurentSeries.monomial(36, 1, order) if m == -5 \
-                else x
-
-        monkeypatch.setattr(fivetower, "newton_power_u5", perturbed)
-        newton_sigma_polys.cache_clear()
-        try:
-            with pytest.raises(AssertionError, match=r"phi\^-5\|U_5: first "
-                                                     r"at q\^36"):
-                newton_sigma_polys()
-        finally:
-            newton_sigma_polys.cache_clear()
+        perturb_power(monkeypatch, -5,
+                      lambda order: IntLaurentSeries.monomial(36, 1, order))
+        with pytest.raises(AssertionError, match=r"phi\^-5\|U_5: first "
+                                                 r"at q\^36"):
+            newton_sigma_polys()
 
     def test_recurrence_reproduces_explicitly(self):
         sigmas = newton_sigma_polys()
@@ -299,8 +296,8 @@ class TestTransferMatrices:
 
 def series_route_rows(pre, imax, jmax=None):
     """(pre * G^i) | U_5 for i = 1..imax, one series product per row: full
-    width certified by a zero residual, or the prefix read to column jmax
-    (empty once the image starts past q^jmax)."""
+    width certified by a zero residual, or the prefix cut after q^jmax and
+    read to column jmax (empty once the image starts past q^jmax)."""
     v = pre.prefactor_exponent
     order = 5 * imax + 11 if jmax is None else jmax + 4
     t = 5 * order + 1
@@ -313,7 +310,7 @@ def series_route_rows(pre, imax, jmax=None):
         cur = cur * g
         image = apply_U(5, cur).truncate(order)
         rows[i] = reduce_to_hauptmodul(image, 1, 5 * i + v) if jmax is None \
-            else reduce_to_hauptmodul(image, 1, jmax, exact=False)
+            else reduce_to_hauptmodul(image.truncate(jmax + 1), 1, jmax)
     return rows
 
 
