@@ -28,8 +28,6 @@ G((tau + lam)/5) are the roots of the degree-5 modular equation
 read off A's rows 1..5 by Newton's identities, so every later row of either
 matrix is sigma_1 row_(i-1) - sigma_2 row_(i-2) + ... + sigma_5 row_(i-5).
 Rows 5 and 6 are rebuilt that way from the series rows and must match.
-The same polynomial routine reads the quintic of the newton quotient phi
-off the G-polynomials phi^mu | U_5, mu = 1..5.
 
 The ladder
 
@@ -90,7 +88,6 @@ NEWTON_QUOTIENT_SPEC = EtaQuotientSpec(((1, 1), (2, -2), (50, 2), (25, -1)))
 # 843,101, whose multiplier build alone runs for minutes: refuse it at once
 COEFFICIENT_CEILING = 2 * 10 ** 5
 JMAX = 11          # ladder rungs are read off and cross-checked on G^1..G^JMAX
-NEWTON_ORDER = 40  # q-order of phi's power sums and of their recurrence check
 
 
 def ladder_multiplier(trunc: int) -> IntLaurentSeries:
@@ -106,8 +103,8 @@ def hauptmodul(trunc: int) -> IntLaurentSeries:
 
 
 def newton_quotient(trunc: int) -> IntLaurentSeries:
-    """The auxiliary quotient phi whose powers feed Newton's identities;
-    q^3 + O(q^4)."""
+    """The auxiliary quotient phi, whose powers phi^mu | U_5 have closed
+    forms in G; q^3 + O(q^4)."""
     return memo("newton_quotient", trunc,
                 lambda t: eta_quotient(NEWTON_QUOTIENT_SPEC, t))
 
@@ -240,16 +237,20 @@ def _poly_sum(pairs, jmax: int) -> dict[int, int]:
     return {j: c for j, c in enumerate(out) if c}
 
 
-def _newton_sigmas(images) -> tuple[Mapping[int, int], ...]:
-    """sigma_1..sigma_5 of the five conjugates X((tau + lam)/5), given the
-    polynomials X^i | U_5 (i = 1..5, {j: c} with j >= 0 in increasing j),
-    by Newton's identities on the power sums p_i = 5 * (X^i | U_5),
+@lru_cache(maxsize=None)
+def hauptmodul_sigma_polys() -> tuple[Mapping[int, int], ...]:
+    """Elementary symmetric polynomials sigma_1..sigma_5 (in G) of the five
+    values G((tau + lam)/5), the coefficients of their degree-5 modular
+    equation  X^5 - sigma_1 X^4 + sigma_2 X^3 - sigma_3 X^2 + sigma_4 X
+    - sigma_5 = 0, by Newton's identities on the power sums p_i = 5 A_i
+    from A's series rows 1..5, the G^i | U_5:
 
         k sigma_k = sigma_(k-1) p_1 - sigma_(k-2) p_2 + ... +- p_k,
 
     where a coefficient not divisible by k raises NonUnitDivisorError.  A
     sigma_k with a term below G^1 is refused: column windows rest on it.
     """
+    images = _series_rows(EtaQuotientSpec(()))[1:6]
     top = max(max(x, default=0) for x in images)  # deg sigma_k <= k * top
     sigmas = [{0: 1}]
     for k in range(1, 6):
@@ -269,16 +270,6 @@ def _newton_sigmas(images) -> tuple[Mapping[int, int], ...]:
                 "column windows would not be exact")
         sigmas.append(sigma)
     return tuple(MappingProxyType(s) for s in sigmas[1:])
-
-
-@lru_cache(maxsize=None)
-def hauptmodul_sigma_polys() -> tuple[Mapping[int, int], ...]:
-    """Elementary symmetric polynomials sigma_1..sigma_5 (in G) of the five
-    values G((tau + lam)/5), the coefficients of their degree-5 modular
-    equation  X^5 - sigma_1 X^4 + sigma_2 X^3 - sigma_3 X^2 + sigma_4 X
-    - sigma_5 = 0, by _newton_sigmas from A's series rows 1..5, the
-    G^i | U_5."""
-    return _newton_sigmas(_series_rows(EtaQuotientSpec(()))[1:6])
 
 
 def _modular_step(rows, i: int, jmax: int) -> dict[int, int]:
@@ -353,44 +344,6 @@ def _vec_mat(vec: dict[int, int], rows: Rows) -> dict[int, int]:
         for j, rij in row.items():
             out[j] = out.get(j, 0) + vi * rij
     return {j: c for j, c in out.items() if c}
-
-
-# ---------------------------------------------------------------------------
-# Newton's identities for the quotient phi
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def newton_sigma_polys() -> tuple[Mapping[int, int], ...]:
-    """Elementary symmetric polynomials sigma_1..sigma_5 (in G) of the five
-    functions phi((tau + lam)/5), by _newton_sigmas from phi^mu | U_5 for
-    mu = 1..5, each reduced exactly to a polynomial of degree <= 3 mu in G.
-
-    Validated by checking that the degree-5 recurrence they define,
-
-        phi^mu|U_5 = sigma_1 phi^(mu-1)|U_5 - sigma_2 phi^(mu-2)|U_5 + ...
-                     + sigma_5 phi^(mu-5)|U_5,
-
-    reproduces directly computed series at mu = 5, 6, 7, -5 and -6.
-    """
-    sigmas = _newton_sigmas([
-        reduce_to_hauptmodul(newton_power_u5(mu, NEWTON_ORDER), 0, 3 * mu)
-        for mu in range(1, 6)])
-
-    for mu in (5, 6, 7, -5, -6):
-        lhs = newton_power_u5(mu, NEWTON_ORDER)
-        rhs = IntLaurentSeries.zero(NEWTON_ORDER)
-        for i, sigma in enumerate(sigmas, start=1):
-            # phi^(mu-i)|U_5 may start below q^0: widen sigma to match
-            power = newton_power_u5(mu - i, NEWTON_ORDER)
-            term = evaluate(sigma, NEWTON_ORDER - power.offset) * power
-            rhs = rhs + (term if i % 2 else -term)
-        bad = lhs.first_mismatch(rhs, NEWTON_ORDER)
-        if bad is not None:
-            e, direct, recurrence = bad
-            raise AssertionError(
-                f"Newton recurrence failed to reproduce phi^{mu}|U_5: first "
-                f"at q^{e}: direct {direct}, recurrence {recurrence}")
-    return sigmas
 
 
 # ---------------------------------------------------------------------------

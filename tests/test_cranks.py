@@ -188,12 +188,13 @@ class TestCrankParitySeries:
 
     def test_routes_share_no_kernel(self, monkeypatch, fresh_memo):
         # G by the lattice and one pentagonal division, L by slice passes,
-        # the check by its own slice passes: no binomial pass and no dense
-        # product is reached
+        # the check by its own slice passes: no binomial pass, no dense
+        # product and none of Jacobi's cube terms, which the multiplier
+        # that Claim L compares with G is built from, is reached
         def unreachable(*args):
-            raise AssertionError("dense or binomial kernel reached")
+            raise AssertionError("dense, binomial or cube kernel reached")
 
-        for kernel in ("_apply_binomial", "_conv"):
+        for kernel in ("_apply_binomial", "_conv", "_cube_terms"):
             monkeypatch.setattr(series, kernel, unreachable)
 
         # each side's functions run only inside that side

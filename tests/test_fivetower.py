@@ -1,6 +1,6 @@
 import pytest
 
-from crankparity import fivetower
+from crankparity import fivetower, series
 from crankparity.fivetower import (
     LADDER_MULTIPLIER_SPEC,
     NEWTON_QUOTIENT_SPEC,
@@ -17,7 +17,6 @@ from crankparity.fivetower import (
     ladder_vectors,
     newton_power_u5,
     newton_quotient,
-    newton_sigma_polys,
     reduce_to_hauptmodul,
     required_multiplier_trunc,
     u_matrix_rows,
@@ -154,82 +153,6 @@ class TestNewtonQuotientPowers:
                         * eta_quotient(NEWTON_QUOTIENT_SPEC ** -mu, t))
         poly = reduce_to_hauptmodul(image, -(3 * mu // 5) - 2, 1)
         assert poly == want
-
-
-def perturb_power(monkeypatch, mu, extra):
-    """Add extra(order) to phi^mu | U_5 wherever the tower builds it."""
-    exact = fivetower.newton_power_u5
-
-    def perturbed(m, order):
-        x = exact(m, order)
-        return x + extra(order) if m == mu else x
-
-    monkeypatch.setattr(fivetower, "newton_power_u5", perturbed)
-
-
-@pytest.fixture
-def fresh_sigmas():
-    """Rebuild phi's sigmas around a test that perturbs its power sums."""
-    newton_sigma_polys.cache_clear()
-    yield
-    newton_sigma_polys.cache_clear()
-
-
-class TestNewtonSigmas:
-    def test_integral_and_validated(self):
-        # newton_sigma_polys raises if the degree-5 recurrence fails to
-        # reproduce phi^mu|U_5 at mu = 5, 6, 7, -5, -6
-        sigmas = newton_sigma_polys()
-        assert len(sigmas) == 5
-        for k, sigma in enumerate(sigmas, start=1):
-            assert all(isinstance(c, int) for c in sigma.values())
-            assert max(sigma) <= 3 * k
-        assert list(sigmas) == [
-            {1: 5, 2: -25, 3: 25}, {2: -15, 3: 25}, {2: -5, 3: 15},
-            {3: 5}, {3: 1}]
-
-    @pytest.mark.parametrize("mu, extra, error, match", [
-        # G^5 = q^5 + ... is a polynomial in G, so p_2 moves by 5 G^5, odd
-        # in sigma_2 = (sigma_1 p_1 - p_2) / 2
-        (2, lambda order: _haupt_power(5, order), NonUnitDivisorError,
-         r"^sigma_2: "),
-        # p_7 is read only by the recurrence check, as its direct side
-        (7, lambda order: _haupt_power(5, order), AssertionError,
-         r"^Newton recurrence failed to reproduce phi\^7\|U_5: first at "
-         r"q\^5: direct 267, recurrence 266$"),
-        # q^5 is no polynomial in G: phi^2|U_5 + q^5 leaves a residual
-        (2, lambda order: IntLaurentSeries.monomial(5, 1, order),
-         NotHauptmodulPolynomialError, "nonzero residual"),
-        # a constant in phi|U_5 gives sigma_1 = p_1 a G^0 term
-        (1, IntLaurentSeries.one, LadderConsistencyError,
-         r"^sigma_1 has a term at G\^0, below G\^1"),
-    ], ids=["2-NonUnitDivisorError", "7-AssertionError",
-            "2-NotHauptmodulPolynomialError", "1-LadderConsistencyError"])
-    def test_perturbed_power_sum_is_caught(self, monkeypatch, fresh_sigmas,
-                                           mu, extra, error, match):
-        perturb_power(monkeypatch, mu, extra)
-        with pytest.raises(error, match=match):
-            newton_sigma_polys()
-
-    def test_recurrence_is_compared_to_newton_order(self, monkeypatch,
-                                                    fresh_sigmas):
-        # phi^-5|U_5 starts at q^-3, so its recurrence side reaches only
-        # q^34 unless sigma is widened: a wrong q^36 must still be caught
-        perturb_power(monkeypatch, -5,
-                      lambda order: IntLaurentSeries.monomial(36, 1, order))
-        with pytest.raises(AssertionError, match=r"phi\^-5\|U_5: first "
-                                                 r"at q\^36"):
-            newton_sigma_polys()
-
-    def test_recurrence_reproduces_explicitly(self):
-        sigmas = newton_sigma_polys()
-        order = 30
-        lhs = newton_power_u5(5, order)
-        rhs = IntLaurentSeries.zero(order)
-        for i, sigma in enumerate(sigmas, start=1):
-            term = evaluate(sigma, order) * newton_power_u5(5 - i, order)
-            rhs = rhs + (term if i % 2 else -term)
-        assert lhs.first_mismatch(rhs, min(lhs.trunc, rhs.trunc)) is None
 
 
 class TestTransferMatrices:
@@ -488,6 +411,39 @@ class TestLadderSubsequence:
                             lambda alpha, terms: exact(alpha, terms) - short)
         with pytest.raises(TruncationError, match="equality to order 40"):
             ladder_subsequence_check(0, 40)
+
+
+@pytest.fixture
+def fresh_tower(monkeypatch):
+    """Rebuild every eta quotient, power of G, row and rung in the test."""
+    monkeypatch.delenv("CRANK_PARITY_CACHE_DIR", raising=False)
+    monkeypatch.setattr(series, "_memo", {})
+    monkeypatch.setattr(fivetower, "_haupt_table", {})
+    caches = (fivetower._series_rows, fivetower.hauptmodul_sigma_polys,
+              _transfer_rows, ladder)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+class TestJacobiCorruption:
+    # the multiplier (1, 3), (25, -3) and G's (2, -4), (10, 4) each take a
+    # pass over Jacobi's cube terms; a sign flipped in one term must be
+    # caught by Claim L, whose crank side takes none, and by the ladder
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_flipped_sign_is_caught(self, monkeypatch, fresh_tower, n):
+        exact = series._cube_terms
+
+        def flipped(d, trunc):
+            for k, (e, c) in enumerate(exact(d, trunc), start=1):
+                yield e, -c if k == n else c
+
+        monkeypatch.setattr(series, "_cube_terms", flipped)
+        assert ladder_subsequence_check(0, 40) is not None
+        with pytest.raises(NotHauptmodulPolynomialError):
+            ladder(1)
 
 
 class TestFiveAdic:

@@ -11,6 +11,7 @@ from crankparity.fivetower import (
     LADDER_MULTIPLIER_SPEC,
     NEWTON_QUOTIENT_SPEC,
 )
+from crankparity import series
 from crankparity.series import (
     EtaQuotientSpec,
     FractionalExponentError,
@@ -18,6 +19,8 @@ from crankparity.series import (
     NonUnitDivisorError,
     TruncationError,
     _conv,
+    _cube_terms,
+    _pentagonal_terms,
     apply_U,
     dump_series,
     eta_quotient,
@@ -417,18 +420,68 @@ def _dense_quotient(factors, trunc):
     return x
 
 
+class TestSparseTerms:
+    @pytest.mark.parametrize("d", [1, 2, 5, 10, 25, 50])
+    @pytest.mark.parametrize("n", ["1", "d", "d+1", "2000"])
+    def test_jacobi_terms_match_dense_cubes(self, d, n):
+        # Jacobi's identity against a cube of Euler's pentagonal series and
+        # of the binomial product, both by dense products
+        trunc = {"1": 1, "d": d, "d+1": d + 1, "2000": 2000}[n]
+        jacobi = IntLaurentSeries.from_terms(
+            [(0, 1), *_cube_terms(d, trunc)], trunc)
+        for cube in (pentagonal_product(d, trunc) ** 3,
+                     euler_factor(d, d, trunc) ** 3):
+            assert cube.trunc == trunc
+            assert jacobi.first_mismatch(cube, trunc) is None
+
+    @pytest.mark.parametrize("terms", [_pentagonal_terms, _cube_terms])
+    @pytest.mark.parametrize("d", [1, 2, 5, 10, 25, 50])
+    def test_exponents_strictly_increase(self, terms, d):
+        # the division's segments run from one exponent to the next
+        exps = [e for e, _ in terms(d, 2000)]
+        assert exps and 0 < exps[0]
+        assert all(a < b for a, b in zip(exps, exps[1:]))
+        assert exps[-1] < 2000
+
+    @pytest.mark.parametrize("r", range(-7, 8))
+    def test_pass_counts(self, monkeypatch, r):
+        # |r| // 3 passes over Jacobi's terms, then |r| % 3 over Euler's;
+        # the first term tells them apart: -3 q^d against -q^d
+        passes = []
+        real = series._apply_sparse
+
+        def counted(x, terms, sign):
+            passes.append(("cube" if terms[0] == (2, -3) else "pentagonal",
+                           sign))
+            real(x, terms, sign)
+
+        monkeypatch.setattr(series, "_apply_sparse", counted)
+        series._apply_pentagonal([1] + [0] * 99, 2, r)
+        sign = 1 if r > 0 else -1
+        assert passes == ([("cube", sign)] * (abs(r) // 3)
+                          + [("pentagonal", sign)] * (abs(r) % 3))
+
+
 class TestPentagonalQuotient:
     # the reference multiplies dense lists with _conv and inverts with
-    # Newton's iteration on it; the quotient never calls _conv
+    # Newton's iteration on it; the quotient never calls _conv.  Exponents
+    # up to 7 draw every split into cube and pentagonal passes.
     @settings(max_examples=120, deadline=None)
     @given(trunc=st.integers(1, 400),
            factors=st.lists(st.tuples(st.integers(1, 60),
-                                      st.integers(-3, 3)), max_size=4))
+                                      st.integers(-7, 7)), max_size=4))
     def test_matches_dense_products(self, trunc, factors):
         got = pentagonal_quotient(factors, trunc)
         want = _dense_quotient(factors, trunc)
         assert got.trunc == want.trunc == trunc
         assert got.first_mismatch(want, trunc) is None
+
+    def test_newton_quotient_seventh_power(self):
+        # phi^7's factors (2, -14) and (50, 14): four cube passes and two
+        # pentagonal ones each
+        factors = ((2, -14), (50, 14))
+        got = pentagonal_quotient(factors, 400)
+        assert got.first_mismatch(_dense_quotient(factors, 400), 400) is None
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(TruncationError):
