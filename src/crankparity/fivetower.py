@@ -33,25 +33,27 @@ The ladder
 
     L_0 = 1,   L_{2a+1} = (multiplier * L_{2a}) | U_5,   L_{2a+2} = L_{2a+1} | U_5
 
-is ``ladder``'s one read-only rung map {nu: {j: c_j}}: each rung comes from
-the series recursion, is read off on G^1..G^JMAX, and must match the vector
-forms (5,0,0,...) (AB)^a  /  (5,0,0,...) (AB)^a A on every one of those j
-before it is stored.  The 5-adic valuations of the matrix entries and ladder
-entries are what the congruence family rests on, and are exported for
-direct verification.
-``ladder_subsequence_check`` compares a rung with the crank-parity
-subsequence it encodes (Claim L) and returns None, or ``(exponent, lhs,
-rhs)`` at the first disagreement.
+is ``ladder``'s one read-only rung map {nu: {j: c_j}}, j <= JMAX: each rung
+is the vector form  (5,0,0,...) (AB)^a  /  (5,0,0,...) (AB)^a A  of
+``ladder_vectors``, and must match, on every G^1..G^JMAX, the crank side of
+Claim L, R_nu = P_d * sum_{n>=1} c(5^nu n - delta) q^n read off in G, before
+it is stored.  The crank-parity coefficients c take no part in the matrix
+route, so every rung is checked against a series that route does not use.
+The 5-adic valuations of the matrix entries and ladder entries are what the
+congruence family rests on, and are exported for direct verification.
+``ladder_subsequence_check`` compares the top rung with R_(2a+1) below
+q^terms and returns None, or ``(exponent, lhs, rhs)`` at the first
+disagreement.
 
-Truncations are budgeted backward from the requested ladder depth and
-refuse to start if the multiplier series would exceed a coefficient ceiling.
+Each check refuses to start if its crank-parity series would exceed a
+coefficient ceiling.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from . import cranks
 from .series import (
@@ -72,8 +74,9 @@ class NotHauptmodulPolynomialError(ArithmeticError):
 
 
 class LadderConsistencyError(AssertionError):
-    """Two routes to the same ladder data disagree: the series recursion
-    and the matrix product, or a series row and the modular equation."""
+    """Two routes to the same ladder data disagree: the crank side of
+    Claim L and the matrix product, or a series row and the modular
+    equation."""
 
 
 class BudgetExceededError(RuntimeError):
@@ -84,8 +87,8 @@ LADDER_MULTIPLIER_SPEC = EtaQuotientSpec(((1, 3), (2, -2), (50, 2), (25, -3)))
 HAUPTMODUL_SPEC = EtaQuotientSpec(((1, 2), (2, -4), (10, 4), (5, -2)))
 NEWTON_QUOTIENT_SPEC = EtaQuotientSpec(((1, 1), (2, -2), (50, 2), (25, -1)))
 
-# alpha = 2 needs 121,226 coefficients (claimL at 40 terms), alpha = 3 needs
-# 843,101, whose multiplier build alone runs for minutes: refuse it at once
+# crank-parity coefficients: alpha = 2 needs 121,226 (claimL at 40 terms),
+# the ladder at alpha = 3 needs 843,100, a build of minutes: refuse it at once
 COEFFICIENT_CEILING = 2 * 10 ** 5
 JMAX = 11          # ladder rungs are read off and cross-checked on G^1..G^JMAX
 
@@ -350,61 +353,57 @@ def _vec_mat(vec: dict[int, int], rows: Rows) -> dict[int, int]:
 # the ladder
 # ---------------------------------------------------------------------------
 
-def required_multiplier_trunc(alpha_max: int, top_trunc: int) -> int:
-    """Multiplier truncation needed so L_(2*alpha_max+1) is exact below
-    q^top_trunc, walking the recursion backward."""
-    need = top_trunc
-    f_need = 1
-    for a in range(alpha_max, -1, -1):
-        prod_t = 5 * (need - 1) + 1
-        if a == 0:
-            f_need = max(f_need, prod_t)
-        else:
-            f_need = max(f_need, prod_t - 1)
-            need = 5 * (prod_t - 2) + 1
-    return f_need
+def _crank_side(nu: int, terms: int) -> IntLaurentSeries:
+    """R_nu = P_d * sum_{n>=1} c(5^nu n - delta) q^n below q^terms, where c
+    is the crank-parity coefficient, a = (nu-1)//2, delta = 1 + 5^2 + ...
+    + 5^(2a), and P_d = (q^2d;q^2d)^2/(q^d;q^d)^3 with d = 5 for odd nu and
+    d = 1 for even nu (U_5 of the odd identity, P_5 being a series in q^5).
+    A crank series longer than COEFFICIENT_CEILING is refused first."""
+    step = 5 ** nu
+    delta = sum(5 ** (2 * i) for i in range((nu - 1) // 2 + 1))
+    need = step * (terms - 1) - delta + 1
+    if need > COEFFICIENT_CEILING:
+        raise BudgetExceededError(
+            f"Claim L at rung {nu} below q^{terms} needs {need} crank-parity "
+            f"coefficients, above the ceiling {COEFFICIENT_CEILING}")
+    g = cranks.crank_parity_series(need)
+    sub = IntLaurentSeries.from_terms(
+        {n: g.coeff(step * n - delta) for n in range(1, terms)}, terms)
+    d = 5 if nu % 2 else 1
+    # (d, -1), (d, -2) are Euler passes: a cube pass here would share
+    # Jacobi's terms with the multiplier and G on the matrix side
+    return pentagonal_quotient(((2 * d, 2), (d, -1), (d, -2)), terms) * sub
 
 
 @lru_cache(maxsize=None)
 def ladder(alpha_max: int) -> Mapping[int, Mapping[int, int]]:
     """Rungs L_0 .. L_(2*alpha_max+1) as the read-only map {nu: {j: c_j}},
-    L_0 = {0: 1}; every other rung is read off its series on G^1..G^JMAX
-    and compared there with ladder_vectors before it is stored."""
+    L_0 = {0: 1}; every other rung is read off the crank side R_nu on
+    G^1..G^JMAX and compared there with ladder_vectors before it is
+    stored."""
     if alpha_max < 0:
         raise ValueError("alpha_max must be >= 0")
-    f_trunc = required_multiplier_trunc(alpha_max, JMAX + 1)
-    if f_trunc > COEFFICIENT_CEILING:
-        raise BudgetExceededError(
-            f"ladder depth alpha={alpha_max} needs {f_trunc} multiplier "
-            f"coefficients, above the ceiling {COEFFICIENT_CEILING}")
-    vectors = ladder_vectors(alpha_max)
+    # the top rung first: its crank series is the longest, refused or built
+    # once, and the lower rungs read it truncated
+    sides = {nu: _crank_side(nu, JMAX + 1)
+             for nu in range(2 * alpha_max + 1, 0, -1)}
+    vectors = ladder_vectors(alpha_max, JMAX)
     rungs = {0: MappingProxyType({0: 1})}
-    for nu, rung in _rungs(alpha_max, f_trunc):
-        got = reduce_to_hauptmodul(rung.truncate(JMAX + 1), 1, JMAX)
+    for nu in range(1, 2 * alpha_max + 2):
+        got = reduce_to_hauptmodul(sides[nu], 1, JMAX)
         _routes_agree(f"rung {nu}", got, vectors[nu], "matrices give", JMAX)
         rungs[nu] = got
     return MappingProxyType(rungs)
 
 
-def _rungs(alpha_max: int,
-           trunc: int) -> Iterator[tuple[int, IntLaurentSeries]]:
-    """(nu, L_nu) for nu = 1 .. 2*alpha_max+1, from the multiplier at
-    trunc: L_1 = U_5(multiplier), L_(nu+1) = U_5(L_nu) after an odd rung
-    and U_5(multiplier * L_nu) after an even one."""
-    mult = cur = ladder_multiplier(trunc)
-    for nu in range(1, 2 * alpha_max + 2):
-        cur = apply_U(5, cur)
-        yield nu, cur
-        if nu % 2 == 0:
-            cur = mult * cur
-
-
-def ladder_vectors(alpha_max: int) -> dict[int, dict[int, int]]:
-    """Matrix-route rungs: nu -> {j: l_j(nu)}, exact for j <= JMAX.
+def ladder_vectors(alpha_max: int, jmax: int) -> dict[int, dict[int, int]]:
+    """Matrix-route rungs: nu -> {j: l_j(nu)}, the vector forms
+    (5,0,0,...) (AB)^a  /  (5,0,0,...) (AB)^a A.
 
     Every step except the last is taken with full-width matrix rows; the
-    final step reads only columns <= JMAX of B, to which rows beyond 5*JMAX
-    provably contribute nothing.
+    final step reads only columns <= jmax of B, to which rows beyond
+    5*jmax provably contribute nothing, so the top rung is exact on
+    G^1..G^jmax and every other rung in full.
     """
     vec = {1: 5}
     vectors = {1: dict(vec)}
@@ -412,7 +411,7 @@ def ladder_vectors(alpha_max: int) -> dict[int, dict[int, int]]:
         vec = _vec_mat(vec, u_matrix_rows(max(vec)))
         vectors[2 * a + 2] = dict(vec)
         if a == alpha_max - 1:
-            b_rows = _transfer_rows(LADDER_MULTIPLIER_SPEC, max(vec), JMAX)
+            b_rows = _transfer_rows(LADDER_MULTIPLIER_SPEC, max(vec), jmax)
         else:
             b_rows = v_matrix_rows(max(vec))
         vec = _vec_mat(vec, b_rows)
@@ -438,23 +437,11 @@ def ladder_subsequence_check(alpha: int,
         L_(2a+1) = (q^10;q^10)^2/(q^5;q^5)^3
                    * sum_{n>=1} c(5^(2a+1) n - 1 - 5^2 - ... - 5^(2a)) q^n
 
-    where c(m) is the crank-parity coefficient."""
+    where c(m) is the crank-parity coefficient: the left side is the matrix
+    rung, cut below G^terms and expanded, the right side _crank_side."""
     if alpha < 0 or terms < 2:
         raise ValueError("need alpha >= 0 and terms >= 2")
-    step = 5 ** (2 * alpha + 1)
-    delta = sum(5 ** (2 * i) for i in range(alpha + 1))
-    g_need = step * (terms - 1) - delta + 1
-    f_need = required_multiplier_trunc(alpha, terms)
-    if max(g_need, f_need) > COEFFICIENT_CEILING:
-        raise BudgetExceededError(
-            f"subsequence check alpha={alpha}, terms={terms} needs "
-            f"{max(g_need, f_need)} coefficients, above ceiling "
-            f"{COEFFICIENT_CEILING}")
-
-    *_, (_, rung) = _rungs(alpha, f_need)
-
-    g = cranks.crank_parity_series(g_need)
-    sub = IntLaurentSeries.from_terms(
-        {n: g.coeff(step * n - delta) for n in range(1, terms)}, terms)
-    rhs = pentagonal_quotient(((10, 2), (5, -3)), terms) * sub
-    return rung.first_mismatch(rhs, terms)
+    nu = 2 * alpha + 1
+    rhs = _crank_side(nu, terms)
+    rung = ladder_vectors(alpha, terms - 1)[nu]
+    return evaluate(rung, terms).first_mismatch(rhs, terms)

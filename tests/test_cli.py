@@ -521,7 +521,8 @@ class TestDumpSeries:
 
     def test_one_file_per_series(self, tmp_path):
         # each series is built once, at its longest truncation, and kept in
-        # <name>.tsv; the hauptmodul's shorter requests write nothing
+        # <name>.tsv; the hauptmodul's shorter requests write nothing, and
+        # the ladder reads the crank series, not the multiplier
         proc = subprocess.run(
             [sys.executable, "-m", "crankparity", "ladder", "--alpha-max",
              "1", "--imax", "20"],
@@ -529,7 +530,7 @@ class TestDumpSeries:
             capture_output=True, timeout=120)
         assert (proc.returncode, proc.stderr) == (0, b"")
         assert sorted(os.listdir(tmp_path)) == [
-            "hauptmodul.tsv", "ladder_multiplier.tsv"]
+            "crank_parity.tsv", "hauptmodul.tsv"]
 
 
 class TestClosedStdout:

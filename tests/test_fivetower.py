@@ -1,6 +1,6 @@
 import pytest
 
-from crankparity import fivetower, series
+from crankparity import cranks, fivetower, series
 from crankparity.fivetower import (
     LADDER_MULTIPLIER_SPEC,
     NEWTON_QUOTIENT_SPEC,
@@ -18,11 +18,10 @@ from crankparity.fivetower import (
     newton_power_u5,
     newton_quotient,
     reduce_to_hauptmodul,
-    required_multiplier_trunc,
     u_matrix_rows,
     v_matrix_rows,
+    _crank_side,
     _haupt_power,
-    _rungs,
     _transfer_rows,
 )
 from crankparity.series import (
@@ -313,14 +312,30 @@ class TestModularEquation:
 
 
 class TestLadder:
-    def test_budget_recursion(self):
-        assert required_multiplier_trunc(2, 12) == 33726
-        assert required_multiplier_trunc(0, 200) == 996
+    @pytest.mark.parametrize("alpha_max, need", [(1, 1350), (2, 33725)])
+    def test_crank_lengths(self, monkeypatch, fresh_tower, alpha_max, need):
+        # one crank build, at the top rung's length 5^(2a+1) 11 - delta_a + 1
+        exact = cranks.crank_parity_series
+        built = []
 
-    def test_budget_guard(self):
-        # alpha = 3 needs 843,101 multiplier terms: refused before any build
-        for alpha_max in (3, 4):
-            with pytest.raises(BudgetExceededError, match="above the ceiling"):
+        def counted(trunc):
+            built.append(trunc)
+            return exact(trunc)
+
+        monkeypatch.setattr(cranks, "crank_parity_series", counted)
+        ladder(alpha_max)
+        assert built[0] == need
+        assert series._memo["crank_parity"].trunc == need
+
+    def test_budget_guard(self, monkeypatch):
+        # alpha = 3 needs 843,100 crank terms: refused before the crank
+        # series or the matrices are built
+        monkeypatch.setattr(cranks, "crank_parity_series", None)
+        monkeypatch.setattr(fivetower, "ladder_vectors", None)
+        for alpha_max, need in ((3, 843100), (4, 21077475)):
+            with pytest.raises(BudgetExceededError,
+                               match=f"needs {need} crank-parity "
+                                     "coefficients, above the ceiling"):
                 ladder(alpha_max)
 
     def test_cached_states_are_frozen(self):
@@ -336,11 +351,11 @@ class TestLadder:
         rungs = ladder(1)
         assert rungs[0] == {0: 1} and rungs[1] == {1: 5}
 
-    def test_series_and_matrix_routes_agree(self):
+    def test_crank_and_matrix_routes_agree(self):
         # ladder() raises LadderConsistencyError internally on mismatch;
         # also compare explicitly here, on every j <= 11
         rungs = ladder(2)
-        vectors = ladder_vectors(2)
+        vectors = ladder_vectors(2, 11)
         for nu, got in rungs.items():
             if nu == 0:
                 continue
@@ -376,7 +391,7 @@ class TestLadder:
     def test_depth_zero_is_cross_checked(self, monkeypatch):
         # L_1 = 5G by series; a matrix route claiming 4G must be refused
         monkeypatch.setattr(fivetower, "ladder_vectors",
-                            lambda alpha_max: {1: {1: 4}})
+                            lambda alpha_max, jmax: {1: {1: 4}})
         ladder.cache_clear()
         try:
             with pytest.raises(LadderConsistencyError,
@@ -385,6 +400,47 @@ class TestLadder:
                 ladder(0)
         finally:
             ladder.cache_clear()
+
+
+class TestOneRoute:
+    def test_recurrence_entry_past_row_six_is_checked(self, monkeypatch,
+                                                       fresh_tower):
+        # A's row 7 comes from the modular equation alone, and no series
+        # row check reads it; L_3 reaches it (L_3[7] != 0), so rung 4 = L_3 A
+        # moves at G^3 and only the crank side of Claim L can see that
+        exact = fivetower.u_matrix_rows
+
+        def corrupted(imax):
+            rows = dict(exact(imax))
+            if imax >= 7:
+                rows[7] = {**rows[7], 3: rows[7][3] + 1}
+            return rows
+
+        monkeypatch.setattr(fivetower, "u_matrix_rows", corrupted)
+        with pytest.raises(LadderConsistencyError, match=r"^rung 4, G\^3: "):
+            ladder(2)
+
+    def test_no_multiplier_on_the_ladder_paths(self, monkeypatch,
+                                               fresh_tower):
+        def refused(trunc):
+            raise AssertionError("multiplier built on a ladder path")
+
+        monkeypatch.setattr(fivetower, "ladder_multiplier", refused)
+        assert ladder(1)[3] == ladder_vectors(1, 11)[3]
+        assert ladder_subsequence_check(1, 40) is None
+
+    def test_crank_side_takes_no_cube_pass(self, monkeypatch, fresh_tower):
+        # P_d from Euler passes only, and the crank series takes none: no
+        # Jacobi term is shared with the multiplier or G
+        def refused(d, trunc):
+            raise AssertionError("cube pass on the crank side")
+
+        monkeypatch.setattr(series, "_cube_terms", refused)
+        sides = {nu: _crank_side(nu, 12) for nu in (1, 2, 3, 4)}
+        monkeypatch.undo()
+        rungs = ladder(2)
+        for nu, side in sides.items():
+            assert reduce_to_hauptmodul(side, 1, 11) == rungs[nu], nu
 
 
 class TestLadderSubsequence:
@@ -399,17 +455,14 @@ class TestLadderSubsequence:
         with pytest.raises(BudgetExceededError):
             ladder_subsequence_check(3, 400)
 
-    def test_first_coefficient_is_five(self):
-        (nu, rung), = _rungs(0, required_multiplier_trunc(0, 2))
-        assert nu == 1 and rung.coeff(1) == 5
-
     @pytest.mark.parametrize("short", [1, 5, 50])
-    def test_short_multiplier_is_refused(self, monkeypatch, short):
-        # a rung cut below q^terms cannot be compared there
-        exact = fivetower.required_multiplier_trunc
-        monkeypatch.setattr(fivetower, "required_multiplier_trunc",
-                            lambda alpha, terms: exact(alpha, terms) - short)
-        with pytest.raises(TruncationError, match="equality to order 40"):
+    def test_short_crank_series_is_refused(self, monkeypatch, short):
+        # c(5n - 1) is read up to q^194: a series cut below it is refused,
+        # not compared on fewer coefficients
+        exact = cranks.crank_parity_series
+        monkeypatch.setattr(cranks, "crank_parity_series",
+                            lambda trunc: exact(trunc - short))
+        with pytest.raises(TruncationError, match=r"unavailable: trunc is "):
             ladder_subsequence_check(0, 40)
 
 
@@ -431,7 +484,10 @@ def fresh_tower(monkeypatch):
 class TestJacobiCorruption:
     # the multiplier (1, 3), (25, -3) and G's (2, -4), (10, 4) each take a
     # pass over Jacobi's cube terms; a sign flipped in one term must be
-    # caught by Claim L, whose crank side takes none, and by the ladder
+    # caught by Claim L, whose crank side (crank series and P_d) takes
+    # none, and by the ladder.  At alpha = 0 Claim L's matrix side is 5G
+    # alone, whose sixth cube term sits at q^42 in (q^2;q^2)^3, so it is
+    # compared below q^200
     @pytest.mark.parametrize("n", [1, 3, 6])
     def test_flipped_sign_is_caught(self, monkeypatch, fresh_tower, n):
         exact = series._cube_terms
@@ -441,7 +497,7 @@ class TestJacobiCorruption:
                 yield e, -c if k == n else c
 
         monkeypatch.setattr(series, "_cube_terms", flipped)
-        assert ladder_subsequence_check(0, 40) is not None
+        assert ladder_subsequence_check(0, 200) is not None
         with pytest.raises(NotHauptmodulPolynomialError):
             ladder(1)
 
