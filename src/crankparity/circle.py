@@ -9,9 +9,9 @@ The coefficient of q^n in (q;q)_inf/(-q;q)_inf^2 equals
         e^(pi i (2 s(h,k) - 3 s(h,2k))) e^(-pi i n h / k),
 
 with |E_n| < 194 n^(1/4) and s(h,k) the Dedekind sum.  Dedekind sums are
-computed as exact rationals; the root-of-unity sums and the cosh main term
-are evaluated in configurable-precision arithmetic (mpmath), 128 bits by
-default.  Since 6k s(h,k) is an integer, each term of B_k(n) is the root
+computed as exact rationals by reciprocity; the root-of-unity sums and the
+cosh main term are evaluated in configurable-precision arithmetic (mpmath),
+128 bits by default.  Since 6k s(h,k) is an integer, each term of B_k(n) is the root
 of unity e^(pi i (M_h - 12 n h)/(12k)) with the integer
 M_h = 12k (2 s(h,k) - 3 s(h,2k)); the angles M_h mod 24k are exact and
 memoised on k.  B_k(n) is exactly real because M_(2k-h) == -M_h (mod 24k),
@@ -19,7 +19,8 @@ which pairs the h and 2k-h terms as conjugates; this is checked once per k
 in integers rather than assumed.  B_k(n) is then a sum of cosines, added as
 integers in fixed point with 16 guard bits (each cosine rounded to
 2^-(bits+16) and memoised on (k, angle, bits)).  It depends on n only
-through n mod 2k, so it is memoised on (k, n mod 2k, bits).
+through n mod 2k, so it is memoised on (k, n mod 2k, bits).  The main term
+skips every k whose fixed-point sum is exactly zero.
 
 Also here: a direct numerical check of the modular transformation of the
 partition generating function F(q) = 1/(q;q)_inf,
@@ -57,18 +58,28 @@ def dedekind_sum(h: int, k: int) -> Fraction:
     """s(h,k) = sum_{r=1}^{k-1} ((r/k)) ((hr/k)) with the sawtooth
     ((x)) = x - floor(x) - 1/2 for non-integer x, else 0.
 
-    Exact rational output.  For 0 < r < k and gcd(h,k) = 1 neither argument
-    is an integer, so both sawtooth factors are (x mod k)/k - 1/2; expanding
-    the product and summing the linear parts collapses the double sawtooth
-    to a single integer sum.
+    Exact rational output, by reciprocity along the Euclidean algorithm:
+    s(h,k) depends on h mod k only, s(0,1) = 0, and for coprime h, k >= 1
+
+        s(h,k) + s(k,h) = (h^2 + k^2 + 1) / (12hk) - 1/4,
+
+    so s(h,k) = (h^2 + k^2 + 1 - 3hk) / (12hk) - s(k mod h, h).  The
+    alternating sum of these steps is carried as one integer numerator
+    over the product of the 12hk.
     """
     if k < 1:
         raise InvalidPairError(f"k must be positive, got {k}")
     if gcd(h, k) != 1:
         raise InvalidPairError(f"gcd({h},{k}) != 1")
     h %= k
-    s = sum(r * (h * r % k) for r in range(1, k))
-    return Fraction(s, k * k) - Fraction(k - 1, 4)
+    num, den, sign = 0, 1, 1
+    while h:
+        step = 12 * h * k
+        num = num * step + sign * (h * h + k * k + 1 - 3 * h * k) * den
+        den *= step
+        h, k = k % h, h
+        sign = -sign
+    return Fraction(num, den)
 
 
 @lru_cache(maxsize=None)
@@ -143,8 +154,9 @@ def main_term(n: int, precision_bits: int = 128) -> mpf:
         k = 1
         while 4 * k * k < 25 * n:
             bk = kloosterman_sum(k, n, precision_bits)
-            sqrt_k, pi_over_k = _k_constants(k, prec)
-            total += bk / sqrt_k * mpmath.cosh(pi_over_k * root)
+            if bk:  # an exactly zero fixed-point sum adds nothing
+                sqrt_k, pi_over_k = _k_constants(k, prec)
+                total += bk / sqrt_k * mpmath.cosh(pi_over_k * root)
             k += 1
         return +(total / mpmath.sqrt(shifted))
 

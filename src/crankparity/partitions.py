@@ -13,21 +13,24 @@ identity in the package is tested against:
 plus the run-length weights omega and omega_1 attached to the "initial run"
 of a partition, the maximal chain of part sizes 1, 2, ..., m all present.
 
-Enumeration streams partitions without materializing the full list; with
-``distinct`` it prunes every branch whose remaining parts cannot fill the
-rest (parts <= c sum to at most c(c+1)/2).  The aggregate sweeps are cached
-per n, since several modules keep coming back for the same counts.  The
-crank/rank parity sweep and the omega weight sweep run over one
-ascending-composition generator with a reused buffer.  The parity sweep
-walks the cores of each m (no part 1) once and fans them out to every
-n = m + mu by adding mu ones: (-1)^nu(mu) flips at every part, so one
-signed difference array per m gives the crank parity for every mu.  The
-distinct sweep stays on the pruned ``enumerate_partitions`` (q(n) visits).
+``enumerate_partitions`` streams partitions as tuples without materializing
+the full list; with ``distinct`` it prunes every branch whose remaining
+parts cannot fill the rest (parts <= c sum to at most c(c+1)/2).  No sweep
+uses it: it is the readable reference enumerator the tests check every
+sweep against.  The aggregate sweeps are cached per n, since several
+modules keep coming back for the same counts, and each lists partitions
+on a reused buffer, ascending, in lexicographic order.  The crank/rank
+parity sweep walks the cores of each m (no part 1) once and fans them out
+to every n = m + mu by adding mu ones: (-1)^nu(mu) flips at every part, so
+one signed difference array per m gives the crank parity for every mu.
+The omega weight sweep fans out the same cores, since the weights read mu
+only through its parity.  The distinct sweep steps from each strictly
+increasing partition to the next and reads both parities off its first
+part, last part and length.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -61,7 +64,9 @@ class ParityCount:
 def enumerate_partitions(n: int, distinct: bool = False) -> Iterator[tuple[int, ...]]:
     """Yield each partition of n exactly once, parts weakly decreasing
     (strictly decreasing with ``distinct``), in decreasing lexicographic
-    order.  The order is fixed only so streams are reproducible."""
+    order.  The order is fixed only so streams are reproducible.  No sweep
+    calls it: it is the readable reference the tests check every sweep
+    against."""
     if n < 0:
         raise ValueError(f"cannot partition a negative integer: {n}")
 
@@ -109,6 +114,36 @@ def _ascending_partitions(n: int, smallest: int = 1):
         a[k] = x + y
         y = x + y - 1
         yield a, k
+
+
+def _ascending_distinct(n: int):
+    """Internal sweep driver: yields (buffer, last_index) with each partition
+    of n into distinct parts stored strictly increasing in
+    buffer[0..last_index], in lexicographic order (nothing for n = 0).  The
+    buffer is reused, so callers must consume it before advancing.
+
+    The first partition is the greedy 1, 2, 3, ... with the remainder
+    last.  The next one keeps all but the last two parts, whose sum y is
+    then written from x = (second to last) + 1 on in the same greedy way:
+    x, x + 1, ... while what is left exceeds twice the part, then the rest
+    (y alone when y <= 2x).  The single part n comes last."""
+    if n < 1:
+        return
+    a = [0] * (n + 1)
+    k, x, y = 0, 1, n
+    while True:
+        while y > 2 * x:
+            a[k] = x
+            y -= x
+            x += 1
+            k += 1
+        a[k] = y
+        yield a, k
+        if not k:
+            return
+        k -= 1
+        x = a[k] + 1
+        y = a[k] + a[k + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -253,23 +288,66 @@ def _full_sweep(n: int) -> tuple[ParityCount, ParityCount]:
 
 @lru_cache(maxsize=None)
 def _distinct_sweep(n: int) -> tuple[ParityCount, ParityCount]:
-    """(distinct-crank parity, rank parity) over distinct partitions."""
+    """(distinct-crank parity, rank parity) over distinct partitions.
+
+    With the parts ascending in a[0..k], the distinct crank is the largest
+    part a[k] when a[0] != 1, else (k + 1) - 2, and the rank is
+    a[k] - (k + 1).  The empty partition of 0 counts as even."""
+    if n < 0:
+        raise ValueError(f"cannot partition a negative integer: {n}")
     if n == 0:
         return ParityCount(1, 0), ParityCount(1, 0)
-    crank_even = crank_odd = 0
-    rank_even = rank_odd = 0
-    for p in enumerate_partitions(n, distinct=True):
-        crk = p[0] if p[-1] != 1 else len(p) - 2
-        if crk & 1:
-            crank_odd += 1
-        else:
-            crank_even += 1
-        if (p[0] - len(p)) & 1:
-            rank_odd += 1
-        else:
-            rank_even += 1
-    return (ParityCount(crank_even, crank_odd),
-            ParityCount(rank_even, rank_odd))
+    count = crank_even = rank_even = 0
+    for a, k in _ascending_distinct(n):
+        count += 1
+        crank_even += k & 1 if a[0] == 1 else ~a[k] & 1  # k - 1 or a[k]
+        rank_even += (a[k] ^ k) & 1  # a[k] - (k + 1) is even
+    return (ParityCount(crank_even, count - crank_even),
+            ParityCount(rank_even, count - rank_even))
+
+
+@lru_cache(maxsize=None)
+def _core_weights(m: int) -> tuple[tuple[int, int, bool], ...]:
+    """(sum omega, sum omega_1, omega == omega_1 on each) over the
+    partitions core + 1^mu, core running over the cores of m >= 2 (its
+    partitions with no part 1), for mu even (index 0) and mu odd (index 1),
+    mu >= 1.
+
+    Fan-out lemma: for mu >= 1 the initial run of core + 1^mu is 1 (with
+    multiplicity mu) followed by the core's own run 2, 3, ..., r (r = 1
+    when the core has no part 2).  The multiplicities of 2..r are the
+    core's, and both weights read that of 1 only through its parity, so
+    omega and omega_1 depend on mu only through mu mod 2.  (For mu = 0 the
+    run is empty and omega = omega_1 = 1.)  Each core is listed once and
+    both weights are evaluated by their own formula, as in weight_omega and
+    weight_omega1, for either parity of mu."""
+    sums = [[0, 0, True], [0, 0, True]]
+    for a, k in _ascending_partitions(m, smallest=2):
+        i = 0
+        r = 1
+        run = 0    # 4 sum (-1)^j over sizes 2 <= j <= r of odd multiplicity
+        tail = 0   # sum (-1)^j (-1)^(mult of j) over 2 <= j <= r
+        while i <= k and a[i] == r + 1:
+            r += 1
+            end = i + 1
+            while end <= k and a[end] == r:
+                end += 1
+            mult = end - i
+            if mult & 1:
+                run += -4 if r & 1 else 4
+            tail += -1 if (r ^ mult) & 1 else 1
+            i = end
+        sign = -1 if r & 1 else 1
+        for mu_odd, acc in enumerate(sums):
+            # the size 1 adds -4 to omega when mu is odd, and
+            # (-1)^1 (-1)^mu to the sum in omega_1
+            w = 1 + run - 4 * mu_odd
+            w1 = sign - 2 * (tail + (1 if mu_odd else -1))
+            acc[0] += w
+            acc[1] += w1
+            if w != w1:
+                acc[2] = False
+    return tuple(map(tuple, sums))
 
 
 @lru_cache(maxsize=None)
@@ -277,35 +355,29 @@ def _weight_sweep(n: int) -> tuple[int, int, bool]:
     """(sum omega, sum omega_1, omega == omega_1 everywhere) over
     partitions of n.
 
-    In ascending order the initial run 1, 2, ..., m is a prefix of the
-    buffer, so one scan finds each size's multiplicity; omega and omega_1
-    are then each evaluated by their own formula, as in weight_omega and
-    weight_omega1, and compared on every partition."""
+    Each partition of n is mu = n - m ones added to a core of m (see
+    _core_weights): mu = n is 1^n, 0 < mu <= n - 2 is read off
+    _core_weights(m) by the parity of mu (m = 1 has no core), and the
+    mu = 0 cores of n each weigh omega = omega_1 = 1, so they need only
+    their number, the first entry of _core_profile(n)."""
     if n < 0:
         raise ValueError(f"cannot partition a negative integer: {n}")
     if n == 0:
         raise UndefinedStatisticError("statistic undefined for the empty "
                                       "partition")
-    total = total1 = 0
-    agree = True
-    for a, k in _ascending_partitions(n):
-        nparts = k + 1
-        m = i = 0
-        w = 1
-        tail = 0   # sum over the run of (-1)^j (-1)^(mult of j)
-        while i < nparts and a[i] == m + 1:
-            m += 1
-            end = bisect_right(a, m, i, nparts)
-            mult = end - i
-            if mult & 1:
-                w += -4 if m & 1 else 4
-            tail += -1 if (m ^ mult) & 1 else 1
-            i = end
-        w1 = (-1 if m & 1 else 1) - 2 * tail
+    # 1^n: the run is the size 1 alone, with multiplicity n
+    total = -3 if n & 1 else 1             # 1 + 4 (-1)^1 if n is odd
+    total1 = -1 + 2 * (-1 if n & 1 else 1)  # (-1)^1 - 2 (-1)^1 (-1)^n
+    agree = total == total1
+    if n >= 2:
+        cores = _core_profile(n)[0]
+        total += cores
+        total1 += cores
+    for m in range(2, n):
+        w, w1, same = _core_weights(m)[(n - m) & 1]
         total += w
         total1 += w1
-        if w != w1:
-            agree = False
+        agree = agree and same
     return total, total1, agree
 
 

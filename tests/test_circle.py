@@ -19,7 +19,24 @@ from crankparity.circle import (
 from crankparity.cranks import crank_parity_series
 
 
+def _direct_dedekind_sum(h, k):
+    """The defining O(k) sum: for 0 < r < k and gcd(h,k) = 1 neither
+    sawtooth argument is an integer, so both factors are
+    (x mod k)/k - 1/2, and expanding the product and summing the linear
+    parts collapses the double sawtooth to a single integer sum."""
+    h %= k
+    s = sum(r * (h * r % k) for r in range(1, k))
+    return Fraction(s, k * k) - Fraction(k - 1, 4)
+
+
 class TestDedekindSum:
+    def test_matches_the_defining_sum(self):
+        for k in range(1, 120):
+            for h in range(-3, 120):
+                if gcd(h, k) == 1:
+                    assert dedekind_sum(h, k) == _direct_dedekind_sum(h, k), (
+                        h, k)
+
     def test_empty_sum(self):
         assert dedekind_sum(1, 1) == 0
 
@@ -86,7 +103,8 @@ def _direct_kloosterman(k, n, bits):
         for h in range(1, 2 * k):
             if gcd(h, 2 * k) != 1:
                 continue
-            theta = 2 * dedekind_sum(h, k) - 3 * dedekind_sum(h, 2 * k)
+            theta = (2 * _direct_dedekind_sum(h, k)
+                     - 3 * _direct_dedekind_sum(h, 2 * k))
             total += (mpmath.expjpi(mpmath.mpf(theta.numerator)
                                     / theta.denominator)
                       * mpmath.expjpi(mpmath.mpf(-n * h) / k))
@@ -170,6 +188,28 @@ class TestMainTerm:
         for n in range(20, 40):
             m = main_term(n)
             assert (m > 0) == (n % 2 == 0), n
+
+    def test_zero_terms_are_skipped_exactly(self):
+        # the k-sum with every term kept, exactly zero B_k(n) included,
+        # in main_term's precision and order
+        bits = 128
+        prec = bits + 16
+        zeros = 0
+        for n in range(1, 301):
+            with mpmath.workprec(prec):
+                shifted = mpmath.mpf(24 * n - 1) / 24
+                root = mpmath.sqrt(shifted / 6)
+                total = mpmath.mpf(0)
+                k = 1
+                while 4 * k * k < 25 * n:
+                    bk = kloosterman_sum(k, n, bits)
+                    zeros += bk == 0
+                    total += (bk / mpmath.sqrt(k)
+                              * mpmath.cosh(mpmath.pi / k * root))
+                    k += 1
+                want = +(total / mpmath.sqrt(shifted))
+            assert main_term(n, bits) == want, n
+        assert zeros > 1000
 
     def test_precision_invariance(self):
         for n in (7, 60, 150):

@@ -407,6 +407,26 @@ class TestAsymptotic:
                                 "semaphores); running sequentially\n")
 
 
+class TestOracleSweepPins:
+    """Oracle sweeps at sizes past the default cap; the enumeration may be
+    reorganised, never its counts."""
+
+    @pytest.mark.parametrize("argv, digest", [
+        (("verify", "weighted", "--n-max", "45"),
+         "5b8ce4d1959fa2580b22844dd89cdab5da2b369d9cc7ae0ede353a8eceefb28a"),
+        (("--oracle-max", "75", "verify", "adh", "--n-max", "75"),
+         "9f951db1ca74c704a9c8b842a32cffa65391f47d599230c850d4e051b02ae657"),
+        (("--oracle-max", "90", "distinct", "1", "120"),
+         "4070a6d221eb502e352af9a8ea60a57d01ff91a5694f19660cadaf77113f4af4"),
+        (("--output", "json", "verify", "weighted"),
+         "7289cab91a8ada34c118a958001bdc76e48d5c706f3da34209fcabb67c754ca3"),
+    ], ids=["weighted-45", "adh-75", "distinct-120", "weighted-json"])
+    def test_stdout_is_pinned(self, capsys, argv, digest):
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestDistinct:
     def test_rows(self, capsys):
         code, out = run_cli(capsys, "--output", "json", "distinct", "1", "8")

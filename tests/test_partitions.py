@@ -102,6 +102,26 @@ class TestSweepsAgainstDefinitions:
                         if min(p) >= smallest]
                 assert got == sorted(set(want)), (n, smallest)
 
+    def test_ascending_distinct_generator(self):
+        # _distinct_sweep reads the first and last part off each buffer
+        assert list(partitions._ascending_distinct(0)) == []
+        for n in range(1, 36):
+            got = [tuple(a[:k + 1]) for a, k in
+                   partitions._ascending_distinct(n)]
+            want = sorted(p[::-1] for p in
+                          enumerate_partitions(n, distinct=True))
+            assert got == want, n
+
+    def test_core_weights(self):
+        for m in range(1, 21):
+            cores = [p for p in enumerate_partitions(m) if p[-1] != 1]
+            for mu in (1, 2):
+                parts = [p + (1,) * mu for p in cores]
+                ws = [weight_omega(p) for p in parts]
+                w1s = [weight_omega1(p) for p in parts]
+                assert partitions._core_weights(m)[mu % 2] == (
+                    sum(ws), sum(w1s), ws == w1s), (m, mu)
+
     def test_core_profile(self):
         for m in range(2, 26):
             cores = [p for p in enumerate_partitions(m) if p[-1] != 1]
@@ -129,8 +149,38 @@ class TestSweepsAgainstDefinitions:
         finally:
             clear()
 
+    def test_cold_distinct_sweep_equals_ascending_calls(self):
+        clear = partitions._distinct_sweep.cache_clear
+        clear()
+        try:
+            cold = distinct_crank_parity(45), distinct_rank_parity(45)
+            clear()
+            for n in range(1, 45):
+                distinct_crank_parity(n)
+            assert (distinct_crank_parity(45),
+                    distinct_rank_parity(45)) == cold
+        finally:
+            clear()
+
+    def test_cold_weight_sweep_equals_ascending_calls(self):
+        def clear():
+            for memo in (partitions._weight_sweep, partitions._core_weights,
+                         partitions._core_profile):
+                memo.cache_clear()
+
+        clear()
+        try:
+            cold = omega_totals(35), omega_weights_agree(35)
+            clear()
+            for n in range(1, 35):
+                omega_totals(n)
+            assert (omega_totals(35), omega_weights_agree(35)) == cold
+        finally:
+            clear()
+
     @pytest.mark.parametrize("count", [partition_count, crank_parity,
-                                       rank_parity])
+                                       rank_parity, distinct_crank_parity,
+                                       omega_totals])
     def test_negative_n_refused(self, count):
         with pytest.raises(ValueError,
                            match="cannot partition a negative integer: -1"):
