@@ -296,6 +296,7 @@ def cmd_distinct(args) -> int:
             "floor_term": distinct.floor_part(n),
             "ceil_term": distinct.ceil_part(n),
         }
+        ok = ok and row["floor_term"] + row["ceil_term"] == value
         if n <= args.oracle_max:
             oracle = partitions.distinct_crank_parity(n).diff
             row["oracle"] = oracle

@@ -131,7 +131,6 @@ def distinct_crank_case(n: int) -> str:
     return _classified(n)[1]
 
 
-@lru_cache(maxsize=None)
 def _classified(n: int) -> tuple[int, str]:
     if n < 1:
         raise ValueError(f"the closed form is stated for n >= 1, got {n}")

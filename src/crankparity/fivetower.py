@@ -37,7 +37,7 @@ is ``ladder``'s one read-only rung map {nu: {j: c_j}}, j <= JMAX: each rung
 is the vector form  (5,0,0,...) (AB)^a  /  (5,0,0,...) (AB)^a A  of
 ``ladder_vectors``, and must match, on every G^1..G^JMAX, the crank side of
 Claim L, R_nu = P_d * sum_{n>=1} c(5^nu n - delta) q^n read off in G, before
-it is stored.  The crank-parity coefficients c take no part in the matrix
+it is returned.  The crank-parity coefficients c take no part in the matrix
 route, so every rung is checked against a series that route does not use.
 The 5-adic valuations of the matrix entries and ladder entries are what the
 congruence family rests on, and are exported for direct verification.
@@ -87,7 +87,7 @@ LADDER_MULTIPLIER_SPEC = EtaQuotientSpec(((1, 3), (2, -2), (50, 2), (25, -3)))
 HAUPTMODUL_SPEC = EtaQuotientSpec(((1, 2), (2, -4), (10, 4), (5, -2)))
 NEWTON_QUOTIENT_SPEC = EtaQuotientSpec(((1, 1), (2, -2), (50, 2), (25, -1)))
 
-# crank-parity coefficients: alpha = 2 needs 121,226 (claimL at 40 terms),
+# crank-parity coefficients: alpha = 2 needs 121,225 (claimL at 40 terms),
 # the ladder at alpha = 3 needs 843,100, a build of minutes: refuse it at once
 COEFFICIENT_CEILING = 2 * 10 ** 5
 JMAX = 11          # ladder rungs are read off and cross-checked on G^1..G^JMAX
@@ -197,7 +197,7 @@ def reduce_to_hauptmodul(x: IntLaurentSeries, jmin: int,
 # transfer matrices
 # ---------------------------------------------------------------------------
 
-# row i -> {column j: entry}; read-only, since the builders below are cached
+# row i -> {column j: entry}, read-only
 Rows = Mapping[int, Mapping[int, int]]
 
 SERIES_ROWS = 6  # rows 0..6 come from q-series, later ones from the quintic
@@ -295,7 +295,6 @@ def _routes_agree(where: str, series: Mapping[int, int],
                 f"{other_gives} {other.get(j, 0)}")
 
 
-@lru_cache(maxsize=None)
 def _transfer_rows(pre: EtaQuotientSpec, imax: int, jmax: int | None) -> Rows:
     """Row i, 1 <= i <= imax: (pre * G^i) | U_5 = sum_j c_ij G^j, at full
     width 5i+v, or cut at a column window jmax.
@@ -375,12 +374,11 @@ def _crank_side(nu: int, terms: int) -> IntLaurentSeries:
     return pentagonal_quotient(((2 * d, 2), (d, -1), (d, -2)), terms) * sub
 
 
-@lru_cache(maxsize=None)
 def ladder(alpha_max: int) -> Mapping[int, Mapping[int, int]]:
     """Rungs L_0 .. L_(2*alpha_max+1) as the read-only map {nu: {j: c_j}},
     L_0 = {0: 1}; every other rung is read off the crank side R_nu on
     G^1..G^JMAX and compared there with ladder_vectors before it is
-    stored."""
+    returned."""
     if alpha_max < 0:
         raise ValueError("alpha_max must be >= 0")
     # the top rung first: its crank series is the longest, refused or built

@@ -17,16 +17,16 @@ of a partition, the maximal chain of part sizes 1, 2, ..., m all present.
 the full list; with ``distinct`` it prunes every branch whose remaining
 parts cannot fill the rest (parts <= c sum to at most c(c+1)/2).  No sweep
 uses it: it is the readable reference enumerator the tests check every
-sweep against.  The aggregate sweeps are cached per n, since several
-modules keep coming back for the same counts, and each lists partitions
-on a reused buffer, ascending, in lexicographic order.  The crank/rank
-parity sweep walks the cores of each m (no part 1) once and fans them out
-to every n = m + mu by adding mu ones: (-1)^nu(mu) flips at every part, so
+sweep against.  Each aggregate sweep lists partitions on a reused buffer,
+ascending, in lexicographic order.  The crank/rank parity sweep walks the
+cores of each m (no part 1) once, cached per m, and fans them out to
+every n = m + mu by adding mu ones: (-1)^nu(mu) flips at every part, so
 one signed difference array per m gives the crank parity for every mu.
-The omega weight sweep fans out the same cores, since the weights read mu
-only through its parity.  The distinct sweep steps from each strictly
-increasing partition to the next and reads both parities off its first
-part, last part and length.
+The omega weight sweep fans out the same cores, in a walk of its own also
+cached per m, since the weights read mu only through its parity.  The
+distinct sweep, cached per n since the T bootstrap reads the oracle
+again, steps from each strictly increasing partition to the next and
+reads both parities off its first part, last part and length.
 """
 
 from __future__ import annotations
@@ -226,7 +226,7 @@ def weight_omega1(p) -> int:
 
 
 # ---------------------------------------------------------------------------
-# aggregate sweeps (cached)
+# aggregate sweeps
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -258,7 +258,6 @@ def _core_profile(m: int) -> tuple[int, int, int, tuple[int, ...]]:
         accumulate(diffs, initial=-pending[0]))  # sum (-1)^(k + 1)
 
 
-@lru_cache(maxsize=None)
 def _full_sweep(n: int) -> tuple[ParityCount, ParityCount]:
     """(crank parity, rank parity) over all partitions of n.
 
@@ -307,11 +306,12 @@ def _distinct_sweep(n: int) -> tuple[ParityCount, ParityCount]:
 
 
 @lru_cache(maxsize=None)
-def _core_weights(m: int) -> tuple[tuple[int, int, bool], ...]:
+def _core_weights(m: int) -> tuple[tuple[int, int, bool],
+                                   tuple[int, int, bool], int]:
     """(sum omega, sum omega_1, omega == omega_1 on each) over the
     partitions core + 1^mu, core running over the cores of m >= 2 (its
     partitions with no part 1), for mu even (index 0) and mu odd (index 1),
-    mu >= 1.
+    mu >= 1; then the number of cores (index 2).
 
     Fan-out lemma: for mu >= 1 the initial run of core + 1^mu is 1 (with
     multiplicity mu) followed by the core's own run 2, 3, ..., r (r = 1
@@ -322,7 +322,9 @@ def _core_weights(m: int) -> tuple[tuple[int, int, bool], ...]:
     both weights are evaluated by their own formula, as in weight_omega and
     weight_omega1, for either parity of mu."""
     sums = [[0, 0, True], [0, 0, True]]
+    cores = 0
     for a, k in _ascending_partitions(m, smallest=2):
+        cores += 1
         i = 0
         r = 1
         run = 0    # 4 sum (-1)^j over sizes 2 <= j <= r of odd multiplicity
@@ -347,10 +349,9 @@ def _core_weights(m: int) -> tuple[tuple[int, int, bool], ...]:
             acc[1] += w1
             if w != w1:
                 acc[2] = False
-    return tuple(map(tuple, sums))
+    return (*map(tuple, sums), cores)
 
 
-@lru_cache(maxsize=None)
 def _weight_sweep(n: int) -> tuple[int, int, bool]:
     """(sum omega, sum omega_1, omega == omega_1 everywhere) over
     partitions of n.
@@ -359,7 +360,7 @@ def _weight_sweep(n: int) -> tuple[int, int, bool]:
     _core_weights): mu = n is 1^n, 0 < mu <= n - 2 is read off
     _core_weights(m) by the parity of mu (m = 1 has no core), and the
     mu = 0 cores of n each weigh omega = omega_1 = 1, so they need only
-    their number, the first entry of _core_profile(n)."""
+    their number, the last entry of _core_weights(n)."""
     if n < 0:
         raise ValueError(f"cannot partition a negative integer: {n}")
     if n == 0:
@@ -370,7 +371,7 @@ def _weight_sweep(n: int) -> tuple[int, int, bool]:
     total1 = -1 + 2 * (-1 if n & 1 else 1)  # (-1)^1 - 2 (-1)^1 (-1)^n
     agree = total == total1
     if n >= 2:
-        cores = _core_profile(n)[0]
+        cores = _core_weights(n)[2]
         total += cores
         total1 += cores
     for m in range(2, n):

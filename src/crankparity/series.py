@@ -726,17 +726,16 @@ def _store(path: str, x: IntLaurentSeries) -> None:
         raise
 
 
-def _load_checked(path: str, trunc: int | None = None
-                  ) -> IntLaurentSeries | None:
-    """The series at ``path``, cut below q^trunc when given, or None (and
-    no file) if its trailer fails.  The trailer covers the whole file, so
-    all of it is hashed, but only the lines kept are decoded."""
+def _load_checked(path: str, trunc: int) -> IntLaurentSeries | None:
+    """The series at ``path``, cut below q^trunc, or None (and no file) if
+    its trailer fails.  The trailer covers the whole file, so all of it is
+    hashed, but only the lines kept are decoded."""
     with open(path, "rb") as fp:
         data = fp.read()
     cut = data.rfind(b"\n", 0, len(data) - 1) + 1
     if data[cut:] == _trailer(data[:cut]):
-        if trunc is not None:  # end at the line of q^trunc, if there is one
-            cut = data.find(b"\n%d\t" % trunc, 0, cut) + 1 or cut
+        # end at the line of q^trunc, if there is one
+        cut = data.find(b"\n%d\t" % trunc, 0, cut) + 1 or cut
         return load_series(io.StringIO(data[:cut].decode("ascii")))
     print(f"crank-parity: cache file {path} failed its check; rebuilding",
           file=sys.stderr)

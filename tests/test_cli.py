@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import crankparity
+from crankparity import distinct
 from crankparity.cli import build_parser, main
 
 SRC = str(Path(crankparity.__file__).resolve().parent.parent)
@@ -436,6 +437,19 @@ class TestDistinct:
         assert by_n[6]["value"] == 2 and by_n[6]["oracle"] == 2
         assert by_n[6]["case"] == "R(floor) even negative"
         assert by_n[2]["floor_term"] == 1 and by_n[2]["ceil_term"] == 0
+
+    def test_split_mismatch_fails(self, capsys, monkeypatch):
+        # the oracle column still agrees: only the printed split is wrong
+        exact = distinct.ceil_part
+        monkeypatch.setattr(distinct, "ceil_part",
+                            lambda n: exact(n) + (n == 17))
+        code, out = run_cli(capsys, "--output", "json", "distinct", "1", "30")
+        rows = json.loads(out)["rows"]
+        assert code == 1
+        assert all(row["oracle"] == row["value"] for row in rows)
+        assert [row["n"] for row in rows
+                if row["floor_term"] + row["ceil_term"] != row["value"]] \
+            == [17]
 
 
 class TestLadderDump:

@@ -238,13 +238,10 @@ def series_route_rows(pre, imax, jmax=None):
 
 @pytest.fixture
 def fresh_rows():
-    """Rebuild sigmas and rows around a test that patches the series rows."""
-    caches = (fivetower.hauptmodul_sigma_polys, _transfer_rows)
-    for cache in caches:
-        cache.cache_clear()
+    """Rebuild the sigmas around a test that patches the series rows."""
+    fivetower.hauptmodul_sigma_polys.cache_clear()
     yield
-    for cache in caches:
-        cache.cache_clear()
+    fivetower.hauptmodul_sigma_polys.cache_clear()
 
 
 def corrupt_series_rows(monkeypatch, pre, i, j, delta):
@@ -340,7 +337,7 @@ class TestLadder:
 
     def test_cached_states_are_frozen(self):
         rungs = ladder(0)
-        assert list(rungs) == [0, 1] and rungs is ladder(0)
+        assert list(rungs) == [0, 1]
         with pytest.raises(TypeError):
             rungs[1] = {1: 999}
         with pytest.raises(TypeError):
@@ -392,14 +389,10 @@ class TestLadder:
         # L_1 = 5G by series; a matrix route claiming 4G must be refused
         monkeypatch.setattr(fivetower, "ladder_vectors",
                             lambda alpha_max, jmax: {1: {1: 4}})
-        ladder.cache_clear()
-        try:
-            with pytest.raises(LadderConsistencyError,
-                               match=r"rung 1, G\^1: series gives 5, "
-                                     "matrices give 4"):
-                ladder(0)
-        finally:
-            ladder.cache_clear()
+        with pytest.raises(LadderConsistencyError,
+                           match=r"rung 1, G\^1: series gives 5, "
+                                 "matrices give 4"):
+            ladder(0)
 
 
 class TestOneRoute:
@@ -455,6 +448,23 @@ class TestLadderSubsequence:
         with pytest.raises(BudgetExceededError):
             ladder_subsequence_check(3, 400)
 
+    def test_crank_length_at_depth_two(self, monkeypatch):
+        # below q^40 the crank side reads c(5^5 n - 651) for n <= 39:
+        # 5^5 39 - 651 + 1 coefficients, asked for before anything is built
+        class Recorded(Exception):
+            pass
+
+        asked = []
+
+        def record(trunc):
+            asked.append(trunc)
+            raise Recorded
+
+        monkeypatch.setattr(cranks, "crank_parity_series", record)
+        with pytest.raises(Recorded):
+            ladder_subsequence_check(2, 40)
+        assert asked == [121225]
+
     @pytest.mark.parametrize("short", [1, 5, 50])
     def test_short_crank_series_is_refused(self, monkeypatch, short):
         # c(5n - 1) is read up to q^194: a series cut below it is refused,
@@ -472,8 +482,7 @@ def fresh_tower(monkeypatch):
     monkeypatch.delenv("CRANK_PARITY_CACHE_DIR", raising=False)
     monkeypatch.setattr(series, "_memo", {})
     monkeypatch.setattr(fivetower, "_haupt_table", {})
-    caches = (fivetower._series_rows, fivetower.hauptmodul_sigma_polys,
-              _transfer_rows, ladder)
+    caches = (fivetower._series_rows, fivetower.hauptmodul_sigma_polys)
     for cache in caches:
         cache.cache_clear()
     yield

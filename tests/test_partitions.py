@@ -121,6 +121,7 @@ class TestSweepsAgainstDefinitions:
                 w1s = [weight_omega1(p) for p in parts]
                 assert partitions._core_weights(m)[mu % 2] == (
                     sum(ws), sum(w1s), ws == w1s), (m, mu)
+            assert partitions._core_weights(m)[2] == len(cores), m
 
     def test_core_profile(self):
         for m in range(2, 26):
@@ -134,10 +135,7 @@ class TestSweepsAgainstDefinitions:
                 signs), m
 
     def test_cold_sweep_equals_ascending_calls(self):
-        def clear():
-            partitions._full_sweep.cache_clear()
-            partitions._core_profile.cache_clear()
-
+        clear = partitions._core_profile.cache_clear
         clear()
         try:
             cold = crank_parity(45), rank_parity(45), partition_count(45)
@@ -163,11 +161,7 @@ class TestSweepsAgainstDefinitions:
             clear()
 
     def test_cold_weight_sweep_equals_ascending_calls(self):
-        def clear():
-            for memo in (partitions._weight_sweep, partitions._core_weights,
-                         partitions._core_profile):
-                memo.cache_clear()
-
+        clear = partitions._core_weights.cache_clear
         clear()
         try:
             cold = omega_totals(35), omega_weights_agree(35)
@@ -177,6 +171,19 @@ class TestSweepsAgainstDefinitions:
             assert (omega_totals(35), omega_weights_agree(35)) == cold
         finally:
             clear()
+
+    def test_weight_sweep_walks_no_crank_profile(self, monkeypatch):
+        # the mu = 0 cores of n are counted by the weight walk itself
+        def refused(m):
+            raise AssertionError("crank profile walked for the weights")
+
+        monkeypatch.setattr(partitions, "_core_profile", refused)
+        want = [-3, 2, -1, 5, -5, 3, -5, 6, -10, 10, -8, 13, -15, 15, -16,
+                23, -27, 25, -30, 35, -40, 42, -45, 55, -66, 68, -70, 86,
+                -95, 100, -110, 125, -141, 150, -161]
+        assert [omega_totals(n) for n in range(1, 36)] == [(t, t)
+                                                           for t in want]
+        assert all(omega_weights_agree(n) for n in range(1, 36))
 
     @pytest.mark.parametrize("count", [partition_count, crank_parity,
                                        rank_parity, distinct_crank_parity,

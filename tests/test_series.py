@@ -669,7 +669,7 @@ class TestMemo:
         got = cold(60)  # the file is too short: rebuilt and replaced
         assert built == written == [40, 60] and got.trunc == 60
         assert got.first_mismatch(eta_quotient(G_SPEC ** -1, 60), 60) is None
-        assert series._load_checked(str(path)).trunc == 60
+        assert series._load_checked(str(path), 60).trunc == 60
         assert cold(50).trunc == 50 and built == written == [40, 60]
         assert sorted(os.listdir(tmp_path)) == [path.name]
         assert capsys.readouterr().err == ""
@@ -719,7 +719,7 @@ class TestMemo:
                 damaged = good[:at] + bytes([byte]) + good[at + 1:]
             with open(path, "wb") as fp:
                 fp.write(damaged)
-            got = series._load_checked(path)
+            got = series._load_checked(path, want.trunc)
             if got is None:
                 assert not os.path.exists(path)
             else:
