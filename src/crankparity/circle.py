@@ -43,7 +43,6 @@ import mpmath
 from mpmath import mpf, workprec
 
 from . import cranks
-from .series import IntLaurentSeries
 
 
 class InvalidPairError(ValueError):
@@ -193,13 +192,11 @@ def report(n: int, exact: int, precision_bits: int = 128) -> AsymptoticReport:
         return AsymptoticReport.build(n, exact, main_term(n, precision_bits))
 
 
-def verify_error_bound(n_lo: int, n_hi: int, precision_bits: int = 128,
-                       series: IntLaurentSeries | None = None
+def verify_error_bound(n_lo: int, n_hi: int, precision_bits: int = 128
                        ) -> list[AsymptoticReport]:
     """One report per n in [n_lo, n_hi]; all are expected to pass
     |exact - main| < 194 n^(1/4)."""
-    if series is None:
-        series = cranks.crank_parity_series(n_hi + 1)
+    series = cranks.crank_parity_series(n_hi + 1)
     return [report(n, series.coeff(n), precision_bits)
             for n in range(n_lo, n_hi + 1)]
 

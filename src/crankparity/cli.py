@@ -98,7 +98,7 @@ def cmd_coeffs(args) -> int:
             f"coeffs: oracle sweep capped at {args.oracle_max}; raise "
             "--oracle-max (hard limit 90)")
 
-    series = cranks.crank_parity_series(max(terms, n_hi + 1)) \
+    series = cranks.crank_parity_series(terms) \
         if source in ("series", "both") else None
     rows = []
     for n in range(n_lo, n_hi + 1):
@@ -254,12 +254,12 @@ def cmd_asymptotic(args) -> int:
 
     n_lo, n_hi = _n_range(args, 1)
     bits = args.precision_bits
-    series = cranks.crank_parity_series(n_hi + 1)
     reports = None
     if args.parallel and n_hi > n_lo:
         from concurrent.futures import ProcessPoolExecutor
 
         ns = range(n_lo, n_hi + 1)
+        series = cranks.crank_parity_series(n_hi + 1)
         try:
             with ProcessPoolExecutor() as pool:
                 reports = list(pool.map(circle.report, ns,
@@ -268,7 +268,7 @@ def cmd_asymptotic(args) -> int:
             print(f"crank-parity: no worker processes ({exc}); running "
                   "sequentially", file=sys.stderr)
     if reports is None:
-        reports = circle.verify_error_bound(n_lo, n_hi, bits, series)
+        reports = circle.verify_error_bound(n_lo, n_hi, bits)
 
     digits = max(10, int(bits * 0.301) - 2)
     columns = ["n", "exact", "main", "abs_error", "bound", "pass"]

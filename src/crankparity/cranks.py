@@ -220,9 +220,7 @@ def qualifying_residue(alpha: int) -> tuple[int, int]:
     return pow(24, -1, mod), mod
 
 
-def verify_family_congruence(alpha: int, n_max: int,
-                             series: IntLaurentSeries | None = None
-                             ) -> CongruenceReport:
+def verify_family_congruence(alpha: int, n_max: int) -> CongruenceReport:
     """Check 5^(alpha+1) divides the crank-parity coefficient at every
     n <= n_max with 24n == 1 mod 5^(2*alpha+1); raises ValueError if there
     is no such n."""
@@ -233,12 +231,7 @@ def verify_family_congruence(alpha: int, n_max: int,
         raise ValueError(
             f"no n <= {n_max} has 24n == 1 (mod 5^{2 * alpha + 1}); the "
             f"first is {residue}")
-    if series is None:
-        series = crank_parity_series(n_max + 1)
-    if series.trunc <= n_max:
-        raise TruncationError(
-            f"congruence sweep to {n_max} needs trunc >= {n_max + 1}, "
-            f"have {series.trunc}")
+    series = crank_parity_series(n_max + 1)
     modulus = 5 ** (alpha + 1)
     report = CongruenceReport(alpha=alpha, modulus=modulus)
     for n in range(residue, n_max + 1, step):

@@ -37,10 +37,13 @@ is ``ladder``'s one read-only rung map {nu: {j: c_j}}, j <= JMAX: each rung
 is the vector form  (5,0,0,...) (AB)^a  /  (5,0,0,...) (AB)^a A  of
 ``ladder_vectors``, and must match, on every G^1..G^JMAX, the crank side of
 Claim L, R_nu = P_d * sum_{n>=1} c(5^nu n - delta) q^n read off in G, before
-it is returned.  The crank-parity coefficients c take no part in the matrix
-route, so every rung is checked against a series that route does not use.
-The 5-adic valuations of the matrix entries and ladder entries are what the
-congruence family rests on, and are exported for direct verification.
+it is returned.  ``ladder_vectors`` reads each step's rows only on the
+columns the steps above it need, windows taken backward from the top rung's
+G^JMAX, so each rung is exact on its own window, at least G^1..G^JMAX.  The
+crank-parity coefficients c take no part in the matrix route, so every rung
+is checked against a series that route does not use.  The 5-adic valuations
+of the matrix entries and ladder entries are what the congruence family
+rests on, and are exported for direct verification.
 ``ladder_subsequence_check`` compares the top rung with R_(2a+1) below
 q^terms and returns None, or ``(exponent, lhs, rhs)`` at the first
 disagreement.
@@ -295,9 +298,9 @@ def _routes_agree(where: str, series: Mapping[int, int],
                 f"{other_gives} {other.get(j, 0)}")
 
 
-def _transfer_rows(pre: EtaQuotientSpec, imax: int, jmax: int | None) -> Rows:
-    """Row i, 1 <= i <= imax: (pre * G^i) | U_5 = sum_j c_ij G^j, at full
-    width 5i+v, or cut at a column window jmax.
+def _transfer_rows(pre: EtaQuotientSpec, imax: int, jmax: int) -> Rows:
+    """Row i, 1 <= i <= imax: (pre * G^i) | U_5 = sum_j c_ij G^j, cut at
+    the column window min(5i+v, jmax); 5i+v is the row's full width.
 
     Rows up to SERIES_ROWS come from _series_rows; each later row is the
     modular equation's combination of the five before it (_modular_step),
@@ -313,14 +316,9 @@ def _transfer_rows(pre: EtaQuotientSpec, imax: int, jmax: int | None) -> Rows:
         _routes_agree(f"prefactor {pre.factors or 1}, row {i}", rows[i],
                       _modular_step(rows, i, 5 * i + v),
                       "modular equation gives", 5 * i + v)
-
-    def width(i: int) -> int:
-        return 5 * i + v if jmax is None else min(5 * i + v, jmax)
-
-    rows = [{j: c for j, c in row.items() if j <= width(i)}
-            for i, row in enumerate(rows)]
+    rows = [{j: c for j, c in row.items() if j <= jmax} for row in rows]
     for i in range(len(rows), imax + 1):
-        rows.append(_modular_step(rows, i, width(i)))
+        rows.append(_modular_step(rows, i, min(5 * i + v, jmax)))
     return MappingProxyType({i: MappingProxyType(rows[i])
                              for i in range(1, imax + 1)})
 
@@ -328,13 +326,13 @@ def _transfer_rows(pre: EtaQuotientSpec, imax: int, jmax: int | None) -> Rows:
 def u_matrix_rows(imax: int) -> Rows:
     """A: row i is G^i | U_5, full width 5i (the empty eta quotient is 1);
     rows past SERIES_ROWS come from the modular equation of G."""
-    return _transfer_rows(EtaQuotientSpec(()), imax, None)
+    return _transfer_rows(EtaQuotientSpec(()), imax, 5 * imax)
 
 
 def v_matrix_rows(imax: int) -> Rows:
     """B: row i is (multiplier * G^i) | U_5, full width 5i+1; rows past
     SERIES_ROWS come from the modular equation of G."""
-    return _transfer_rows(LADDER_MULTIPLIER_SPEC, imax, None)
+    return _transfer_rows(LADDER_MULTIPLIER_SPEC, imax, 5 * imax + 1)
 
 
 def _vec_mat(vec: dict[int, int], rows: Rows) -> dict[int, int]:
@@ -398,22 +396,23 @@ def ladder_vectors(alpha_max: int, jmax: int) -> dict[int, dict[int, int]]:
     """Matrix-route rungs: nu -> {j: l_j(nu)}, the vector forms
     (5,0,0,...) (AB)^a  /  (5,0,0,...) (AB)^a A.
 
-    Every step except the last is taken with full-width matrix rows; the
-    final step reads only columns <= jmax of B, to which rows beyond
-    5*jmax provably contribute nothing, so the top rung is exact on
-    G^1..G^jmax and every other rung in full.
+    Every step reads a column window taken backward from the top rung's
+    jmax: a step by rows (pre * G^i) | U_5 with pre = q^v + ..., v = 0 for
+    A and 1 for B, that reads columns <= w needs the rung before it only
+    on columns <= 5w - v, because row i starts at G^ceil((i+v)/5).  So the
+    top rung is exact on G^1..G^jmax, and each lower rung on its own
+    window, which is at least jmax.
     """
+    top = 2 * alpha_max + 1
+    windows = [jmax]  # the windows of rungs top, top-1, ..., 2
+    for nu in range(top, 2, -1):
+        windows.append(5 * windows[-1] - nu % 2)
     vec = {1: 5}
-    vectors = {1: dict(vec)}
-    for a in range(alpha_max):
-        vec = _vec_mat(vec, u_matrix_rows(max(vec)))
-        vectors[2 * a + 2] = dict(vec)
-        if a == alpha_max - 1:
-            b_rows = _transfer_rows(LADDER_MULTIPLIER_SPEC, max(vec), jmax)
-        else:
-            b_rows = v_matrix_rows(max(vec))
-        vec = _vec_mat(vec, b_rows)
-        vectors[2 * a + 3] = dict(vec)
+    vectors = {1: vec}
+    for nu, w in zip(range(2, top + 1), reversed(windows)):
+        pre = LADDER_MULTIPLIER_SPEC if nu % 2 else EtaQuotientSpec(())
+        vec = _vec_mat(vec, _transfer_rows(pre, max(vec), w))
+        vectors[nu] = vec
     return vectors
 
 

@@ -180,17 +180,18 @@ class IntLaurentSeries:
         return cls(exponent, (coeff,) + (0,) * (trunc - exponent - 1), trunc)
 
     @classmethod
-    def from_terms(cls, terms: Mapping[int, int] | Iterable[tuple[int, int]],
+    def from_terms(cls, terms: Mapping[int, int],
                    trunc: int) -> "IntLaurentSeries":
-        items = dict(terms.items() if isinstance(terms, Mapping) else terms)
-        if not items:
+        """The series sum_e terms[e] q^e + O(q^trunc); every exponent must
+        lie below trunc."""
+        if not terms:
             return cls.zero(trunc)
-        lo = min(items)
-        hi = max(items)
+        lo = min(terms)
+        hi = max(terms)
         if hi >= trunc:
             raise TruncationError(f"term q^{hi} at or beyond trunc {trunc}")
         coeffs = [0] * (trunc - lo)
-        for e, c in items.items():
+        for e, c in terms.items():
             coeffs[e - lo] = c
         return cls(lo, coeffs, trunc)
 
@@ -272,36 +273,15 @@ class IntLaurentSeries:
                     out[e - off] += c
         return IntLaurentSeries(off, out, trunc)
 
-    def _promote(self, other):
-        if isinstance(other, IntLaurentSeries):
-            return other
-        if isinstance(other, int):
-            return IntLaurentSeries.from_terms({0: other}, max(self.trunc, 1))
-        return None
-
     def __add__(self, other):
-        other = self._promote(other)
-        if other is None:
+        if not isinstance(other, IntLaurentSeries):
             return NotImplemented
         return self._aligned(other, sub=False)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
-        other = self._promote(other)
-        if other is None:
+        if not isinstance(other, IntLaurentSeries):
             return NotImplemented
         return self._aligned(other, sub=True)
-
-    def __rsub__(self, other):
-        other = self._promote(other)
-        if other is None:
-            return NotImplemented
-        return other._aligned(self, sub=True)
-
-    def __neg__(self):
-        return IntLaurentSeries(self.offset, [-c for c in self.coeffs],
-                                self.trunc)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -628,15 +608,12 @@ class EtaQuotientSpec:
         return EtaQuotientSpec(tuple((d, r * n) for d, r in self.factors))
 
 
-def eta_quotient(spec: EtaQuotientSpec | Iterable[tuple[int, int]],
-                 trunc: int) -> IntLaurentSeries:
-    """q-expansion of an eta quotient, exact below ``trunc``.
+def eta_quotient(spec: EtaQuotientSpec, trunc: int) -> IntLaurentSeries:
+    """q-expansion of the eta quotient ``spec``, exact below ``trunc``.
 
     The result carries offset sum(d*r)/24, which is negative for reciprocal
     quotients.
     """
-    if not isinstance(spec, EtaQuotientSpec):
-        spec = EtaQuotientSpec(spec)
     shift = spec.prefactor_exponent
     length = trunc - shift
     if length <= 0:

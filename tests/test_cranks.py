@@ -287,11 +287,6 @@ class TestFamilyCongruence:
         assert set(d) == {"alpha", "modulus", "count", "failures"}
         assert d["failures"] == []
 
-    def test_insufficient_truncation(self):
-        small = crank_parity_series(50)
-        with pytest.raises(TruncationError):
-            verify_family_congruence(0, 100, series=small)
-
     def test_negative_alpha_rejected(self):
         with pytest.raises(ValueError):
             verify_family_congruence(-1, 100)

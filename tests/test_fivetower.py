@@ -269,7 +269,8 @@ class TestModularEquation:
     @pytest.mark.parametrize("pre", [EtaQuotientSpec(()),
                                      LADDER_MULTIPLIER_SPEC])
     def test_full_rows_match_the_series_route(self, pre):
-        assert _transfer_rows(pre, 12, None) == series_route_rows(pre, 12)
+        assert _transfer_rows(pre, 12, 5 * 12 + pre.prefactor_exponent) \
+            == series_route_rows(pre, 12)
 
     def test_windowed_rows_match_the_series_route(self):
         assert _transfer_rows(LADDER_MULTIPLIER_SPEC, 130, 11) \
@@ -291,7 +292,7 @@ class TestModularEquation:
                                            pre, i, j, delta, message):
         corrupt_series_rows(monkeypatch, pre, i, j, delta)
         with pytest.raises(LadderConsistencyError) as info:
-            _transfer_rows(pre, 8, None)
+            _transfer_rows(pre, 8, 41)
         assert str(info.value) == message
 
     def test_sigma_below_g1_is_refused(self, monkeypatch, fresh_rows):
@@ -395,21 +396,75 @@ class TestLadder:
             ladder(0)
 
 
+def full_width_chain(alpha_max, jmax):
+    """The rungs by full-width rows of A and B, with only the last B step
+    cut at jmax, one vector-matrix product per step."""
+    def times(vec, rows):
+        out = {}
+        for i, vi in vec.items():
+            for j, rij in rows[i].items():
+                out[j] = out.get(j, 0) + vi * rij
+        return {j: c for j, c in out.items() if c}
+
+    vec = {1: 5}
+    vectors = {1: vec}
+    for a in range(alpha_max):
+        vec = times(vec, u_matrix_rows(max(vec)))
+        vectors[2 * a + 2] = vec
+        b_rows = _transfer_rows(LADDER_MULTIPLIER_SPEC, max(vec), jmax) \
+            if a == alpha_max - 1 else v_matrix_rows(max(vec))
+        vec = times(vec, b_rows)
+        vectors[2 * a + 3] = vec
+    return vectors
+
+
+class TestWindows:
+    @pytest.mark.parametrize("jmax", [1, 2, 11, 39, 60])
+    @pytest.mark.parametrize("alpha_max", [0, 1, 2])
+    def test_rungs_match_full_width_rows(self, alpha_max, jmax):
+        got = ladder_vectors(alpha_max, jmax)
+        want = full_width_chain(alpha_max, jmax)
+        assert sorted(got) == sorted(want)
+        for nu in want:
+            for j in range(1, jmax + 1):
+                assert got[nu].get(j, 0) == want[nu].get(j, 0), (nu, j)
+
+    @pytest.mark.parametrize("alpha_max, calls", [
+        (2, [(0, 1, 1349), (1, 5, 270), (0, 26, 54), (1, 54, 11)]),
+        (3, [(0, 1, 33724), (1, 5, 6745), (0, 26, 1349), (1, 130, 270),
+             (0, 270, 54), (1, 54, 11)]),
+    ])
+    def test_windows_run_backward_from_the_top(self, monkeypatch,
+                                               alpha_max, calls):
+        # a step by rows with prefactor q^v + ... read to column w needs
+        # the rung before it to column 5w - v; (v, imax, jmax) per step
+        exact = fivetower._transfer_rows
+        seen = []
+
+        def recorded(pre, imax, jmax):
+            seen.append((pre.prefactor_exponent, imax, jmax))
+            return exact(pre, imax, jmax)
+
+        monkeypatch.setattr(fivetower, "_transfer_rows", recorded)
+        ladder_vectors(alpha_max, 11)
+        assert seen == calls
+
+
 class TestOneRoute:
     def test_recurrence_entry_past_row_six_is_checked(self, monkeypatch,
                                                        fresh_tower):
         # A's row 7 comes from the modular equation alone, and no series
         # row check reads it; L_3 reaches it (L_3[7] != 0), so rung 4 = L_3 A
         # moves at G^3 and only the crank side of Claim L can see that
-        exact = fivetower.u_matrix_rows
+        exact = fivetower._transfer_rows
 
-        def corrupted(imax):
-            rows = dict(exact(imax))
-            if imax >= 7:
+        def corrupted(pre, imax, jmax):
+            rows = dict(exact(pre, imax, jmax))
+            if pre == EtaQuotientSpec(()) and imax >= 7:
                 rows[7] = {**rows[7], 3: rows[7][3] + 1}
             return rows
 
-        monkeypatch.setattr(fivetower, "u_matrix_rows", corrupted)
+        monkeypatch.setattr(fivetower, "_transfer_rows", corrupted)
         with pytest.raises(LadderConsistencyError, match=r"^rung 4, G\^3: "):
             ladder(2)
 

@@ -399,7 +399,7 @@ class TestEtaQuotient:
 
     def test_fractional_prefactor_rejected(self):
         with pytest.raises(FractionalExponentError):
-            eta_quotient(((1, 1),), 10)
+            EtaQuotientSpec(((1, 1),))
         with pytest.raises(FractionalExponentError):
             EtaQuotientSpec(((2, 3), (3, 1)))
 
@@ -428,7 +428,7 @@ class TestSparseTerms:
         # of the binomial product, both by dense products
         trunc = {"1": 1, "d": d, "d+1": d + 1, "2000": 2000}[n]
         jacobi = IntLaurentSeries.from_terms(
-            [(0, 1), *_cube_terms(d, trunc)], trunc)
+            dict([(0, 1), *_cube_terms(d, trunc)]), trunc)
         for cube in (pentagonal_product(d, trunc) ** 3,
                      euler_factor(d, d, trunc) ** 3):
             assert cube.trunc == trunc
