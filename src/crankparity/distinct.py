@@ -13,7 +13,11 @@ floor_p / ceil_p for the pentagonal floor and ceiling, the value is
     -2 (-1)^(n - floor)   n not in P, R(floor) even negative
      0   otherwise
 
-which splits as the sum of a floor-indexed and a ceiling-indexed term,
+The set P is {(t^2 - 1)/24 : t > 0 prime to 6}, increasing in t, with
+m = (t - 1)/6 for t == 1 (mod 6) and m = -(t + 1)/6 for t == 5, so the
+floor and ceiling of n come from the one integer square root isqrt(24n+1).
+
+The value splits as the sum of a floor-indexed and a ceiling-indexed term,
 themselves the coefficients of
 
     1/(1+q) sum_{n>=1} q^(n(3n+1)/2) (1 - q^(2n+1))    and    -q (q^2;q)_inf.
@@ -32,8 +36,8 @@ character and are bootstrapped from the enumeration oracle here instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate
+from math import isqrt
 from typing import Mapping
 
 from .partitions import distinct_rank_parity
@@ -73,28 +77,22 @@ class PentagonalInfo:
     r_ceil: int
 
 
-def _pentagonals():
-    """(value, m) in increasing value order: (0,0), (1,-1), (2,1), (5,-2), ..."""
-    yield 0, 0
-    j = 1
-    while True:
-        yield j * (3 * j - 1) // 2, -j
-        yield j * (3 * j + 1) // 2, j
-        j += 1
-
-
-@lru_cache(maxsize=None)
 def pent_info(n: int) -> PentagonalInfo:
+    """The pentagonal floor and ceiling of n with their indices m.  With
+    s = isqrt(24n+1), the floor's t is the largest t <= s prime to 6; the
+    ceiling's is the same t when t^2 = 24n+1 (n is pentagonal), else the
+    next t prime to 6: t + 4 for t == 1 (mod 6), t + 2 for t == 5."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    prev_v, prev_m = 0, 0
-    for v, m in _pentagonals():
-        if v == n:
-            return PentagonalInfo(n, True, m, v, v, m, m)
-        if v > n:
-            return PentagonalInfo(n, False, None, prev_v, v, prev_m, m)
-        prev_v, prev_m = v, m
-    raise AssertionError("unreachable")
+    s = isqrt(24 * n + 1)
+    lo = s - (1, 0, 1, 2, 3, 0)[s % 6]
+    hi = lo if lo * lo == 24 * n + 1 else lo + (4 if lo % 6 == 1 else 2)
+    r_floor, r_ceil = ((t - 1) // 6 if t % 6 == 1 else -(t + 1) // 6
+                       for t in (lo, hi))
+    if lo == hi:
+        return PentagonalInfo(n, True, r_floor, n, n, r_floor, r_floor)
+    return PentagonalInfo(n, False, None, (lo * lo - 1) // 24,
+                          (hi * hi - 1) // 24, r_floor, r_ceil)
 
 
 def floor_part(n: int) -> int:

@@ -243,7 +243,6 @@ def _poly_sum(pairs, jmax: int) -> dict[int, int]:
     return {j: c for j, c in enumerate(out) if c}
 
 
-@lru_cache(maxsize=None)
 def hauptmodul_sigma_polys() -> tuple[Mapping[int, int], ...]:
     """Elementary symmetric polynomials sigma_1..sigma_5 (in G) of the five
     values G((tau + lam)/5), the coefficients of their degree-5 modular
@@ -255,6 +254,8 @@ def hauptmodul_sigma_polys() -> tuple[Mapping[int, int], ...]:
 
     where a coefficient not divisible by k raises NonUnitDivisorError.  A
     sigma_k with a term below G^1 is refused: column windows rest on it.
+    Not cached: each transfer build derives the sigmas, and so checks them,
+    once.
     """
     images = _series_rows(EtaQuotientSpec(()))[1:6]
     top = max(max(x, default=0) for x in images)  # deg sigma_k <= k * top
@@ -278,12 +279,13 @@ def hauptmodul_sigma_polys() -> tuple[Mapping[int, int], ...]:
     return tuple(MappingProxyType(s) for s in sigmas[1:])
 
 
-def _modular_step(rows, i: int, jmax: int) -> dict[int, int]:
+def _modular_step(sigmas, rows, i: int, jmax: int) -> dict[int, int]:
     """Row i from rows i-5 .. i-1 by the modular equation, cut at G^jmax:
-    sigma_1 row_(i-1) - sigma_2 row_(i-2) + ... + sigma_5 row_(i-5).  Each
-    sigma starts at G^1, so columns <= jmax read only columns < jmax."""
+    sigma_1 row_(i-1) - sigma_2 row_(i-2) + ... + sigma_5 row_(i-5), with
+    the sigmas the caller's transfer build derived.  Each sigma starts at
+    G^1, so columns <= jmax read only columns < jmax."""
     return _poly_sum(((s, rows[i - k]) for k, s
-                      in enumerate(hauptmodul_sigma_polys(), start=1)), jmax)
+                      in enumerate(sigmas, start=1)), jmax)
 
 
 def _routes_agree(where: str, series: Mapping[int, int],
@@ -307,18 +309,20 @@ def _transfer_rows(pre: EtaQuotientSpec, imax: int, jmax: int) -> Rows:
     the same for both prefactors since sum_lam pre((tau+lam)/5) X_lam^i
     obeys the quintic's recurrence in i.  Rows 5..SERIES_ROWS are rebuilt
     that way from the series rows before them and must match, which
-    checks the sigmas and the recurrence against the series on every
-    call.  A window is exact because no sigma has a term below G^1.
+    checks the sigmas, derived once per call, and the recurrence against
+    the series on every call.  A window is exact because no sigma has a
+    term below G^1.
     """
     v = pre.prefactor_exponent
+    sigmas = hauptmodul_sigma_polys()
     rows = list(_series_rows(pre))
     for i in range(5, SERIES_ROWS + 1):
         _routes_agree(f"prefactor {pre.factors or 1}, row {i}", rows[i],
-                      _modular_step(rows, i, 5 * i + v),
+                      _modular_step(sigmas, rows, i, 5 * i + v),
                       "modular equation gives", 5 * i + v)
     rows = [{j: c for j, c in row.items() if j <= jmax} for row in rows]
     for i in range(len(rows), imax + 1):
-        rows.append(_modular_step(rows, i, min(5 * i + v, jmax)))
+        rows.append(_modular_step(sigmas, rows, i, min(5 * i + v, jmax)))
     return MappingProxyType({i: MappingProxyType(rows[i])
                              for i in range(1, imax + 1)})
 
@@ -338,10 +342,7 @@ def v_matrix_rows(imax: int) -> Rows:
 def _vec_mat(vec: dict[int, int], rows: Rows) -> dict[int, int]:
     out: dict[int, int] = {}
     for i, vi in vec.items():
-        if not vi:
-            continue
-        row = rows[i]
-        for j, rij in row.items():
+        for j, rij in rows[i].items():
             out[j] = out.get(j, 0) + vi * rij
     return {j: c for j, c in out.items() if c}
 

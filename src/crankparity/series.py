@@ -171,10 +171,8 @@ class IntLaurentSeries:
         return cls.monomial(0, 1, trunc)
 
     @classmethod
-    def monomial(cls, exponent: int, coeff: int = 1,
-                 trunc: int | None = None) -> "IntLaurentSeries":
-        if trunc is None:
-            trunc = exponent + 1
+    def monomial(cls, exponent: int, coeff: int,
+                 trunc: int) -> "IntLaurentSeries":
         if trunc <= exponent:
             raise TruncationError(f"trunc {trunc} must exceed {exponent}")
         return cls(exponent, (coeff,) + (0,) * (trunc - exponent - 1), trunc)
@@ -210,11 +208,9 @@ class IntLaurentSeries:
 
     def valuation(self) -> int | None:
         """Exponent of the first nonzero coefficient, or None if the series
-        vanishes identically up to its truncation."""
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return self.offset + i
-        return None
+        vanishes identically up to its truncation; the constructor strips
+        leading zeros, so it is the offset unless every coefficient is 0."""
+        return self.offset if self.coeffs[0] else None
 
     def terms(self) -> Iterator[tuple[int, int]]:
         for i, c in enumerate(self.coeffs):
@@ -361,8 +357,7 @@ class IntLaurentSeries:
             raise TruncationError(
                 f"cannot extend trunc {self.trunc} to {order}")
         if order <= self.offset:
-            return IntLaurentSeries.zero(order) if order > 0 else \
-                IntLaurentSeries(order - 1, (0,), order)
+            return IntLaurentSeries.zero(order)
         return IntLaurentSeries(self.offset,
                                 self.coeffs[:order - self.offset], order)
 

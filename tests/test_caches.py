@@ -1,20 +1,19 @@
 """The per-call memos the package keeps, each for hits measured on the CLI
-commands; a new one comes with its measured reason, or not at all."""
+commands; a new one comes with its measured reason, or not at all.  Work
+cheaper than a lookup is not memoised: the pentagonal floor and ceiling are
+one integer square root, and the sigmas are read once per transfer build."""
 
 from crankparity import circle, distinct, fivetower, partitions
 
 KEPT = {
     # every ladder and Claim L command reads the series rows 1-5 times
-    # again, and the sigmas 35-155 times
+    # again
     "fivetower._series_rows",
-    "fivetower.hauptmodul_sigma_polys",
     # coeffs and verify weighted come back for each m's core walk, and the
     # T bootstrap reads the distinct-parts oracle again
     "partitions._core_profile",
     "partitions._core_weights",
     "partitions._distinct_sweep",
-    # floor_part, ceil_part and the closed form each ask for n's pentagonals
-    "distinct.pent_info",
     # asymptotic: thousands of hits each
     "circle._arc_angles",
     "circle._cosine",

@@ -55,6 +55,43 @@ class TestPentInfo:
                 assert not (info.floor_p < p < n)
                 assert not (n < p < info.ceil_p)
 
+    def test_matches_a_walk_over_the_pentagonals(self):
+        # the closed form against the generalized pentagonals in increasing
+        # order, 0, 1, 2, 5, 7, ..., walked alongside n
+        def pentagonals():
+            yield 0, 0
+            for j in range(1, 200):
+                yield j * (3 * j - 1) // 2, -j
+                yield j * (3 * j + 1) // 2, j
+
+        walk = pentagonals()
+        (lo, r_lo), (hi, r_hi) = next(walk), next(walk)
+        for n in range(20001):
+            if n == hi:
+                (lo, r_lo), (hi, r_hi) = (hi, r_hi), next(walk)
+            info = pent_info(n)
+            if n == lo:
+                want = (n, True, r_lo, lo, lo, r_lo, r_lo)
+            else:
+                want = (n, False, None, lo, hi, r_lo, r_hi)
+            assert (info.n, info.is_pent, info.r, info.floor_p, info.ceil_p,
+                    info.r_floor, info.r_ceil) == want
+
+    def test_at_and_beside_large_pentagonals(self):
+        # n up to P(10^4) ~ 1.5e8; from |m| = 2 on, P(m) +- 1 is not
+        # pentagonal, so P(m) is the floor of P(m) + 1 and the ceiling of
+        # P(m) - 1
+        for m in range(-10 ** 4, 10 ** 4 + 1):
+            if abs(m) < 2:
+                continue
+            p = m * (3 * m + 1) // 2
+            at = pent_info(p)
+            assert at.is_pent and at.r == m and at.floor_p == at.ceil_p == p
+            above, below = pent_info(p + 1), pent_info(p - 1)
+            assert not above.is_pent and not below.is_pent
+            assert (above.floor_p, above.r_floor) == (p, m)
+            assert (below.ceil_p, below.r_ceil) == (p, m)
+
 
 class TestClosedForm:
     @pytest.mark.parametrize("n,want", [

@@ -236,14 +236,6 @@ def series_route_rows(pre, imax, jmax=None):
     return rows
 
 
-@pytest.fixture
-def fresh_rows():
-    """Rebuild the sigmas around a test that patches the series rows."""
-    fivetower.hauptmodul_sigma_polys.cache_clear()
-    yield
-    fivetower.hauptmodul_sigma_polys.cache_clear()
-
-
 def corrupt_series_rows(monkeypatch, pre, i, j, delta):
     exact = fivetower._series_rows
 
@@ -265,6 +257,20 @@ class TestModularEquation:
             {1: 35, 2: -50, 3: 25},
             {1: 10, 2: -5},
             {1: 1}]
+
+    def test_sigmas_are_read_once_per_transfer_build(self, monkeypatch):
+        # one derivation, and so one divisibility and G^1 check, for each
+        # of ladder_vectors(2, 11)'s four steps, not one per recurrence row
+        exact = fivetower.hauptmodul_sigma_polys
+        calls = []
+
+        def counted():
+            calls.append(1)
+            return exact()
+
+        monkeypatch.setattr(fivetower, "hauptmodul_sigma_polys", counted)
+        ladder_vectors(2, 11)
+        assert len(calls) == 4
 
     @pytest.mark.parametrize("pre", [EtaQuotientSpec(()),
                                      LADDER_MULTIPLIER_SPEC])
@@ -288,21 +294,21 @@ class TestModularEquation:
          "prefactor ((1, 3), (2, -2), (50, 2), (25, -3)), row 5, G^2: "
          "series gives 1640, modular equation gives 1675"),
     ], ids=["A-row-6", "B-row-6", "B-row-2"])
-    def test_corrupt_series_row_is_refused(self, monkeypatch, fresh_rows,
-                                           pre, i, j, delta, message):
+    def test_corrupt_series_row_is_refused(self, monkeypatch, pre, i, j,
+                                           delta, message):
         corrupt_series_rows(monkeypatch, pre, i, j, delta)
         with pytest.raises(LadderConsistencyError) as info:
             _transfer_rows(pre, 8, 41)
         assert str(info.value) == message
 
-    def test_sigma_below_g1_is_refused(self, monkeypatch, fresh_rows):
+    def test_sigma_below_g1_is_refused(self, monkeypatch):
         # a constant in A's row 1 gives sigma_1 = 5 A_1 a G^0 term
         corrupt_series_rows(monkeypatch, EtaQuotientSpec(()), 1, 0, 1)
         with pytest.raises(LadderConsistencyError,
                            match=r"^sigma_1 has a term at G\^0, below G\^1"):
             hauptmodul_sigma_polys()
 
-    def test_inexact_sigma_is_refused(self, monkeypatch, fresh_rows):
+    def test_inexact_sigma_is_refused(self, monkeypatch):
         # sigma_2 = (sigma_1 p_1 - p_2) / 2 with p_2 = 5 A_2 moved by 5
         corrupt_series_rows(monkeypatch, EtaQuotientSpec(()), 2, 3, 1)
         with pytest.raises(NonUnitDivisorError, match=r"^sigma_2: "):
@@ -537,12 +543,9 @@ def fresh_tower(monkeypatch):
     monkeypatch.delenv("CRANK_PARITY_CACHE_DIR", raising=False)
     monkeypatch.setattr(series, "_memo", {})
     monkeypatch.setattr(fivetower, "_haupt_table", {})
-    caches = (fivetower._series_rows, fivetower.hauptmodul_sigma_polys)
-    for cache in caches:
-        cache.cache_clear()
+    fivetower._series_rows.cache_clear()
     yield
-    for cache in caches:
-        cache.cache_clear()
+    fivetower._series_rows.cache_clear()
 
 
 class TestJacobiCorruption:

@@ -569,6 +569,28 @@ class TestTruncationDiscipline:
         with pytest.raises(ValueError):
             IntLaurentSeries(0, (1, 2), 5)
 
+    @settings(max_examples=300, deadline=None)
+    @given(offset=st.integers(-6, 6),
+           lead=st.integers(0, 8),
+           coeffs=st.lists(st.sampled_from((0, 0, 0, -3, 1, 7)), min_size=1,
+                           max_size=12))
+    def test_valuation_is_the_first_nonzero_exponent(self, offset, lead,
+                                                     coeffs):
+        coeffs = [0] * lead + coeffs
+        x = IntLaurentSeries(offset, coeffs, offset + len(coeffs))
+        scan = next((offset + i for i, c in enumerate(coeffs) if c), None)
+        assert x.valuation() == scan
+
+    def test_repr(self):
+        x = IntLaurentSeries.from_terms({-2: 3, 0: -1, 1: 4, 5: 9}, 7)
+        assert repr(x) == \
+            "IntLaurentSeries(3*q^-2 + -1 + 4*q + 9*q^5 + O(q^7))"
+        assert repr(IntLaurentSeries.zero(4)) == "IntLaurentSeries(0 + O(q^4))"
+        # six terms at most, then an ellipsis
+        y = IntLaurentSeries.from_terms({e: e + 1 for e in range(9)}, 9)
+        assert repr(y) == ("IntLaurentSeries(1 + 2*q + 3*q^2 + 4*q^3 + "
+                           "5*q^4 + 6*q^5 + ... + O(q^9))")
+
 
 class TestDump:
     def test_roundtrip(self, tmp_path):
