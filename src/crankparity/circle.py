@@ -10,17 +10,27 @@ The coefficient of q^n in (q;q)_inf/(-q;q)_inf^2 equals
 
 with |E_n| < 194 n^(1/4) and s(h,k) the Dedekind sum.  Dedekind sums are
 computed as exact rationals by reciprocity; the root-of-unity sums and the
-cosh main term are evaluated in configurable-precision arithmetic (mpmath),
-128 bits by default.  Since 6k s(h,k) is an integer, each term of B_k(n) is the root
-of unity e^(pi i (M_h - 12 n h)/(12k)) with the integer
+cosh main term are evaluated in configurable-precision binary floating
+point, 128 bits by default.  Since 6k s(h,k) is an integer, each term of
+B_k(n) is the root of unity e^(pi i (M_h - 12 n h)/(12k)) with the integer
 M_h = 12k (2 s(h,k) - 3 s(h,2k)); the angles M_h mod 24k are exact and
 memoised on k.  B_k(n) is exactly real because M_(2k-h) == -M_h (mod 24k),
 which pairs the h and 2k-h terms as conjugates; this is checked once per k
-in integers rather than assumed.  B_k(n) is then a sum of cosines, added as
-integers in fixed point with 16 guard bits (each cosine rounded to
-2^-(bits+16) and memoised on (k, angle, bits)).  It depends on n only
-through n mod 2k, so it is memoised on (k, n mod 2k, bits).  The main term
-skips every k whose fixed-point sum is exactly zero.
+in integers rather than assumed.  The two terms of a pair then fold to the
+same cosine, so B_k(n) is twice the sum over 0 < h < k for k >= 2 (for
+k = 1 it is the one term h = 1).  That sum is added as integers in fixed
+point with 16 guard bits (each cosine rounded to 2^-(bits+16) and memoised
+on (k, angle, bits)).  It depends on n only through n mod 2k, so it is
+memoised on (k, n mod 2k, bits).  The main term skips every k whose
+fixed-point sum is exactly zero.
+
+The cosines, B_k(n) and the main term are evaluated on mpmath's raw libmp
+values, (sign, mantissa, exponent, bitcount) tuples, each operation rounded
+to nearest at an explicit precision: the same operations, in the same order
+and at the same precision as the mpf arithmetic they stand for, without its
+per-operation wrapping and context switches.  Only the results are wrapped
+as mpf, without rounding, so they keep their precision whatever the
+caller's mpmath context.
 
 Also here: a direct numerical check of the modular transformation of the
 partition generating function F(q) = 1/(q;q)_inf,
@@ -34,13 +44,28 @@ evaluated on both sides by truncated products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from typing import NamedTuple
 
 import mpmath
 from mpmath import mpf, workprec
+from mpmath.libmp import (
+    from_int,
+    fzero,
+    mpf_add,
+    mpf_cos_pi,
+    mpf_cosh,
+    mpf_div,
+    mpf_mul,
+    mpf_nint,
+    mpf_pi,
+    mpf_shift,
+    mpf_sqrt,
+    round_nearest,
+    to_int,
+)
 
 from . import cranks
 
@@ -83,9 +108,10 @@ def dedekind_sum(h: int, k: int) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _arc_angles(k: int) -> tuple:
-    """(h, M_h mod 24k) for 0 < h < 2k coprime to 2k, where
-    M_h = 12k (2 s(h,k) - 3 s(h,2k)); raises PrecisionError unless
-    M_(2k-h) == -M_h (mod 24k) for every h."""
+    """(h, M_h mod 24k) for 0 < h <= k coprime to 2k, where
+    M_h = 12k (2 s(h,k) - 3 s(h,2k)): the terms h < k for k >= 2, and h = 1
+    for k = 1.  Raises PrecisionError unless M_(2k-h) == -M_h (mod 24k) for
+    every 0 < h < 2k, so the terms h > k are the conjugates of these."""
     period = 24 * k
     angles = {}
     for h in range(1, 2 * k):
@@ -102,15 +128,17 @@ def _arc_angles(k: int) -> tuple:
             raise PrecisionError(
                 f"B_{k}: the terms h = {h} and h = {2 * k - h} are not "
                 f"conjugate: M = {m} and {angles[2 * k - h]} (mod {period})")
-    return tuple(angles.items())
+    return tuple((h, m) for h, m in angles.items() if h <= k)
 
 
 @lru_cache(maxsize=None)
 def _cosine(j: int, k: int, bits: int) -> int:
     """round(cos(pi j / (12k)) 2^(bits+16)), evaluated at bits + 32."""
-    with workprec(bits + 32):
-        x = mpmath.cospi(mpf(j) / (12 * k))
-        return int(mpmath.nint(mpmath.ldexp(x, bits + 16)))
+    prec = bits + 32
+    x = mpf_div(from_int(j, prec, round_nearest), from_int(12 * k), prec,
+                round_nearest)
+    x = mpf_shift(mpf_cos_pi(x, prec, round_nearest), bits + 16)
+    return to_int(mpf_nint(x, prec, round_nearest))
 
 
 def kloosterman_sum(k: int, n: int, precision_bits: int = 128) -> mpf:
@@ -124,44 +152,66 @@ def kloosterman_sum(k: int, n: int, precision_bits: int = 128) -> mpf:
 @lru_cache(maxsize=None)
 def _kloosterman_residue(k: int, r: int, bits: int) -> mpf:
     """B_k(n) for every n == r (mod 2k): the sum of cos(pi j/(12k)) over
-    j = M_h - 12 r h (mod 24k), folded into 0 <= j <= 12k, in fixed point."""
+    j = M_h - 12 r h (mod 24k), folded into 0 <= j <= 12k, in fixed point.
+    The term 2k - h has the angle -j, so it folds to the cosine of h: the
+    sum runs over _arc_angles' h <= k and is doubled for k >= 2.  Rounded
+    to bits + 16 bits."""
     period = 24 * k
     total = 0
     for h, m in _arc_angles(k):
         j = (m - 12 * r * h) % period
         total += _cosine(min(j, period - j), k, bits)
-    with workprec(bits + 16):
-        return mpmath.ldexp(mpf(total), -(bits + 16))
+    if k > 1:
+        total *= 2
+    prec = bits + 16
+    return mpmath.mp.make_mpf(
+        mpf_shift(from_int(total, prec, round_nearest), -prec))
 
 
 @lru_cache(maxsize=None)
 def _k_constants(k: int, prec: int) -> tuple:
-    """(sqrt(k), pi/k) rounded to prec bits, for main_term."""
-    with workprec(prec):
-        return mpmath.sqrt(k), mpmath.pi / k
+    """(sqrt(k), pi/k) rounded to prec bits, as libmp values, for
+    main_term."""
+    return (mpf_sqrt(from_int(k), prec, round_nearest),
+            mpf_div(mpf_pi(prec, round_nearest), from_int(k), prec,
+                    round_nearest))
 
 
 def main_term(n: int, precision_bits: int = 128) -> mpf:
-    """The finite k-sum of the asymptotic formula, 0 < k < 5 sqrt(n)/2."""
+    """The finite k-sum of the asymptotic formula, 0 < k < 5 sqrt(n)/2,
+    rounded to precision_bits + 16 bits.
+
+    In libmp operations, each rounded to nearest at that precision, this is
+    the mpf evaluation
+
+        shifted = mpf(24n - 1) / 24;  root = sqrt(shifted / 6)
+        total += B_k(n) / sqrt(k) * cosh(pi / k * root)   for each k
+        total / sqrt(shifted)
+
+    operation for operation, so every value is the mpf one bit for bit."""
     if n < 1:
         raise ValueError("n must be positive")
     prec = precision_bits + 16
-    with workprec(prec):
-        shifted = mpf(24 * n - 1) / 24
-        root = mpmath.sqrt(shifted / 6)
-        total = mpf(0)
-        k = 1
-        while 4 * k * k < 25 * n:
-            bk = kloosterman_sum(k, n, precision_bits)
-            if bk:  # an exactly zero fixed-point sum adds nothing
-                sqrt_k, pi_over_k = _k_constants(k, prec)
-                total += bk / sqrt_k * mpmath.cosh(pi_over_k * root)
-            k += 1
-        return +(total / mpmath.sqrt(shifted))
+    rnd = round_nearest
+    shifted = mpf_div(from_int(24 * n - 1, prec, rnd), from_int(24), prec,
+                      rnd)
+    root = mpf_sqrt(mpf_div(shifted, from_int(6), prec, rnd), prec, rnd)
+    total = fzero
+    k = 1
+    while 4 * k * k < 25 * n:
+        bk = kloosterman_sum(k, n, precision_bits)._mpf_
+        if bk != fzero:  # an exactly zero fixed-point sum adds nothing
+            sqrt_k, pi_over_k = _k_constants(k, prec)
+            term = mpf_mul(mpf_div(bk, sqrt_k, prec, rnd),
+                           mpf_cosh(mpf_mul(pi_over_k, root, prec, rnd),
+                                    prec, rnd), prec, rnd)
+            total = mpf_add(total, term, prec, rnd)
+        k += 1
+    return mpmath.mp.make_mpf(
+        mpf_div(total, mpf_sqrt(shifted, prec, rnd), prec, rnd))
 
 
-@dataclass
-class AsymptoticReport:
+class AsymptoticReport(NamedTuple):
     """Exact coefficient vs main term at one n, with the theorem's bound."""
 
     n: int

@@ -18,8 +18,6 @@ overflow 64-bit machinery long before the default truncations).
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
 from itertools import repeat
@@ -58,15 +56,21 @@ def _emit(args, payload: dict, columns: list[str], rows: list[dict],
 
     json is ``{"schema", **payload}``; csv is ``columns``, then each row's
     values under them; text is ``text``, or a padded table of the rows when
-    it is None, or the csv or json form when it is "csv" or "json".
+    it is None, or the csv or json form when it is "csv" or "json".  The
+    json and csv modules are imported only by the branch that writes their
+    format, so a command that prints text never loads them.
     """
     output = args.output
     if output == "text" and text in ("csv", "json"):
         output = text
     if output == "json":
+        import json
+
         print(json.dumps({"schema": SCHEMA, **payload}, default=str,
                          indent=2))
     elif output == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout)
         writer.writerow(columns)
         for row in rows:

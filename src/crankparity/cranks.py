@@ -50,8 +50,8 @@ reported coefficient is exact.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from math import isqrt
+from typing import NamedTuple
 
 from .series import (
     IntLaurentSeries,
@@ -191,15 +191,14 @@ def rank_parity_series(trunc: int) -> IntLaurentSeries:
 # congruence family
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CongruenceReport:
+class CongruenceReport(NamedTuple):
     """Outcome of one congruence sweep: which n were tested against which
     modulus, and which failed (expected none)."""
 
     alpha: int
     modulus: int
-    tested_n: list = field(default_factory=list)
-    failures: list = field(default_factory=list)
+    tested_n: list
+    failures: list
 
     @property
     def passed(self) -> bool:
@@ -233,12 +232,9 @@ def verify_family_congruence(alpha: int, n_max: int) -> CongruenceReport:
             f"first is {residue}")
     series = crank_parity_series(n_max + 1)
     modulus = 5 ** (alpha + 1)
-    report = CongruenceReport(alpha=alpha, modulus=modulus)
-    for n in range(residue, n_max + 1, step):
-        report.tested_n.append(n)
-        if series.coeff(n) % modulus:
-            report.failures.append(n)
-    return report
+    tested = list(range(residue, n_max + 1, step))
+    return CongruenceReport(alpha, modulus, tested,
+                            [n for n in tested if series.coeff(n) % modulus])
 
 
 # ---------------------------------------------------------------------------

@@ -35,10 +35,9 @@ character and are bootstrapped from the enumeration oracle here instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from math import isqrt
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .partitions import distinct_rank_parity
 from .series import (
@@ -63,8 +62,7 @@ class BootstrapNeededError(LookupError):
 # pentagonal bookkeeping
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PentagonalInfo:
+class PentagonalInfo(NamedTuple):
     """Pentagonal floor/ceiling data for one n (r is None unless n itself
     is pentagonal; r == 0 only for n == 0)."""
 

@@ -22,8 +22,12 @@ ascending, in lexicographic order.  The crank/rank parity sweep walks the
 cores of each m (no part 1) once, cached per m, and fans them out to
 every n = m + mu by adding mu ones: (-1)^nu(mu) flips at every part, so
 one signed difference array per m gives the crank parity for every mu.
-The omega weight sweep fans out the same cores, in a walk of its own also
-cached per m, since the weights read mu only through its parity.  The
+That walk is the ascending-partition loop written inline on the sweep's
+own buffer, with no generator between them: a core ending in a two-part
+tail x <= y is tallied from the locals x and y, and every core is still
+listed and tallied on its own.  The omega weight sweep fans out the same
+cores, through the generator _ascending_partitions and also cached per m,
+since the weights read mu only through its parity.  The
 distinct sweep, cached per n since the T bootstrap reads the oracle
 again, steps from each strictly increasing partition to the next and
 reads both parities off its first part, last part and length.
@@ -31,10 +35,9 @@ reads both parities off its first part, last part and length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 
 class UndefinedStatisticError(ValueError):
@@ -45,8 +48,7 @@ class NotDistinctError(ValueError):
     """Distinct-parts statistic requested for a partition with repeats."""
 
 
-@dataclass(frozen=True)
-class ParityCount:
+class ParityCount(NamedTuple):
     """How many enumerated objects carry an even / odd statistic value."""
 
     even: int
@@ -241,18 +243,45 @@ def _core_profile(m: int) -> tuple[int, int, int, tuple[int, ...]]:
     core (tops counts them by largest part), else minus the V of its
     one-part extensions (flips).  Cores come in lexicographic order, so
     a[0..k] is the last core extending a[0..k-1]; pending[d] sums the V of
-    the finished extensions of a[0..d-1]."""
+    the finished extensions of a[0..d-1].
+
+    The walk is _ascending_partitions' inline, on its own buffer: the cores
+    a[0..k-1], x, y (x <= y) that end in a two-part tail are tallied from
+    the locals x and y, one core at a time, and never written to a."""
     rank_even = 0
     tops, flips, pending = ([0] * (m + 1) for _ in range(3))
-    for a, k in _ascending_partitions(m, smallest=2):
-        tops[a[k]] += 1
-        rank_even += (a[k] ^ k) & 1  # a[k] - (k + 1) is even
+    a = [0] * (m + 1)
+    a[0] = 1
+    k = 1
+    y = m - 2
+    while k:
+        x = a[k - 1] + 1
+        k -= 1
+        while 2 * x <= y:
+            a[k] = x
+            y -= x
+            k += 1
+        ell = k + 1
+        while x <= y:  # the core a[0..k-1], x, y
+            tops[y] += 1
+            rank_even += (y ^ ell) & 1  # y - (ell + 1) is even
+            v = -1 - pending[ell]  # minus (its own 1 + pending[ell])
+            pending[ell] = 0
+            flips[x] += v
+            pending[k] += v
+            x += 1
+            y -= 1
+        y += x
+        a[k] = y  # the core a[0..k]
+        tops[y] += 1
+        rank_even += (y ^ k) & 1
         pending[k] += 1
         if k:
             v = -pending[k]
             pending[k] = 0
             flips[a[k - 1]] += v
             pending[k - 1] += v
+        y -= 1
     diffs = (2 * (f + t) for f, t in zip(flips[2:m], tops[2:m]))
     return sum(tops), sum(tops[::2]), rank_even, tuple(
         accumulate(diffs, initial=-pending[0]))  # sum (-1)^(k + 1)

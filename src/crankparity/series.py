@@ -37,7 +37,7 @@ import operator
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate, repeat
 from typing import Iterable, Iterator, Mapping, TextIO
 
@@ -572,8 +572,7 @@ def pentagonal_quotient(factors: Iterable[tuple[int, int]],
     return IntLaurentSeries(0, c, trunc)
 
 
-@dataclass(frozen=True)
-class EtaQuotientSpec:
+class EtaQuotientSpec(namedtuple("EtaQuotientSpec", "factors")):
     """Exponent data for prod_d eta(d*tau)^(r_d), stored as (d, r) pairs.
 
     Only quotients with sum d*r divisible by 24 are allowed: those have an
@@ -581,9 +580,9 @@ class EtaQuotientSpec:
     kind.  Fractional prefactors are rejected rather than modelled.
     """
 
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __init__(self, factors: Iterable[tuple[int, int]]):
+    def __new__(cls, factors: Iterable[tuple[int, int]]) -> "EtaQuotientSpec":
         factors = tuple((int(d), int(r)) for d, r in factors)
         for d, _ in factors:
             if d < 1:
@@ -593,7 +592,7 @@ class EtaQuotientSpec:
             raise FractionalExponentError(
                 f"sum d*r = {total} is not divisible by 24; the expansion "
                 "would need fractional exponents")
-        object.__setattr__(self, "factors", factors)
+        return super().__new__(cls, factors)
 
     @property
     def prefactor_exponent(self) -> int:

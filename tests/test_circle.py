@@ -166,6 +166,25 @@ class TestKloostermanMemo:
             with pytest.raises(PrecisionError, match=r"h = 1 and h = 9"):
                 kloosterman_sum(5, n)
 
+    @pytest.mark.parametrize("bits", [53, 128])
+    def test_half_range_equals_the_full_range_sum(self, bits):
+        # the integer sum over every 0 < h < 2k coprime to 2k, each term
+        # rounded to 2^-(bits+16) as the module rounds it, against the
+        # doubled sum over h < k
+        for k in range(1, 62):
+            period = 24 * k
+            angles = [(h, 12 * k * (2 * dedekind_sum(h, k)
+                                    - 3 * dedekind_sum(h, 2 * k)))
+                      for h in range(1, 2 * k) if gcd(h, 2 * k) == 1]
+            for r in range(2 * k):
+                total = 0
+                for h, m in angles:
+                    j = (m.numerator - 12 * r * h) % period
+                    total += circle._cosine(min(j, period - j), k, bits)
+                with mpmath.workprec(bits + 16):
+                    want = mpmath.ldexp(mpmath.mpf(total), -(bits + 16))
+                assert kloosterman_sum(k, r, bits) == want, (k, r)
+
     def test_non_integer_angle_raises(self, monkeypatch):
         honest = circle.dedekind_sum
 
@@ -189,10 +208,10 @@ class TestMainTerm:
             m = main_term(n)
             assert (m > 0) == (n % 2 == 0), n
 
-    def test_zero_terms_are_skipped_exactly(self):
+    @pytest.mark.parametrize("bits", [53, 128, 200])
+    def test_zero_terms_are_skipped_exactly(self, bits):
         # the k-sum with every term kept, exactly zero B_k(n) included,
-        # in main_term's precision and order
-        bits = 128
+        # in main_term's precision and order, by the mpf formula
         prec = bits + 16
         zeros = 0
         for n in range(1, 301):
@@ -210,6 +229,39 @@ class TestMainTerm:
                 want = +(total / mpmath.sqrt(shifted))
             assert main_term(n, bits) == want, n
         assert zeros > 1000
+
+    def test_one_kloosterman_call_per_k(self, monkeypatch):
+        # main_term reads each B_k through the public kloosterman_sum, where
+        # a tracer can see it
+        calls = []
+        honest = circle.kloosterman_sum
+
+        def counted(k, n, precision_bits=128):
+            calls.append((k, n, precision_bits))
+            return honest(k, n, precision_bits)
+
+        monkeypatch.setattr(circle, "kloosterman_sum", counted)
+        for n in (1, 6, 7, 100, 599):
+            calls.clear()
+            main_term(n, 64)
+            ks = [k for k in range(1, 3 * n) if 4 * k * k < 25 * n]
+            assert calls == [(k, n, 64) for k in ks], n
+
+    def test_full_precision_outside_workprec(self):
+        # results keep every bit whatever the caller's context: built in a
+        # 53-bit context, they must equal those built in a wide one
+        _clear_memos()
+        assert mpmath.mp.prec == 53
+        narrow = [main_term(n, 128) for n in (5, 77, 300)]
+        bks = [kloosterman_sum(k, 11, 128) for k in (2, 9, 30)]
+        _clear_memos()
+        with mpmath.workprec(400):
+            wide = [main_term(n, 128) for n in (5, 77, 300)]
+            wide_bks = [kloosterman_sum(k, 11, 128) for k in (2, 9, 30)]
+        for got, want in zip(narrow + bks, wide + wide_bks):
+            assert got._mpf_ == want._mpf_
+        assert all(x._mpf_[3] > 100 for x in narrow)
+        assert any(x._mpf_[3] > 100 for x in bks)
 
     def test_precision_invariance(self):
         for n in (7, 60, 150):
