@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import crankparity
-from crankparity import distinct
+from crankparity import distinct, partitions
 from crankparity.cli import build_parser, main
 
 SRC = str(Path(crankparity.__file__).resolve().parent.parent)
@@ -330,6 +330,63 @@ class TestVerify:
                '  "passed": false,\n'
                '  "count": 3,\n'
                f'  "first_counterexample": "{first}"\n'
+               "}\n")
+
+    def test_failed_family_is_reported(self, capsys, corrupt):
+        # the crank series off by one at q^99 (see conftest), the 20th of
+        # the 24 n == 4 (mod 5) below 120; json adds the report's detail
+        corrupt("crank")
+        argv = ("verify", "family", "--n-max", "120")
+        assert run_cli(capsys, *argv) == (
+            1, "FAIL family: 24 cases (first counterexample: 99)\n")
+        assert run_cli(capsys, "--output", "csv", *argv) == (
+            1, "check,passed,count,first_counterexample\r\n"
+               "family,False,24,99\r\n")
+        assert run_cli(capsys, "--output", "json", *argv) == (
+            1, "{\n"
+               '  "schema": "crank-parity/1",\n'
+               '  "check": "family",\n'
+               '  "passed": false,\n'
+               '  "count": 24,\n'
+               '  "detail": {\n'
+               '    "alpha": 0,\n'
+               '    "modulus": 5,\n'
+               '    "count": 24,\n'
+               '    "failures": [\n'
+               "      99\n"
+               "    ]\n"
+               "  },\n"
+               '  "first_counterexample": 99\n'
+               "}\n")
+
+    @pytest.mark.parametrize("check, module, name", [
+        ("adh", distinct, "multiplicative_t"),
+        ("weighted", partitions, "omega_weights_agree"),
+    ])
+    def test_failed_oracle_sweep_is_reported(self, capsys, monkeypatch,
+                                             check, module, name):
+        # the real check, made to fail at n = 7 alone
+        real = getattr(module, name)
+        if check == "adh":
+            def failing(n, values=None):
+                return real(n, values) + (n == 7)
+        else:
+            def failing(n):
+                return n != 7 and real(n)
+        monkeypatch.setattr(module, name, failing)
+        argv = ("verify", check, "--n-max", "20")
+        assert run_cli(capsys, *argv) == (
+            1, f"FAIL {check}: 20 cases (first counterexample: 7)\n")
+        assert run_cli(capsys, "--output", "csv", *argv) == (
+            1, "check,passed,count,first_counterexample\r\n"
+               f"{check},False,20,7\r\n")
+        assert run_cli(capsys, "--output", "json", *argv) == (
+            1, "{\n"
+               '  "schema": "crank-parity/1",\n'
+               f'  "check": "{check}",\n'
+               '  "passed": false,\n'
+               '  "count": 20,\n'
+               '  "first_counterexample": 7\n'
                "}\n")
 
 
