@@ -127,7 +127,7 @@ def cmd_coeffs(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _verify_family(args) -> dict:
+def _verify_family(args) -> tuple:
     n_max = args.n_max if args.n_max is not None else _terms(args, "family")
     first = cranks.qualifying_residue(args.alpha)[0]
     if n_max < first:
@@ -135,14 +135,9 @@ def _verify_family(args) -> dict:
             f"verify family: no n <= {n_max} has 24n == 1 (mod "
             f"5^{2 * args.alpha + 1}); raise --n-max to at least {first}")
     report = cranks.verify_family_congruence(args.alpha, n_max)
-    return {
-        "check": "family",
-        "passed": report.passed,
-        "count": len(report.tested_n),
-        "detail": report.to_json_dict(),
-        "first_counterexample": report.failures[0] if report.failures
-        else None,
-    }
+    return (len(report.tested_n),
+            report.failures[0] if report.failures else None,
+            report.to_json_dict())
 
 
 # The series identities: one call on the truncation each (claimL also on
@@ -159,34 +154,27 @@ _SIMPLE_CHECKS = {
 }
 
 
-def _verify_simple(args) -> dict:
+def _verify_simple(args) -> tuple:
     terms = _terms(args, args.check)
     check = _SIMPLE_CHECKS[args.check]
     bad = check(args.alpha, terms) if args.check == "claimL" else check(terms)
-    return {"check": args.check, "passed": bad is None, "count": terms,
-            "first_counterexample": None if bad is None
-            else "q^{}: {} != {}".format(*bad)}
+    return terms, None if bad is None else "q^{}: {} != {}".format(*bad)
 
 
-def _verify_ladder(args) -> dict:
+def _verify_ladder(args) -> tuple:
+    # L_(2a+1) needs 5^(a + 1 + (j - 1) // 2) to divide its entry at G^j,
+    # and L_(2a+2) needs 5^(a + 1 + j // 2): both are 5^((nu + j) // 2)
     rungs = fivetower.ladder(args.alpha_max)
-    worst = []
     for nu, poly in rungs.items():
         if nu == 0:
             continue
-        a = (nu - 1) // 2
         for j, c in poly.items():
-            if nu % 2:
-                required = a + 1 + (j - 1) // 2
-            else:
-                required = a + 1 + j // 2
+            required = (nu + j) // 2
             v = fivetower.five_adic(c)
             if v < required:
-                worst.append(f"L_{nu} G^{j}: 5-adic valuation {v} "
-                             f"< {required}")
-    return {"check": "ladder", "passed": not worst,
-            "count": len(rungs) - 1,
-            "first_counterexample": worst[0] if worst else None}
+                return len(rungs) - 1, (f"L_{nu} G^{j}: 5-adic valuation "
+                                        f"{v} < {required}")
+    return len(rungs) - 1, None
 
 
 def _oracle_n_max(args, default: int) -> int:
@@ -207,27 +195,25 @@ def _oracle_n_max(args, default: int) -> int:
     return args.n_max
 
 
-def _verify_adh(args) -> dict:
+def _first_failure(n_max: int, holds) -> int | None:
+    """The first 1 <= n <= n_max where ``holds(n)`` is false, or None; no n
+    past the first failure is checked."""
+    return next((n for n in range(1, n_max + 1) if not holds(n)), None)
+
+
+def _verify_adh(args) -> tuple:
     n_max = _oracle_n_max(args, args.oracle_max)
     values = distinct.bootstrap_t_values(n_max)
-    bad = [n for n in range(1, n_max + 1)
-           if distinct.multiplicative_t(n, values)
-           != partitions.distinct_rank_parity(n).diff]
-    return {"check": "adh", "passed": not bad, "count": n_max,
-            "first_counterexample": bad[0] if bad else None}
+    return n_max, _first_failure(n_max, lambda n: distinct.multiplicative_t(
+        n, values) == partitions.distinct_rank_parity(n).diff)
 
 
-def _verify_weighted(args) -> dict:
+def _verify_weighted(args) -> tuple:
     n_max = _oracle_n_max(args, 40)
     series = cranks.crank_parity_series(n_max + 1)
-    bad = []
-    for n in range(1, n_max + 1):
-        total, total1 = partitions.omega_totals(n)
-        if not (total == total1 == series.coeff(n)
-                and partitions.omega_weights_agree(n)):
-            bad.append(n)
-    return {"check": "weighted", "passed": not bad, "count": n_max,
-            "first_counterexample": bad[0] if bad else None}
+    return n_max, _first_failure(n_max, lambda n: (
+        partitions.omega_totals(n) == (series.coeff(n),) * 2
+        and partitions.omega_weights_agree(n)))
 
 
 _VERIFY_HANDLERS = {
@@ -240,13 +226,27 @@ _VERIFY_HANDLERS = {
 
 
 def cmd_verify(args) -> int:
-    result = _VERIFY_HANDLERS[args.check](args)
-    state = "PASS" if result["passed"] else "FAIL"
-    extra = "" if result["passed"] else \
-        f" (first counterexample: {result['first_counterexample']})"
+    """Run one check and report it; the only place a verify result is built.
+
+    Every handler returns ``(count, first counterexample or None)``, and
+    family adds its report's detail as a third item.  The check passes
+    exactly when there is no counterexample.  The result holds check,
+    passed, count, detail (family only) and first_counterexample, in that
+    order; its text form is one PASS or FAIL line, and the exit status is 0
+    on a pass, 1 on a failure.
+    """
+    count, first, *detail = _VERIFY_HANDLERS[args.check](args)
+    passed = first is None
+    result = {"check": args.check, "passed": passed, "count": count}
+    if detail:
+        result["detail"] = detail[0]
+    result["first_counterexample"] = first
+    line = f"{'PASS' if passed else 'FAIL'} {args.check}: {count} cases"
+    if not passed:
+        line += f" (first counterexample: {first})"
     _emit(args, result, ["check", "passed", "count", "first_counterexample"],
-          [result], f"{state} {result['check']}: {result['count']} cases{extra}")
-    return 0 if result["passed"] else 1
+          [result], line)
+    return 0 if passed else 1
 
 
 # ---------------------------------------------------------------------------

@@ -22,11 +22,11 @@ ascending, in lexicographic order.  The crank/rank parity sweep walks the
 cores of each m (no part 1) once, cached per m, and fans them out to
 every n = m + mu by adding mu ones: (-1)^nu(mu) flips at every part, so
 one signed difference array per m gives the crank parity for every mu.
-That walk is the ascending-partition loop written inline on the sweep's
+That walk is _ascending_cores' loop written inline on the sweep's
 own buffer, with no generator between them: a core ending in a two-part
 tail x <= y is tallied from the locals x and y, and every core is still
 listed and tallied on its own.  The omega weight sweep fans out the same
-cores, through the generator _ascending_partitions and also cached per m,
+cores, through the generator _ascending_cores and also cached per m,
 since the weights read mu only through its parity.  The
 distinct sweep, cached per n since the T bootstrap reads the oracle
 again, steps from each strictly increasing partition to the next and
@@ -89,16 +89,17 @@ def enumerate_partitions(n: int, distinct: bool = False) -> Iterator[tuple[int, 
     return gen(n, n if n else 1, [])
 
 
-def _ascending_partitions(n: int, smallest: int = 1):
-    """Internal sweep driver: yields (buffer, last_index) with each partition
-    of n into parts >= smallest stored ascending in buffer[0..last_index].
-    The buffer is reused, so callers must consume it before advancing."""
-    if n < smallest:
+def _ascending_cores(m: int):
+    """Internal sweep driver: yields (buffer, last_index) with each core of
+    m, its partitions with no part 1, stored ascending in
+    buffer[0..last_index], in lexicographic order (nothing for m < 2).  The
+    buffer is reused, so callers must consume it before advancing."""
+    if m < 2:
         return
-    a = [0] * (n + 1)
-    a[0] = smallest - 1
+    a = [0] * (m + 1)
+    a[0] = 1
     k = 1
-    y = n - smallest
+    y = m - 2
     while k != 0:
         x = a[k - 1] + 1
         k -= 1
@@ -245,7 +246,7 @@ def _core_profile(m: int) -> tuple[int, int, int, tuple[int, ...]]:
     a[0..k] is the last core extending a[0..k-1]; pending[d] sums the V of
     the finished extensions of a[0..d-1].
 
-    The walk is _ascending_partitions' inline, on its own buffer: the cores
+    The walk is _ascending_cores' inline, on its own buffer: the cores
     a[0..k-1], x, y (x <= y) that end in a two-part tail are tallied from
     the locals x and y, one core at a time, and never written to a."""
     rank_even = 0
@@ -352,7 +353,7 @@ def _core_weights(m: int) -> tuple[tuple[int, int, bool],
     weight_omega1, for either parity of mu."""
     sums = [[0, 0, True], [0, 0, True]]
     cores = 0
-    for a, k in _ascending_partitions(m, smallest=2):
+    for a, k in _ascending_cores(m):
         cores += 1
         i = 0
         r = 1

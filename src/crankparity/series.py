@@ -195,16 +195,23 @@ class IntLaurentSeries:
 
     # -- inspection ----------------------------------------------------------
 
+    def _window(self, lo: int, hi: int) -> tuple:
+        """The coefficients of q^lo, ..., q^(hi - 1): exact zeros below the
+        offset, and ``TruncationError`` if hi - 1 is at or past trunc.  Every
+        read of coefficients by exponent goes through it."""
+        if hi > self.trunc:
+            raise TruncationError(
+                f"coefficient of q^{hi - 1} unavailable: trunc is "
+                f"{self.trunc}, need at least {hi}")
+        if lo >= self.offset:
+            return self.coeffs[lo - self.offset:hi - self.offset]
+        return ((0,) * (min(hi, self.offset) - lo)
+                + self.coeffs[:max(hi - self.offset, 0)])
+
     def coeff(self, exponent: int) -> int:
         """Coefficient of q^exponent; exact zeros below the offset are fine,
         anything at or beyond trunc raises."""
-        if exponent >= self.trunc:
-            raise TruncationError(
-                f"coefficient of q^{exponent} unavailable: trunc is "
-                f"{self.trunc}, need at least {exponent + 1}")
-        if exponent < self.offset:
-            return 0
-        return self.coeffs[exponent - self.offset]
+        return self._window(exponent, exponent + 1)[0]
 
     def valuation(self) -> int | None:
         """Exponent of the first nonzero coefficient, or None if the series
@@ -229,8 +236,9 @@ class IntLaurentSeries:
             raise TruncationError(
                 f"equality to order {order} needs truncs >= {order}, have "
                 f"{self.trunc} and {other.trunc}")
-        for e in range(min(self.offset, other.offset), order):
-            mine, theirs = self.coeff(e), other.coeff(e)
+        lo = min(self.offset, other.offset)
+        pairs = zip(self._window(lo, order), other._window(lo, order))
+        for e, (mine, theirs) in enumerate(pairs, lo):
             if mine != theirs:
                 return e, mine, theirs
         return None
@@ -255,18 +263,8 @@ class IntLaurentSeries:
     def _aligned(self, other: "IntLaurentSeries", sub: bool) -> "IntLaurentSeries":
         off = min(self.offset, other.offset)
         trunc = min(self.trunc, other.trunc)
-        out = [0] * (trunc - off)
-        for i, c in enumerate(self.coeffs):
-            e = self.offset + i
-            if e < trunc:
-                out[e - off] = c
-        for i, c in enumerate(other.coeffs):
-            e = other.offset + i
-            if e < trunc:
-                if sub:
-                    out[e - off] -= c
-                else:
-                    out[e - off] += c
+        op = operator.sub if sub else operator.add
+        out = map(op, self._window(off, trunc), other._window(off, trunc))
         return IntLaurentSeries(off, out, trunc)
 
     def __add__(self, other):
@@ -375,8 +373,8 @@ class IntLaurentSeries:
         t_end = -((r - self.trunc) // step)
         if t0 >= t_end:
             return IntLaurentSeries(t_end - 1, (0,), t_end)
-        out = [self.coeff(step * t + r) for t in range(t0, t_end)]
-        return IntLaurentSeries(t0, out, t_end)
+        return IntLaurentSeries(
+            t0, self._window(step * t0 + r, self.trunc)[::step], t_end)
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +437,7 @@ def q_sum(trunc: int, term, start: int = 0,
     if base is not None and base.offset < 0:
         raise ValueError(f"base must be a power series, offset {base.offset}")
     run = [1] + [0] * (trunc - 1) if base is None else \
-        [base.coeff(i) for i in range(trunc)]
+        list(base._window(0, trunc))
     total = [0] * trunc
     last = -1
     n = start
@@ -628,8 +626,8 @@ def apply_U(d: int, x: IntLaurentSeries) -> IntLaurentSeries:
 # ---------------------------------------------------------------------------
 
 def dump_series(x: IntLaurentSeries, fp: TextIO) -> None:
-    for e in range(x.offset, x.trunc):
-        fp.write(f"{e}\t{x.coeff(e)}\n")
+    for e, c in enumerate(x.coeffs, x.offset):
+        fp.write(f"{e}\t{c}\n")
 
 
 def load_series(fp: TextIO) -> IntLaurentSeries:
@@ -661,19 +659,37 @@ def memo(name: str, trunc: int, build) -> IntLaurentSeries:
     place.  A miss in memory checks the whole file but decodes only its
     lines below q^trunc, and keeps them when they reach ``trunc``; only a
     series built here is written.  A file whose trailer does not match is
-    named in one line on stderr, rebuilt and rewritten.
+    named in one line on stderr, rebuilt and rewritten.  A file the file
+    system refuses to read or write (an ``OSError``) costs the cache, not
+    the command: one stderr line names it and the error, and the series is
+    built and returned as if no cache were set, with no write after a
+    failed read.
     """
     cur = _memo.get(name)
     if cur is None or cur.trunc < trunc:
         cache_dir = os.environ.get("CRANK_PARITY_CACHE_DIR")
         path = cache_dir and os.path.join(cache_dir, f"{name}.tsv")
-        cur = path and os.path.exists(path) and _load_checked(path, trunc)
+        try:
+            cur = path and os.path.exists(path) and _load_checked(path, trunc)
+        except OSError as exc:
+            _unusable(path, exc)
+            cur = path = None
         if not cur or cur.trunc < trunc:
             cur = build(trunc)
             if path:
-                _store(path, cur)
+                try:
+                    _store(path, cur)
+                except OSError as exc:
+                    _unusable(path, exc)
         _memo[name] = cur
     return cur.truncate(trunc) if cur.trunc > trunc else cur
+
+
+def _unusable(path: str, exc: OSError) -> None:
+    """Name a cache file the file system refused, and the error, in one
+    stderr line; the command goes on as if no cache were set."""
+    print(f"crank-parity: cache file {path} unusable ({exc}); not cached",
+          file=sys.stderr)
 
 
 def _trailer(body: bytes) -> bytes:

@@ -389,6 +389,22 @@ class TestVerify:
                '  "first_counterexample": 7\n'
                "}\n")
 
+    def test_sweep_stops_at_the_first_failure(self, capsys, monkeypatch):
+        real_totals = partitions.omega_totals
+        real_agree = partitions.omega_weights_agree
+        totals = []
+
+        def spy(n):
+            totals.append(n)
+            return real_totals(n)
+
+        monkeypatch.setattr(partitions, "omega_totals", spy)
+        monkeypatch.setattr(partitions, "omega_weights_agree",
+                            lambda n: n != 2 and real_agree(n))
+        assert run_cli(capsys, "verify", "weighted", "--n-max", "15") == (
+            1, "FAIL weighted: 15 cases (first counterexample: 2)\n")
+        assert len(totals) <= 2
+
 
 class TestOutputFormats:
     def test_verify_csv(self, capsys):
@@ -622,6 +638,36 @@ class TestDumpSeries:
         assert (proc.returncode, proc.stderr) == (0, b"")
         assert sorted(os.listdir(tmp_path)) == [
             "crank_parity.tsv", "hauptmodul.tsv"]
+
+    @pytest.mark.parametrize("case", ["under a file", "file is a directory"])
+    def test_unusable_cache_costs_the_cache(self, tmp_path, case):
+        # the file system refuses the write (a directory under a regular
+        # file) or the read (a directory where the file should be): one
+        # stderr line names the file and the error, and stdout and exit
+        # status are those of a run with no cache directory
+        if case == "under a file":
+            (tmp_path / "plain").write_text("")
+            cache_dir = tmp_path / "plain" / "x"
+            error = "Not a directory"
+        else:
+            cache_dir = tmp_path
+            (tmp_path / "crank_parity.tsv").mkdir()
+            error = "Is a directory"
+
+        def run(**env):
+            return subprocess.run(
+                [sys.executable, "-m", "crankparity", "verify", "family",
+                 "--alpha", "0"],
+                env=cli_env(**env), capture_output=True, text=True,
+                timeout=120)
+
+        plain = run()
+        proc = run(CRANK_PARITY_CACHE_DIR=str(cache_dir))
+        assert (proc.returncode, proc.stdout) == (0, plain.stdout)
+        path = cache_dir / "crank_parity.tsv"
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith(f"crank-parity: cache file {path} ")
+        assert error in proc.stderr and "Traceback" not in proc.stderr
 
 
 class TestClosedStdout:

@@ -1,19 +1,39 @@
-"""Every private helper the package defines is called or read in it.
+"""Every function the package defines has a reader.
 
-No linter runs on this package, so a single-underscore function or method
-left behind when its last caller goes is caught here, from the modules'
-syntax trees alone.  Dunder methods are called by Python, not by name, and
-are not checked.
+No linter runs on this package, so a function or method left behind when
+its last caller goes is caught here, from the modules' syntax trees alone.
+A single-underscore helper must be called or read in the package.  A public
+one must be read in the package, be a span that ``bench/tracer.py`` wraps,
+or be named in ``REFERENCE`` with the reason it is kept.  Dunder methods
+are called by Python, not by name, and are not checked.
 """
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "crankparity"
+TRACER = PACKAGE.parent.parent / "bench" / "tracer.py"
+
+# Public functions no package code reads, each kept for a reader outside it.
+REFERENCE = {
+    "enumerate_partitions": "the tests' oracle: the readable enumerator "
+                            "every sweep is checked against",
+    "crank": "the tests' oracle: the crank by its definition",
+    "rank": "the tests' oracle: the rank by its definition",
+    "distinct_crank": "the tests' oracle: the distinct-parts crank by its "
+                      "definition",
+    "weight_omega": "the tests' oracle: omega by its definition",
+    "weight_omega1": "the tests' oracle: omega_1 by its definition",
+    "rank_parity": "the tests' oracle: the rank parity by enumeration",
+    "newton_power_u5": "acceptance criterion 4 reads it",
+    "eta_transformation_check": "acceptance criterion 7 reads it",
+    "euler_factor": "a bench/tracer.py span, and the tests' Euler product "
+                    "built apart from the pentagonal route",
+}
 
 
-def private_helpers(tree: ast.Module) -> list[str]:
-    """Single-underscore module-level functions and methods of top-level
+def defined(tree: ast.Module) -> list[str]:
+    """Names of the module-level functions and of the methods of top-level
     classes."""
     defs = [node for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
@@ -21,8 +41,16 @@ def private_helpers(tree: ast.Module) -> list[str]:
         if isinstance(cls, ast.ClassDef):
             defs += [node for node in cls.body if isinstance(
                 node, (ast.FunctionDef, ast.AsyncFunctionDef))]
-    return [node.name for node in defs
-            if node.name.startswith("_") and not node.name.startswith("__")]
+    return [node.name for node in defs]
+
+
+def private_helpers(tree: ast.Module) -> list[str]:
+    return [name for name in defined(tree)
+            if name.startswith("_") and not name.startswith("__")]
+
+
+def public_names(tree: ast.Module) -> list[str]:
+    return [name for name in defined(tree) if not name.startswith("_")]
 
 
 def names_read(tree: ast.Module) -> set[str]:
@@ -37,6 +65,19 @@ def names_read(tree: ast.Module) -> set[str]:
     return read
 
 
+def package_sources() -> list[str]:
+    return [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+
+
+def span_targets() -> set[str]:
+    """The last name of each ``SPANS`` target, the tracer compiled from its
+    text as ``tests/test_bench_tracer.py`` reads it."""
+    namespace = {"__name__": "bench_tracer"}
+    exec(compile(TRACER.read_text(), str(TRACER), "exec"), namespace)
+    return {path.rpartition(".")[2]
+            for _, path in namespace["SPANS"].values()}
+
+
 def unread_helpers(sources: list[str]) -> list[str]:
     trees = [ast.parse(source) for source in sources]
     read = set().union(*(names_read(tree) for tree in trees))
@@ -44,8 +85,17 @@ def unread_helpers(sources: list[str]) -> list[str]:
             if name not in read]
 
 
+def unreached_public(sources: list[str], spans: set[str],
+                     reference) -> list[str]:
+    trees = [ast.parse(source) for source in sources]
+    reached = set().union(*(names_read(tree) for tree in trees), spans,
+                          reference)
+    return [name for tree in trees for name in public_names(tree)
+            if name not in reached]
+
+
 def test_every_private_helper_is_read():
-    sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    sources = package_sources()
     assert private_helpers(ast.parse("\n".join(sources)))
     assert unread_helpers(sources) == []
 
@@ -58,3 +108,28 @@ def test_a_left_over_helper_is_caught():
         "    def _other(self):\n        return _used()\n"
         "    def __repr__(self):\n        return ''\n",
     ]) == ["_pentagonals", "_step"]
+
+
+def test_every_public_name_is_reached():
+    assert unreached_public(package_sources(), span_targets(),
+                            REFERENCE) == []
+
+
+def test_reference_names_are_defined_and_unread():
+    # a name the package reads again, or no longer defines, leaves the set
+    trees = [ast.parse(source) for source in package_sources()]
+    read = set().union(*(names_read(tree) for tree in trees))
+    public = {name for tree in trees for name in public_names(tree)}
+    assert all(REFERENCE.values())
+    assert set(REFERENCE) <= public - read
+
+
+def test_a_left_over_public_helper_is_caught():
+    assert unreached_public([
+        "def left_over():\n    return 1\n"
+        "def traced():\n    return used()\n"
+        "def used():\n    return 2\n"
+        "def oracle():\n    return 3\n"
+        "class C:\n    def stale(self):\n        return 4\n"
+        "    def _private(self):\n        return 5\n",
+    ], {"traced"}, {"oracle": "the tests' oracle"}) == ["left_over", "stale"]

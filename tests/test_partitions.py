@@ -95,13 +95,12 @@ class TestSweepsAgainstDefinitions:
     def test_ascending_generator(self):
         # _core_weights walks the cores through it, and _core_profile's
         # inline copy relies on the same lexicographic order
-        for n in range(1, 31):
-            for smallest in (1, 2, 3):
-                got = [tuple(a[:k + 1]) for a, k in
-                       partitions._ascending_partitions(n, smallest)]
-                want = [p[::-1] for p in enumerate_partitions(n)
-                        if min(p) >= smallest]
-                assert got == sorted(set(want)), (n, smallest)
+        for m in range(0, 31):
+            got = [tuple(a[:k + 1]) for a, k in
+                   partitions._ascending_cores(m)]
+            want = [p[::-1] for p in enumerate_partitions(m)
+                    if p and p[-1] != 1]
+            assert got == sorted(want), m
 
     def test_ascending_distinct_generator(self):
         # _distinct_sweep reads the first and last part off each buffer
@@ -127,10 +126,10 @@ class TestSweepsAgainstDefinitions:
     def test_core_profile(self, monkeypatch):
         # the crank walk lists the cores inline on its own buffer, not
         # through the generator, and is read here past its memo
-        def refused(n, smallest=1):
+        def refused(m):
             raise AssertionError("core walk drove the generator")
 
-        monkeypatch.setattr(partitions, "_ascending_partitions", refused)
+        monkeypatch.setattr(partitions, "_ascending_cores", refused)
         for m in range(2, 26):
             cores = [p for p in enumerate_partitions(m) if p[-1] != 1]
             signs = tuple(sum((-1) ** sum(part > mu for part in p)
