@@ -157,8 +157,10 @@ _SIMPLE_CHECKS = {
 def _verify_simple(args) -> tuple:
     terms = _terms(args, args.check)
     check = _SIMPLE_CHECKS[args.check]
-    bad = check(args.alpha, terms) if args.check == "claimL" else check(terms)
-    return terms, None if bad is None else "q^{}: {} != {}".format(*bad)
+    level = ({"alpha": args.alpha},) if args.check == "claimL" else ()
+    bad = check(args.alpha, terms) if level else check(terms)
+    return (terms, None if bad is None else "q^{}: {} != {}".format(*bad),
+            *level)
 
 
 def _verify_ladder(args) -> tuple:
@@ -228,12 +230,13 @@ _VERIFY_HANDLERS = {
 def cmd_verify(args) -> int:
     """Run one check and report it; the only place a verify result is built.
 
-    Every handler returns ``(count, first counterexample or None)``, and
-    family adds its report's detail as a third item.  The check passes
-    exactly when there is no counterexample.  The result holds check,
-    passed, count, detail (family only) and first_counterexample, in that
-    order; its text form is one PASS or FAIL line, and the exit status is 0
-    on a pass, 1 on a failure.
+    Every handler returns ``(count, first counterexample or None)``;
+    family adds its report's detail as a third item, and claimL its level
+    ``{"alpha": a}``.  The check passes exactly when there is no
+    counterexample.  The result holds check, passed, count, detail (family
+    and claimL only) and first_counterexample, in that order; its text form
+    is one PASS or FAIL line, and the exit status is 0 on a pass, 1 on a
+    failure.
     """
     count, first, *detail = _VERIFY_HANDLERS[args.check](args)
     passed = first is None

@@ -36,7 +36,7 @@ character and are bootstrapped from the enumeration oracle here instead.
 from __future__ import annotations
 
 from itertools import accumulate
-from math import isqrt
+from math import isqrt, prod
 from typing import Mapping, NamedTuple
 
 from .partitions import distinct_rank_parity
@@ -322,52 +322,41 @@ def bootstrap_t_values(n_max: int) -> dict[int, int]:
     exponent in some 24n+1, n <= n_max, reading them off the distinct-parts
     rank-parity oracle.
 
-    Every equation T(24n+1) = oracle(n) with a nonzero known part and one
-    unknown T(p) is solved for it, until none is left; a prime 24n+1 is the
-    equation with known part 1.  Negatives of primes == 23 (mod 24) never
-    sit at an oracle index alone, and whenever an equation involves several
-    unknowns only their product is observable at this range: the leftover
-    sign freedom is fixed by assigning +2 to all but the last unknown (the
-    magnitude constraint is still verified, so an inconsistent oracle
-    raises).
+    Each step solves one equation T(24n+1) = oracle(n) with a nonzero
+    known part: the first with one unknown T(p), else the first with
+    several; a prime 24n+1 is the equation with known part 1.  Negatives of
+    primes == 23 (mod 24) never sit at an oracle index alone, and whenever
+    an equation involves several unknowns only their product is observable
+    at this range: the leftover sign freedom is fixed by assigning +2 to
+    all but the last unknown (the magnitude constraint is still verified,
+    so an inconsistent oracle raises).
     """
     def oracle(n: int) -> int:
         return distinct_rank_parity(n).diff
 
     values: dict[int, int] = {}
-    progress = True
-    while progress:
-        progress = False
-        for n in range(1, n_max + 1):
-            known, unknown = _split_t(n, values)
-            if len(unknown) != 1 or known == 0:
-                continue
-            (p, e), = unknown
-            contrib, rem = divmod(oracle(n), known)
-            if rem or contrib not in (e + 1, -(e + 1)):
+    while True:
+        open_eqs = [(len(unknown) > 1, n, known, unknown)
+                    for n in range(1, n_max + 1)
+                    for known, unknown in [_split_t(n, values)]
+                    if known and unknown]
+        if not open_eqs:
+            return values
+        several, n, known, unknown = min(open_eqs)
+        if several:
+            magnitude = prod(e + 1 for _, e in unknown)
+            if abs(oracle(n)) != abs(known) * magnitude:
                 raise AssertionError(
-                    f"cannot solve T({p}) from n={n}: oracle {oracle(n)}, "
-                    f"known part {known}")
-            values[p] = 2 if contrib == e + 1 else -2
-            progress = True
-
-    for n in range(1, n_max + 1):
-        known, unknown = _split_t(n, values)
-        if not unknown or known == 0:
-            continue
-        magnitude = 1
-        for _, e in unknown:
-            magnitude *= e + 1
-        target = oracle(n)
-        if abs(target) != abs(known) * magnitude:
-            raise AssertionError(
-                f"n={n}: oracle {target} incompatible with |known| "
-                f"{abs(known)} times {magnitude}")
-        # gauge choice: individual signs are unobservable here
-        for p, e in unknown[:-1]:
-            values[p] = 2
-            known *= e + 1
+                    f"n={n}: oracle {oracle(n)} incompatible with |known| "
+                    f"{abs(known)} times {magnitude}")
+            # gauge choice: individual signs are unobservable here
+            for p, e in unknown[:-1]:
+                values[p] = 2
+                known *= e + 1
         p, e = unknown[-1]
-        contrib = target // known
+        contrib, rem = divmod(oracle(n), known)
+        if rem or contrib not in (e + 1, -(e + 1)):
+            raise AssertionError(
+                f"cannot solve T({p}) from n={n}: oracle {oracle(n)}, "
+                f"known part {known}")
         values[p] = 2 if contrib == e + 1 else -2
-    return values

@@ -25,9 +25,12 @@ G((tau + lam)/5) are the roots of the degree-5 modular equation
     sigma_2 = 60G - 175G^2 + 250G^3 - 125G^4,
     sigma_3 = 35G - 50G^2 + 25G^3,   sigma_4 = 10G - 5G^2,   sigma_5 = G,
 
-read off A's rows 1..5 by Newton's identities, so every later row of either
-matrix is sigma_1 row_(i-1) - sigma_2 row_(i-2) + ... + sigma_5 row_(i-5).
-Rows 5 and 6 are rebuilt that way from the series rows and must match.
+the constants ``SIGMAS``, so every later row of either matrix is
+sigma_1 row_(i-1) - sigma_2 row_(i-2) + ... + sigma_5 row_(i-5).  Rows 5
+and 6 are rebuilt that way from the series rows and must match.  Over
+sigmas with no term below G^1 and degree <= 5, the coefficient equations
+of rows 5 and 6 of A, and those of B, each have one solution, so every
+build of either matrix certifies the constants against the series.
 
 The ladder
 
@@ -62,7 +65,6 @@ from . import cranks
 from .series import (
     EtaQuotientSpec,
     IntLaurentSeries,
-    NonUnitDivisorError,
     apply_U,
     eta_quotient,
     memo,
@@ -205,6 +207,15 @@ Rows = Mapping[int, Mapping[int, int]]
 
 SERIES_ROWS = 6  # rows 0..6 come from q-series, later ones from the quintic
 
+# sigma_1 .. sigma_5 of the degree-5 modular equation of G, each {j: c} with
+# terms at G^1 .. G^5 only; every _transfer_rows call certifies them
+SIGMAS = tuple(MappingProxyType(sigma) for sigma in (
+    {1: 55, 2: -300, 3: 875, 4: -1250, 5: 625},
+    {1: 60, 2: -175, 3: 250, 4: -125},
+    {1: 35, 2: -50, 3: 25},
+    {1: 10, 2: -5},
+    {1: 1}))
+
 
 @lru_cache(maxsize=None)
 def _series_rows(pre: EtaQuotientSpec) -> tuple[Mapping[int, int], ...]:
@@ -228,64 +239,20 @@ def _series_rows(pre: EtaQuotientSpec) -> tuple[Mapping[int, int], ...]:
     return tuple(rows)
 
 
-def _poly_sum(pairs, jmax: int) -> dict[int, int]:
-    """The alternating sum x_1 y_1 - x_2 y_2 + x_3 y_3 - ... over the pairs
-    (x_k, y_k) of polynomials {j: c}, each with j >= 0 in increasing order,
-    cut at G^jmax; nonzero, in increasing j."""
+def _modular_step(rows, i: int, jmax: int) -> dict[int, int]:
+    """Row i from rows i-5 .. i-1 by the modular equation, cut at G^jmax:
+    sigma_1 row_(i-1) - sigma_2 row_(i-2) + ... + sigma_5 row_(i-5), read
+    from SIGMAS.  Each sigma starts at G^1, so columns <= jmax read only
+    columns < jmax; each row is a {j: c} in increasing j."""
     out = [0] * (jmax + 1)
-    for k, (x, y) in enumerate(pairs):
-        for a, s in x.items():
-            s = -s if k % 2 else s
-            for b, r in y.items():
+    for k, sigma in enumerate(SIGMAS, start=1):
+        for a, s in sigma.items():
+            s = s if k % 2 else -s
+            for b, r in rows[i - k].items():
                 if a + b > jmax:
                     break
                 out[a + b] += s * r
     return {j: c for j, c in enumerate(out) if c}
-
-
-def hauptmodul_sigma_polys() -> tuple[Mapping[int, int], ...]:
-    """Elementary symmetric polynomials sigma_1..sigma_5 (in G) of the five
-    values G((tau + lam)/5), the coefficients of their degree-5 modular
-    equation  X^5 - sigma_1 X^4 + sigma_2 X^3 - sigma_3 X^2 + sigma_4 X
-    - sigma_5 = 0, by Newton's identities on the power sums p_i = 5 A_i
-    from A's series rows 1..5, the G^i | U_5:
-
-        k sigma_k = sigma_(k-1) p_1 - sigma_(k-2) p_2 + ... +- p_k,
-
-    where a coefficient not divisible by k raises NonUnitDivisorError.  A
-    sigma_k with a term below G^1 is refused: column windows rest on it.
-    Not cached: each transfer build derives the sigmas, and so checks them,
-    once.
-    """
-    images = _series_rows(EtaQuotientSpec(()))[1:6]
-    top = max(max(x, default=0) for x in images)  # deg sigma_k <= k * top
-    sigmas = [{0: 1}]
-    for k in range(1, 6):
-        total = _poly_sum(((sigmas[k - i], images[i - 1])
-                           for i in range(1, k + 1)), k * top)
-        sigma = {}
-        for j, c in total.items():
-            quot, rem = divmod(5 * c, k)
-            if rem:
-                raise NonUnitDivisorError(
-                    f"sigma_{k}: coefficient {5 * c} of G^{j} not "
-                    f"divisible by {k}")
-            sigma[j] = quot
-        if sigma and min(sigma) < 1:
-            raise LadderConsistencyError(
-                f"sigma_{k} has a term at G^{min(sigma)}, below G^1, so "
-                "column windows would not be exact")
-        sigmas.append(sigma)
-    return tuple(MappingProxyType(s) for s in sigmas[1:])
-
-
-def _modular_step(sigmas, rows, i: int, jmax: int) -> dict[int, int]:
-    """Row i from rows i-5 .. i-1 by the modular equation, cut at G^jmax:
-    sigma_1 row_(i-1) - sigma_2 row_(i-2) + ... + sigma_5 row_(i-5), with
-    the sigmas the caller's transfer build derived.  Each sigma starts at
-    G^1, so columns <= jmax read only columns < jmax."""
-    return _poly_sum(((s, rows[i - k]) for k, s
-                      in enumerate(sigmas, start=1)), jmax)
 
 
 def _routes_agree(where: str, series: Mapping[int, int],
@@ -308,21 +275,21 @@ def _transfer_rows(pre: EtaQuotientSpec, imax: int, jmax: int) -> Rows:
     modular equation's combination of the five before it (_modular_step),
     the same for both prefactors since sum_lam pre((tau+lam)/5) X_lam^i
     obeys the quintic's recurrence in i.  Rows 5..SERIES_ROWS are rebuilt
-    that way from the series rows before them and must match, which
-    checks the sigmas, derived once per call, and the recurrence against
-    the series on every call.  A window is exact because no sigma has a
-    term below G^1.
+    that way from the series rows before them and must match, on every
+    call.  That checks the recurrence against the series and certifies
+    SIGMAS: for either prefactor, rows 5 and 6 leave them no other solution
+    of degree <= 5 without a constant term.  A window is exact because no
+    sigma has a term below G^1.
     """
     v = pre.prefactor_exponent
-    sigmas = hauptmodul_sigma_polys()
     rows = list(_series_rows(pre))
     for i in range(5, SERIES_ROWS + 1):
         _routes_agree(f"prefactor {pre.factors or 1}, row {i}", rows[i],
-                      _modular_step(sigmas, rows, i, 5 * i + v),
+                      _modular_step(rows, i, 5 * i + v),
                       "modular equation gives", 5 * i + v)
     rows = [{j: c for j, c in row.items() if j <= jmax} for row in rows]
     for i in range(len(rows), imax + 1):
-        rows.append(_modular_step(sigmas, rows, i, min(5 * i + v, jmax)))
+        rows.append(_modular_step(rows, i, min(5 * i + v, jmax)))
     return MappingProxyType({i: MappingProxyType(rows[i])
                              for i in range(1, imax + 1)})
 

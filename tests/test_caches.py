@@ -1,7 +1,7 @@
 """The per-call memos the package keeps, each for hits measured on the CLI
 commands; a new one comes with its measured reason, or not at all.  Work
 cheaper than a lookup is not memoised: the pentagonal floor and ceiling are
-one integer square root, and the sigmas are read once per transfer build."""
+one integer square root."""
 
 from crankparity import circle, distinct, fivetower, partitions
 

@@ -192,6 +192,15 @@ class TestVerify:
         assert (code, seen) == (0, [0])
         assert out == "PASS claimL: 40 cases\n"
 
+    def test_claim_l_json_names_its_level(self, capsys):
+        # text and csv stay as they were; the json says which level ran
+        outs = [run_cli(capsys, "--output", "json", "verify", "claimL",
+                        "--alpha", alpha) for alpha in ("1", "2")]
+        assert outs[0] != outs[1]
+        for (code, out), alpha in zip(outs, (1, 2)):
+            assert code == 0
+            assert json.loads(out)["detail"] == {"alpha": alpha}
+
     def test_unknown_check_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["verify", "nonsense"])
@@ -283,12 +292,13 @@ class TestVerify:
         # first exponent that disagrees and both sides there, as one string
         corrupt("crank")
         corrupt("closed form")
-        for argv, check, count, first in [
+        for argv, check, count, first, detail in [
             (("--terms", "120", "verify", "chan"), "chan", 120,
-             "q^99: -17425 != -17424"),
+             "q^99: -17425 != -17424", ""),
             (("--terms", "120", "verify", "informative"), "informative", 120,
-             "q^99: 2 != 3"),
-            (("verify", "claimL"), "claimL", 40, "q^20: -9830 != -9829"),
+             "q^99: 2 != 3", ""),
+            (("verify", "claimL"), "claimL", 40, "q^20: -9830 != -9829",
+             '  "detail": {\n    "alpha": 0\n  },\n'),
         ]:
             assert run_cli(capsys, *argv) == (
                 1, f"FAIL {check}: {count} cases (first counterexample: "
@@ -302,6 +312,7 @@ class TestVerify:
                    f'  "check": "{check}",\n'
                    '  "passed": false,\n'
                    f'  "count": {count},\n'
+                   f"{detail}"
                    f'  "first_counterexample": "{first}"\n'
                    "}\n")
 

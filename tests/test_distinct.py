@@ -242,6 +242,14 @@ class TestMultiplicativeT:
             assert multiplicative_t(n, values) \
                 == distinct_rank_parity(n).diff, n
 
+    def test_bootstrap_matches_oracle_at_every_n_max_to_90(self):
+        # every stopping point of the solve loop, gauge steps included
+        diffs = {n: distinct_rank_parity(n).diff for n in range(1, 91)}
+        for n_max in range(1, 91):
+            values = bootstrap_t_values(n_max)
+            assert all(multiplicative_t(n, values) == diffs[n]
+                       for n in range(1, n_max + 1)), n_max
+
     def test_bootstrap_values_are_pm2(self):
         values = bootstrap_t_values(60)
         assert values and all(v in (2, -2) for v in values.values())

@@ -4,13 +4,13 @@ from crankparity import cranks, fivetower, series
 from crankparity.fivetower import (
     LADDER_MULTIPLIER_SPEC,
     NEWTON_QUOTIENT_SPEC,
+    SIGMAS,
     BudgetExceededError,
     LadderConsistencyError,
     NotHauptmodulPolynomialError,
     evaluate,
     five_adic,
     hauptmodul,
-    hauptmodul_sigma_polys,
     ladder,
     ladder_multiplier,
     ladder_subsequence_check,
@@ -27,7 +27,6 @@ from crankparity.fivetower import (
 from crankparity.series import (
     EtaQuotientSpec,
     IntLaurentSeries,
-    NonUnitDivisorError,
     TruncationError,
     apply_U,
     eta_quotient,
@@ -250,27 +249,28 @@ def corrupt_series_rows(monkeypatch, pre, i, j, delta):
 
 
 class TestModularEquation:
-    def test_sigmas_are_pinned(self):
-        assert [dict(s) for s in hauptmodul_sigma_polys()] == [
-            {1: 55, 2: -300, 3: 875, 4: -1250, 5: 625},
-            {1: 60, 2: -175, 3: 250, 4: -125},
-            {1: 35, 2: -50, 3: 25},
-            {1: 10, 2: -5},
-            {1: 1}]
+    def test_sigmas_are_read_only_from_g1_to_g5(self):
+        assert len(SIGMAS) == 5
+        for sigma in SIGMAS:
+            assert list(sigma) == sorted(sigma)
+            assert 1 <= min(sigma) and max(sigma) <= 5
+            with pytest.raises(TypeError):
+                sigma[1] = 0
+        with pytest.raises(TypeError):
+            SIGMAS[0] = {}
 
-    def test_sigmas_are_read_once_per_transfer_build(self, monkeypatch):
-        # one derivation, and so one divisibility and G^1 check, for each
-        # of ladder_vectors(2, 11)'s four steps, not one per recurrence row
-        exact = fivetower.hauptmodul_sigma_polys
-        calls = []
-
-        def counted():
-            calls.append(1)
-            return exact()
-
-        monkeypatch.setattr(fivetower, "hauptmodul_sigma_polys", counted)
-        ladder_vectors(2, 11)
-        assert len(calls) == 4
+    @pytest.mark.parametrize("k", range(5))
+    @pytest.mark.parametrize("j", range(1, 6))
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_mutated_sigma_is_refused(self, monkeypatch, k, j, delta):
+        # rows 5 and 6 of A pin all 25 coefficients: each one moved by 1,
+        # a term added above sigma_k's degree included, is seen
+        sigma = {**SIGMAS[k], j: SIGMAS[k].get(j, 0) + delta}
+        monkeypatch.setattr(fivetower, "SIGMAS",
+                            (*SIGMAS[:k], sigma, *SIGMAS[k + 1:]))
+        with pytest.raises(LadderConsistencyError,
+                           match=r"^prefactor 1, row [56], G\^"):
+            _transfer_rows(EtaQuotientSpec(()), 8, 41)
 
     @pytest.mark.parametrize("pre", [EtaQuotientSpec(()),
                                      LADDER_MULTIPLIER_SPEC])
@@ -293,7 +293,14 @@ class TestModularEquation:
         (LADDER_MULTIPLIER_SPEC, 2, 1, 1,
          "prefactor ((1, 3), (2, -2), (50, 2), (25, -3)), row 5, G^2: "
          "series gives 1640, modular equation gives 1675"),
-    ], ids=["A-row-6", "B-row-6", "B-row-2"])
+        # a constant in A's row 1 reaches row 5 through sigma_4 = 10G - 5G^2
+        (EtaQuotientSpec(()), 1, 0, 1,
+         "prefactor 1, row 5, G^1: series gives 1, modular equation "
+         "gives -9"),
+        (EtaQuotientSpec(()), 2, 3, 1,
+         "prefactor 1, row 5, G^4: series gives -13553000, modular "
+         "equation gives -13552965"),
+    ], ids=["A-row-6", "B-row-6", "B-row-2", "A-row-1-G0", "A-row-2"])
     def test_corrupt_series_row_is_refused(self, monkeypatch, pre, i, j,
                                            delta, message):
         corrupt_series_rows(monkeypatch, pre, i, j, delta)
@@ -301,18 +308,12 @@ class TestModularEquation:
             _transfer_rows(pre, 8, 41)
         assert str(info.value) == message
 
-    def test_sigma_below_g1_is_refused(self, monkeypatch):
-        # a constant in A's row 1 gives sigma_1 = 5 A_1 a G^0 term
-        corrupt_series_rows(monkeypatch, EtaQuotientSpec(()), 1, 0, 1)
-        with pytest.raises(LadderConsistencyError,
-                           match=r"^sigma_1 has a term at G\^0, below G\^1"):
-            hauptmodul_sigma_polys()
-
-    def test_inexact_sigma_is_refused(self, monkeypatch):
-        # sigma_2 = (sigma_1 p_1 - p_2) / 2 with p_2 = 5 A_2 moved by 5
+    def test_corrupt_series_row_stops_the_ladder(self, monkeypatch):
+        # the ladder steps by A before B, and A's build sees its row 2
         corrupt_series_rows(monkeypatch, EtaQuotientSpec(()), 2, 3, 1)
-        with pytest.raises(NonUnitDivisorError, match=r"^sigma_2: "):
-            hauptmodul_sigma_polys()
+        with pytest.raises(LadderConsistencyError,
+                           match=r"^prefactor 1, row 5, G\^4: "):
+            ladder_vectors(1, 11)
 
 
 class TestLadder:

@@ -1,11 +1,14 @@
-"""Every function the package defines has a reader.
+"""Every function and module-level constant the package defines has a
+reader.
 
-No linter runs on this package, so a function or method left behind when
-its last caller goes is caught here, from the modules' syntax trees alone.
-A single-underscore helper must be called or read in the package.  A public
-one must be read in the package, be a span that ``bench/tracer.py`` wraps,
-or be named in ``REFERENCE`` with the reason it is kept.  Dunder methods
-are called by Python, not by name, and are not checked.
+No linter runs on this package, so a function, method or constant left
+behind when its last reader goes is caught here, from the modules' syntax
+trees alone.  A single-underscore helper must be called or read in the
+package.  A public one must be read in the package, be a span that
+``bench/tracer.py`` wraps, or be named in ``REFERENCE`` with the reason it
+is kept.  Dunder methods are called by Python, not by name, and are not
+checked.  A name a module binds by assignment in its own scope must be
+read in the package; ``__version__`` is read by packaging tools instead.
 """
 
 import ast
@@ -42,6 +45,24 @@ def defined(tree: ast.Module) -> list[str]:
             defs += [node for node in cls.body if isinstance(
                 node, (ast.FunctionDef, ast.AsyncFunctionDef))]
     return [node.name for node in defs]
+
+
+def assigned(tree: ast.Module) -> list[str]:
+    """Names bound by assignment in the module's own scope: its top-level
+    statements and those of a top-level if or try."""
+    names = []
+    scope = list(tree.body)
+    for node in scope:
+        if isinstance(node, (ast.If, ast.Try, ast.ExceptHandler)):
+            scope += [child for child in ast.iter_child_nodes(node)
+                      if isinstance(child, (ast.stmt, ast.ExceptHandler))]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names += [name.id for target in targets
+                      for name in ast.walk(target)
+                      if isinstance(name, ast.Name)]
+    return names
 
 
 def private_helpers(tree: ast.Module) -> list[str]:
@@ -85,6 +106,13 @@ def unread_helpers(sources: list[str]) -> list[str]:
             if name not in read]
 
 
+def unread_constants(sources: list[str]) -> list[str]:
+    trees = [ast.parse(source) for source in sources]
+    read = set().union(*(names_read(tree) for tree in trees))
+    return [name for tree in trees for name in assigned(tree)
+            if name not in read and name != "__version__"]
+
+
 def unreached_public(sources: list[str], spans: set[str],
                      reference) -> list[str]:
     trees = [ast.parse(source) for source in sources]
@@ -108,6 +136,26 @@ def test_a_left_over_helper_is_caught():
         "    def _other(self):\n        return _used()\n"
         "    def __repr__(self):\n        return ''\n",
     ]) == ["_pentagonals", "_step"]
+
+
+def test_every_module_constant_is_read():
+    sources = package_sources()
+    assert {"SIGMAS", "SERIES_ROWS", "_mpz"} <= set(
+        assigned(ast.parse("\n".join(sources))))
+    assert unread_constants(sources) == []
+
+
+def test_a_left_over_constant_is_caught():
+    assert unread_constants([
+        "__version__ = '1.0'\n"
+        "LEFT_OVER = 3\n"
+        "USED: int = 1\n"
+        "TOTAL = 0\n"
+        "TOTAL += USED\n"
+        "try:\n    from fast import mul\n"
+        "except ImportError:\n    _FALLBACK = None\n"
+        "def f():\n    local = TOTAL\n    return local\n",
+    ]) == ["LEFT_OVER", "_FALLBACK"]
 
 
 def test_every_public_name_is_reached():
