@@ -55,7 +55,6 @@ class BootstrapNeededError(LookupError):
         super().__init__(
             f"T({prime}) is +-2 by a Hecke character not computed here; "
             "supply it via prime_values")
-        self.prime = prime
 
 
 # ---------------------------------------------------------------------------
@@ -63,12 +62,11 @@ class BootstrapNeededError(LookupError):
 # ---------------------------------------------------------------------------
 
 class PentagonalInfo(NamedTuple):
-    """Pentagonal floor/ceiling data for one n (r is None unless n itself
-    is pentagonal; r == 0 only for n == 0)."""
+    """The pentagonal floor and ceiling of one n with their indices m.
+    When n itself is pentagonal (is_pent), floor and ceiling are n and
+    r_floor == r_ceil is its index, 0 only for n == 0."""
 
-    n: int
     is_pent: bool
-    r: int | None
     floor_p: int
     ceil_p: int
     r_floor: int
@@ -87,10 +85,8 @@ def pent_info(n: int) -> PentagonalInfo:
     hi = lo if lo * lo == 24 * n + 1 else lo + (4 if lo % 6 == 1 else 2)
     r_floor, r_ceil = ((t - 1) // 6 if t % 6 == 1 else -(t + 1) // 6
                        for t in (lo, hi))
-    if lo == hi:
-        return PentagonalInfo(n, True, r_floor, n, n, r_floor, r_floor)
-    return PentagonalInfo(n, False, None, (lo * lo - 1) // 24,
-                          (hi * hi - 1) // 24, r_floor, r_ceil)
+    return PentagonalInfo(lo == hi, (lo * lo - 1) // 24, (hi * hi - 1) // 24,
+                          r_floor, r_ceil)
 
 
 def floor_part(n: int) -> int:
@@ -131,19 +127,18 @@ def _classified(n: int) -> tuple[int, str]:
     if n < 1:
         raise ValueError(f"the closed form is stated for n >= 1, got {n}")
     info = pent_info(n)
+    r = info.r_floor
     if info.is_pent:
-        if info.r % 2 and info.r > 0:
+        if r % 2 and r > 0:
             return 1, "pentagonal, R odd and positive"
         return -1, "pentagonal, other R"
-    r = info.r_floor
     parity_match = (n - info.floor_p) % 2 == 0
     if r > 0 and r % 2 and parity_match:
         return 2, "R(floor) odd positive, parity match"
     if r > 0 and not r % 2 and parity_match:
         return -2, "R(floor) even positive, parity match"
     if r < 0 and not r % 2:
-        sign = -1 if (n - info.floor_p) % 2 else 1
-        return -2 * sign, "R(floor) even negative"
+        return -2 if parity_match else 2, "R(floor) even negative"
     return 0, "otherwise"
 
 
@@ -240,9 +235,7 @@ def signed_factorization(m: int) -> list[tuple[int, int]]:
         d += 2 if d % 6 == 5 else 4  # walk 5, 7, 11, 13, ... (6k +- 1)
     if rest > 1:
         out.append((rest if rest % 6 == 1 else -rest, 1))
-    check = 1
-    for p, e in out:
-        check *= p ** e
+    check = prod(p ** e for p, e in out)
     if check != m:
         raise AssertionError(f"signed factorization of {m} came out {check}")
     return out
@@ -282,17 +275,19 @@ def t_prime_power(p: int, e: int, prime_values: Mapping[int, int] | None = None
     return (e + 1) if tp == 2 else -(e + 1)
 
 
-def _split_t(n: int, values: Mapping[int, int] | None
+def _split_t(factors: list[tuple[int, int]],
+             values: Mapping[int, int] | None
              ) -> tuple[int, list[tuple[int, int]]]:
-    """T(24n+1) split over its signed prime powers p^e: the product of the
-    T(p^e) that ``values`` determines, and the (p, e) whose T(p) it lacks.
+    """T(m) split over the signed prime powers p^e of m's signed
+    factorization ``factors``: the product of the T(p^e) that ``values``
+    determines, and the (p, e) whose T(p) it lacks.
 
-    A zero factor stops the walk: T(24n+1) is then 0 whatever is missing,
+    A zero factor stops the walk: T(m) is then 0 whatever is missing,
     and the unknown list may be cut short.
     """
     known = 1
     unknown = []
-    for p, e in signed_factorization(24 * n + 1):
+    for p, e in factors:
         try:
             known *= t_prime_power(p, e, values)
         except BootstrapNeededError:
@@ -311,7 +306,7 @@ def multiplicative_t(n: int, prime_values: Mapping[int, int] | None = None
     """
     if n < 1:
         raise ValueError("n must be positive")
-    known, unknown = _split_t(n, prime_values)
+    known, unknown = _split_t(signed_factorization(24 * n + 1), prime_values)
     if known and unknown:
         raise BootstrapNeededError(unknown[-1][0])
     return known
@@ -322,8 +317,9 @@ def bootstrap_t_values(n_max: int) -> dict[int, int]:
     exponent in some 24n+1, n <= n_max, reading them off the distinct-parts
     rank-parity oracle.
 
-    Each step solves one equation T(24n+1) = oracle(n) with a nonzero
-    known part: the first with one unknown T(p), else the first with
+    Each 24n+1 is factored once, before the solve loop.  Each step solves
+    one equation T(24n+1) = oracle(n) with a nonzero known part, reading
+    the oracle once: the first with one unknown T(p), else the first with
     several; a prime 24n+1 is the equation with known part 1.  Negatives of
     primes == 23 (mod 24) never sit at an oracle index alone, and whenever
     an equation involves several unknowns only their product is observable
@@ -331,32 +327,32 @@ def bootstrap_t_values(n_max: int) -> dict[int, int]:
     all but the last unknown (the magnitude constraint is still verified,
     so an inconsistent oracle raises).
     """
-    def oracle(n: int) -> int:
-        return distinct_rank_parity(n).diff
-
+    equations = [(n, signed_factorization(24 * n + 1))
+                 for n in range(1, n_max + 1)]
     values: dict[int, int] = {}
     while True:
         open_eqs = [(len(unknown) > 1, n, known, unknown)
-                    for n in range(1, n_max + 1)
-                    for known, unknown in [_split_t(n, values)]
+                    for n, factors in equations
+                    for known, unknown in [_split_t(factors, values)]
                     if known and unknown]
         if not open_eqs:
             return values
         several, n, known, unknown = min(open_eqs)
+        diff = distinct_rank_parity(n).diff
         if several:
             magnitude = prod(e + 1 for _, e in unknown)
-            if abs(oracle(n)) != abs(known) * magnitude:
+            if abs(diff) != abs(known) * magnitude:
                 raise AssertionError(
-                    f"n={n}: oracle {oracle(n)} incompatible with |known| "
+                    f"n={n}: oracle {diff} incompatible with |known| "
                     f"{abs(known)} times {magnitude}")
             # gauge choice: individual signs are unobservable here
             for p, e in unknown[:-1]:
                 values[p] = 2
                 known *= e + 1
         p, e = unknown[-1]
-        contrib, rem = divmod(oracle(n), known)
+        contrib, rem = divmod(diff, known)
         if rem or contrib not in (e + 1, -(e + 1)):
             raise AssertionError(
-                f"cannot solve T({p}) from n={n}: oracle {oracle(n)}, "
+                f"cannot solve T({p}) from n={n}: oracle {diff}, "
                 f"known part {known}")
         values[p] = 2 if contrib == e + 1 else -2

@@ -137,16 +137,16 @@ def _haupt_power(j: int, order: int) -> IntLaurentSeries:
 
     Built from G at truncation b, G^j (j >= 1) is exact below q^(b+j-1)
     and G^-j below q^(b-j-1), so b = order + 1 + max(0, -j) serves the
-    request.  A table at a smaller b is rebuilt at that b; otherwise missing
-    powers are added by one product each, stepping outward from the nearest
-    one present.
+    request.  A table at a smaller b is replaced by one at that b, once G
+    at that b is built; otherwise missing powers are added by one product
+    each, stepping outward from the nearest one present.
     """
     table = _haupt_table
     base = order + 1 + max(0, -j)
     if not table or table[1].trunc < base:
+        fresh = {0: IntLaurentSeries.one(base), 1: hauptmodul(base)}
         table.clear()
-        table[0] = IntLaurentSeries.one(base)
-        table[1] = hauptmodul(base)
+        table.update(fresh)
     if j not in table:
         step = 1 if j > 0 else -1
         if step not in table:

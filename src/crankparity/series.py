@@ -658,12 +658,12 @@ def memo(name: str, trunc: int, build) -> IntLaurentSeries:
     of the lines above it, written under a temporary name and renamed into
     place.  A miss in memory checks the whole file but decodes only its
     lines below q^trunc, and keeps them when they reach ``trunc``; only a
-    series built here is written.  A file whose trailer does not match is
-    named in one line on stderr, rebuilt and rewritten.  A file the file
-    system refuses to read or write (an ``OSError``) costs the cache, not
-    the command: one stderr line names it and the error, and the series is
-    built and returned as if no cache were set, with no write after a
-    failed read.
+    series built here is written.  A file whose trailer does not match, or
+    whose lines do not decode, is named in one line on stderr, rebuilt and
+    rewritten.  A file the file system refuses to read or write (an
+    ``OSError``) costs the cache, not the command: one stderr line names it
+    and the error, and the series is built and returned as if no cache were
+    set, with no write after a failed read.
     """
     cur = _memo.get(name)
     if cur is None or cur.trunc < trunc:
@@ -715,15 +715,19 @@ def _store(path: str, x: IntLaurentSeries) -> None:
 
 def _load_checked(path: str, trunc: int) -> IntLaurentSeries | None:
     """The series at ``path``, cut below q^trunc, or None (and no file) if
-    its trailer fails.  The trailer covers the whole file, so all of it is
-    hashed, but only the lines kept are decoded."""
+    its trailer fails or the lines kept do not decode.  The trailer covers
+    the whole file, so all of it is hashed, but only the lines kept are
+    decoded."""
     with open(path, "rb") as fp:
         data = fp.read()
     cut = data.rfind(b"\n", 0, len(data) - 1) + 1
     if data[cut:] == _trailer(data[:cut]):
         # end at the line of q^trunc, if there is one
         cut = data.find(b"\n%d\t" % trunc, 0, cut) + 1 or cut
-        return load_series(io.StringIO(data[:cut].decode("ascii")))
+        try:
+            return load_series(io.StringIO(data[:cut].decode("ascii")))
+        except ValueError:  # a body the trailer vouches for, but no dump
+            pass
     print(f"crank-parity: cache file {path} failed its check; rebuilding",
           file=sys.stderr)
     os.unlink(path)

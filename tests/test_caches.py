@@ -9,8 +9,9 @@ KEPT = {
     # every ladder and Claim L command reads the series rows 1-5 times
     # again
     "fivetower._series_rows",
-    # coeffs and verify weighted come back for each m's core walk, and the
-    # T bootstrap reads the distinct-parts oracle again
+    # coeffs and verify weighted come back for each m's core walk, and
+    # verify adh reads each n's oracle in its bootstrap and again in its
+    # check
     "partitions._core_profile",
     "partitions._core_weights",
     "partitions._distinct_sweep",

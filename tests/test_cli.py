@@ -637,6 +637,33 @@ class TestDumpSeries:
         assert warm.stderr.count("\n") == 1 and str(path) in warm.stderr
         assert path.read_bytes() == good
 
+    def test_undecodable_cache_file_is_rebuilt(self, tmp_path):
+        # the trailer vouches for a body that is no series dump (q^1 is
+        # missing): the file takes the failed-check path, and stdout and
+        # exit status are those of a run with no cache directory
+        from crankparity import series
+        argv = [sys.executable, "-m", "crankparity", "--terms", "40",
+                "coeffs", "1", "3", "--source", "series"]
+
+        def run(cache_dir=None):
+            extra = {} if cache_dir is None else {
+                "CRANK_PARITY_CACHE_DIR": str(cache_dir)}
+            return subprocess.run(argv, env=cli_env(**extra),
+                                  capture_output=True, text=True,
+                                  timeout=120)
+
+        plain, fresh = run(), run(tmp_path / "fresh")
+        path = tmp_path / "crank_parity.tsv"
+        body = b"0\t1\n2\t5\n"
+        path.write_bytes(body + series._trailer(body))
+        warm = run(tmp_path)
+        assert (warm.returncode, warm.stdout) == (0, plain.stdout)
+        assert warm.stderr == (
+            f"crank-parity: cache file {path} failed its check; "
+            "rebuilding\n")
+        assert path.read_bytes() == (
+            tmp_path / "fresh" / "crank_parity.tsv").read_bytes()
+
     def test_one_file_per_series(self, tmp_path):
         # each series is built once, at its longest truncation, and kept in
         # <name>.tsv; the hauptmodul's shorter requests write nothing, and

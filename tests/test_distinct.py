@@ -27,7 +27,7 @@ from crankparity.series import TruncationError
 class TestPentInfo:
     def test_five_is_pentagonal_with_negative_index(self):
         info = pent_info(5)
-        assert info.is_pent and info.r == -2
+        assert info.is_pent and info.r_floor == info.r_ceil == -2
 
     def test_six_sits_between(self):
         info = pent_info(6)
@@ -36,11 +36,12 @@ class TestPentInfo:
         assert (info.r_floor, info.r_ceil) == (-2, 2)
 
     def test_two_is_pentagonal(self):
-        assert pent_info(2).r == 1
+        info = pent_info(2)
+        assert info.is_pent and info.r_floor == 1
 
     def test_zero(self):
         info = pent_info(0)
-        assert info.is_pent and info.r == 0
+        assert info.is_pent and info.r_floor == 0
 
     def test_floor_equals_ceiling_iff_pentagonal(self):
         for n in range(0, 300):
@@ -71,11 +72,11 @@ class TestPentInfo:
                 (lo, r_lo), (hi, r_hi) = (hi, r_hi), next(walk)
             info = pent_info(n)
             if n == lo:
-                want = (n, True, r_lo, lo, lo, r_lo, r_lo)
+                want = (True, lo, lo, r_lo, r_lo)
             else:
-                want = (n, False, None, lo, hi, r_lo, r_hi)
-            assert (info.n, info.is_pent, info.r, info.floor_p, info.ceil_p,
-                    info.r_floor, info.r_ceil) == want
+                want = (False, lo, hi, r_lo, r_hi)
+            assert (info.is_pent, info.floor_p, info.ceil_p, info.r_floor,
+                    info.r_ceil) == want
 
     def test_at_and_beside_large_pentagonals(self):
         # n up to P(10^4) ~ 1.5e8; from |m| = 2 on, P(m) +- 1 is not
@@ -86,7 +87,8 @@ class TestPentInfo:
                 continue
             p = m * (3 * m + 1) // 2
             at = pent_info(p)
-            assert at.is_pent and at.r == m and at.floor_p == at.ceil_p == p
+            assert at.is_pent and at.r_floor == at.r_ceil == m
+            assert at.floor_p == at.ceil_p == p
             above, below = pent_info(p + 1), pent_info(p - 1)
             assert not above.is_pent and not below.is_pent
             assert (above.floor_p, above.r_floor) == (p, m)
@@ -249,6 +251,33 @@ class TestMultiplicativeT:
             values = bootstrap_t_values(n_max)
             assert all(multiplicative_t(n, values) == diffs[n]
                        for n in range(1, n_max + 1)), n_max
+
+    @pytest.mark.parametrize("n_max", [60, 90])
+    def test_bootstrap_factors_each_24n_plus_1_once(self, monkeypatch,
+                                                     n_max):
+        import crankparity.distinct as module
+        real = module.signed_factorization
+        factored = []
+
+        def spy(m):
+            factored.append(m)
+            return real(m)
+        monkeypatch.setattr(module, "signed_factorization", spy)
+        bootstrap_t_values(n_max)
+        assert sorted(factored) == [24 * n + 1 for n in range(1, n_max + 1)]
+
+    def test_bootstrap_values_at_90_are_pinned(self):
+        # in solve order; the last three are fixed only up to one sign:
+        # -23 is the gauge choice at 24*45+1 = (-23)(-47), and -47 and -71
+        # (24*68+1 = (-23)(-71)) follow from it
+        assert list(bootstrap_t_values(90).items()) == [
+            (73, 2), (97, -2), (193, -2), (241, 2), (313, -2), (337, 2),
+            (409, -2), (433, 2), (457, -2), (577, -2), (601, -2), (673, 2),
+            (769, -2), (937, 2), (1009, -2), (1033, -2), (1129, 2),
+            (1153, -2), (1201, -2), (1249, 2), (1297, -2), (1321, 2),
+            (1489, -2), (1609, -2), (1657, 2), (1753, -2), (1777, -2),
+            (1801, -2), (1873, 2), (1993, -2), (2017, 2), (2089, -2),
+            (2113, 2), (2137, -2), (2161, -2), (-23, 2), (-47, 2), (-71, 2)]
 
     def test_bootstrap_values_are_pm2(self):
         values = bootstrap_t_values(60)

@@ -124,6 +124,26 @@ class TestReduce:
             assert got.trunc == order, (j, order)
             assert got.first_mismatch(want, order) is None, (j, order)
 
+    def test_failed_rebuild_keeps_the_table(self, monkeypatch):
+        # G at the new base is built before the table is replaced, so a
+        # build that raises (an interrupt, a MemoryError) leaves the old
+        # table whole and the next request rebuilds
+        monkeypatch.setattr(fivetower, "_haupt_table", {})
+        _haupt_power(2, 10)
+        raised = []
+
+        def hauptmodul_raising_once(trunc):
+            if not raised:
+                raised.append(trunc)
+                raise MemoryError
+            return hauptmodul(trunc)
+        monkeypatch.setattr(fivetower, "hauptmodul", hauptmodul_raising_once)
+        with pytest.raises(MemoryError):
+            _haupt_power(2, 30)
+        g = hauptmodul(31)
+        assert _haupt_power(2, 30).first_mismatch(g * g, 30) is None
+        assert _haupt_power(2, 30).trunc == 30
+
 
 class TestNewtonQuotientPowers:
     @pytest.mark.parametrize("mu,want", [
