@@ -28,7 +28,8 @@ On top of it sit the verification sweeps:
 
   * the congruence family  M_e(n) - M_o(n) == 0 mod 5^(a+1)  whenever
     24n == 1 mod 5^(2a+1),
-  * the closed form of the 5n+4 coefficient subsequence,
+  * the closed form of the 5n+4 coefficient subsequence, the eta
+    quotient E (``eta_5n4_series``), which Claim L's crank side reads,
   * the rewriting of the crank generating function at x = -1 as
     1/(q;q)_inf + 4 * sum_n (-1)^n q^(n(n+1)/2) / [...], whose summands
     mirror the initial-run weights, and its companion identity.
@@ -247,13 +248,21 @@ def subsequence_5n4_series(terms: int) -> IntLaurentSeries:
     return g.extract(5, 4)
 
 
+def eta_5n4_series(trunc: int) -> IntLaurentSeries:
+    """E = 5 (q;q)^2 (q^5;q^5) (q^10;q^10)^2 / (q^2;q^2)^4, whose q^m
+    coefficient is the crank-parity coefficient at 5m+4 by the identity
+    ``subsequence_5n4_check`` compares.  Euler passes only: (2, -4) is
+    applied as (2, -2), (2, -2), so E takes none of Jacobi's cube terms,
+    which the tower's multiplier and hauptmodul are built from."""
+    return memo("eta_5n4", trunc, lambda t: pentagonal_quotient(
+        ((1, 2), (2, -2), (2, -2), (5, 1), (10, 2)), t) * 5)
+
+
 def subsequence_5n4_check(terms: int) -> tuple[int, int, int] | None:
-    """Compare the 5n+4 subsequence with
-    5 (q;q^2)^2 (q^5;q^5) (q^10;q^10)^2 / (q^2;q^2)^2  below q^terms."""
-    lhs = subsequence_5n4_series(terms)
-    # (q;q^2)_inf = (q;q)_inf / (q^2;q^2)_inf
-    rhs = pentagonal_quotient(((1, 2), (2, -4), (5, 1), (10, 2)), terms) * 5
-    return lhs.first_mismatch(rhs, terms)
+    """Compare the 5n+4 subsequence of the crank-parity series with
+    E = 5 (q;q^2)^2 (q^5;q^5) (q^10;q^10)^2 / (q^2;q^2)^2  below q^terms."""
+    return subsequence_5n4_series(terms).first_mismatch(
+        eta_5n4_series(terms), terms)
 
 
 def chan_expansion_check(terms: int) -> tuple[int, int, int] | None:

@@ -40,19 +40,23 @@ is ``ladder``'s one read-only rung map {nu: {j: c_j}}, j <= JMAX: each rung
 is the vector form  (5,0,0,...) (AB)^a  /  (5,0,0,...) (AB)^a A  of
 ``ladder_vectors``, and must match, on every G^1..G^JMAX, the crank side of
 Claim L, R_nu = P_d * sum_{n>=1} c(5^nu n - delta) q^n read off in G, before
-it is returned.  ``ladder_vectors`` reads each step's rows only on the
-columns the steps above it need, windows taken backward from the top rung's
-G^JMAX, so each rung is exact on its own window, at least G^1..G^JMAX.  The
-crank-parity coefficients c take no part in the matrix route, so every rung
-is checked against a series that route does not use.  The 5-adic valuations
-of the matrix entries and ladder entries are what the congruence family
-rests on, and are exported for direct verification.
+it is returned.  Every index 5^nu n - delta is 4 mod 5, so the crank side
+reads c off the 5n+4 eta quotient E = sum_m c(5m+4) q^m
+(``cranks.eta_5n4_series``), five times shorter than the crank series.
+``ladder_vectors`` reads each step's rows only on the columns the steps
+above it need, windows taken backward from the top rung's G^JMAX, so each
+rung is exact on its own window, at least G^1..G^JMAX.  E takes no part in
+the matrix route, nor any of the Jacobi cube passes the multiplier and G
+are built with, so every rung is checked against a series that route does
+not use.  The 5-adic valuations of the matrix entries and ladder entries
+are what the congruence family rests on, and are exported for direct
+verification.
 ``ladder_subsequence_check`` compares the top rung with R_(2a+1) below
 q^terms and returns None, or ``(exponent, lhs, rhs)`` at the first
 disagreement.
 
-Each check refuses to start if its crank-parity series would exceed a
-coefficient ceiling.
+Each check refuses to start, before anything is built, if E would need
+more coefficients than ``COEFFICIENT_CEILING``.
 """
 
 from __future__ import annotations
@@ -92,9 +96,10 @@ LADDER_MULTIPLIER_SPEC = EtaQuotientSpec(((1, 3), (2, -2), (50, 2), (25, -3)))
 HAUPTMODUL_SPEC = EtaQuotientSpec(((1, 2), (2, -4), (10, 4), (5, -2)))
 NEWTON_QUOTIENT_SPEC = EtaQuotientSpec(((1, 1), (2, -2), (50, 2), (25, -1)))
 
-# crank-parity coefficients: alpha = 2 needs 121,225 (claimL at 40 terms),
-# the ladder at alpha = 3 needs 843,100, a build of minutes: refuse it at once
-COEFFICIENT_CEILING = 2 * 10 ** 5
+# coefficients of E: alpha = 2 needs 24,245 (claimL at 40 terms), the
+# ladder at alpha = 3 needs 168,620, a build of half a minute or more:
+# refuse it at once
+COEFFICIENT_CEILING = 4 * 10 ** 4
 JMAX = 11          # ladder rungs are read off and cross-checked on G^1..G^JMAX
 
 
@@ -323,20 +328,24 @@ def _crank_side(nu: int, terms: int) -> IntLaurentSeries:
     is the crank-parity coefficient, a = (nu-1)//2, delta = 1 + 5^2 + ...
     + 5^(2a), and P_d = (q^2d;q^2d)^2/(q^d;q^d)^3 with d = 5 for odd nu and
     d = 1 for even nu (U_5 of the odd identity, P_5 being a series in q^5).
-    A crank series longer than COEFFICIENT_CEILING is refused first."""
+    For nu >= 1 every index 5^nu n - delta is 4 mod 5, so c is read off the
+    5n+4 eta quotient E = sum_m c(5m+4) q^m at (5^nu n - delta - 4)/5; an E
+    longer than COEFFICIENT_CEILING is refused first."""
     step = 5 ** nu
     delta = sum(5 ** (2 * i) for i in range((nu - 1) // 2 + 1))
-    need = step * (terms - 1) - delta + 1
+    need = (step * (terms - 1) - delta + 1) // 5
     if need > COEFFICIENT_CEILING:
         raise BudgetExceededError(
-            f"Claim L at rung {nu} below q^{terms} needs {need} crank-parity "
-            f"coefficients, above the ceiling {COEFFICIENT_CEILING}")
-    g = cranks.crank_parity_series(need)
+            f"Claim L at rung {nu} below q^{terms} needs {need} coefficients "
+            f"of the 5n+4 eta quotient E, above the ceiling "
+            f"{COEFFICIENT_CEILING}")
+    e = cranks.eta_5n4_series(need)
     sub = IntLaurentSeries.from_terms(
-        {n: g.coeff(step * n - delta) for n in range(1, terms)}, terms)
+        {n: e.coeff((step * n - delta - 4) // 5) for n in range(1, terms)},
+        terms)
     d = 5 if nu % 2 else 1
-    # (d, -1), (d, -2) are Euler passes: a cube pass here would share
-    # Jacobi's terms with the multiplier and G on the matrix side
+    # (d, -1), (d, -2) are Euler passes, as E's are: a cube pass here would
+    # share Jacobi's terms with the multiplier and G on the matrix side
     return pentagonal_quotient(((2 * d, 2), (d, -1), (d, -2)), terms) * sub
 
 
@@ -347,8 +356,8 @@ def ladder(alpha_max: int) -> Mapping[int, Mapping[int, int]]:
     returned."""
     if alpha_max < 0:
         raise ValueError("alpha_max must be >= 0")
-    # the top rung first: its crank series is the longest, refused or built
-    # once, and the lower rungs read it truncated
+    # the top rung first: its E is the longest, refused or built once, and
+    # the lower rungs read it truncated
     sides = {nu: _crank_side(nu, JMAX + 1)
              for nu in range(2 * alpha_max + 1, 0, -1)}
     vectors = ladder_vectors(alpha_max, JMAX)

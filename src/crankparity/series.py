@@ -24,6 +24,9 @@ O(sqrt(N/d)) nonzero terms below q^N (Euler's pentagonal numbers), and so
 has its cube (Jacobi's triangular numbers), so each factor (q^d; q^d)^r is
 applied to one coefficient list by |r| // 3 sparse in-place cube passes and
 |r| % 3 pentagonal ones, O(N^1.5) additions each to multiply or to divide.
+While the factors applied so far make a series in q^g, the list holds only
+its ceil(N/g) coefficients, so a pass costs N^1.5 / (g sqrt(d)); the
+factors go in the order that makes the sum of those costs least.
 Dense operands, such as hauptmodul powers, have one kernel:
 ``_conv`` multiplies by Kronecker substitution (coefficients packed into one
 huge integer and multiplied with gmpy2 when available), and reciprocals run
@@ -38,7 +41,8 @@ import os
 import sys
 import tempfile
 from collections import namedtuple
-from itertools import accumulate, repeat
+from itertools import accumulate, permutations, repeat
+from math import fsum, gcd, sqrt
 from typing import Iterable, Iterator, Mapping, TextIO
 
 try:
@@ -550,23 +554,60 @@ def _apply_pentagonal(x: list, d: int, r: int) -> None:
             _apply_sparse(x, terms, sign)
 
 
+def _pass_cost(order) -> float:
+    """sum passes / (g * sqrt(d)) over the factors (d, r) in this order, g
+    the gcd of the levels applied so far, this one included: a pass over
+    the ceil(N/g) coefficients of a series in q^g, with about sqrt(N/d)
+    terms, costs in proportion to N^1.5 / (g * sqrt(d)).  fsum rounds the
+    exact sum, so orders with the same terms tie exactly."""
+    g = 0
+    costs = []
+    for d, r in order:
+        g = gcd(g, d)
+        costs.append((abs(r) // 3 + abs(r) % 3) / (g * sqrt(d)))
+    return fsum(costs)
+
+
+def _widen(c: list, g: int, step: int, trunc: int) -> list:
+    """The coefficients of a series in q^g, listed by powers of q^g, as the
+    ceil(trunc/step) coefficients of the same series listed by powers of
+    q^step, for step dividing g."""
+    wide = [0] * -(-trunc // step)
+    wide[::g // step] = c
+    return wide
+
+
 def pentagonal_quotient(factors: Iterable[tuple[int, int]],
                         trunc: int) -> IntLaurentSeries:
     """prod (q^d; q^d)_inf^r over the (d, r) pairs, exact below q^trunc.
 
     Each factor is one :func:`_apply_pentagonal` call over one coefficient
     list, |r| // 3 cube passes and |r| % 3 pentagonal passes, all in place:
-    no dense product and no reciprocal.
+    no dense product and no reciprocal.  The running product is kept as a
+    series in q^g, g the gcd of the levels applied so far: a list of its
+    ceil(trunc/g) coefficients, on which (q^d; q^d)^r is applied as
+    (q^(d/g); q^(d/g))^r, and which is widened when g drops.
+
+    The factors are applied in the order that minimises the sum of
+    passes / (g * sqrt(d)) over the factors, g taken once the factor is in
+    (``_pass_cost``), found over every order of the factors (the quotients
+    here have at most five); among equal orders, the first in the order
+    the factors are given.
     """
     if trunc <= 0:
         raise TruncationError(f"truncation must be positive, got {trunc}")
-    # numerators first: their passes then run over small coefficients
-    factors = sorted(factors, key=lambda f: -f[1])
+    factors = list(factors)
     if any(d < 1 for d, _ in factors):
         raise ValueError("d must be positive")
-    c = [1] + [0] * (trunc - 1)
-    for d, r in factors:
-        _apply_pentagonal(c, d, r)
+    order = min(permutations([f for f in factors if f[1]]), key=_pass_cost)
+    g = order[0][0] if order else 1
+    c = [1] + [0] * (-(-trunc // g) - 1)
+    for d, r in order:
+        if d % g:
+            c, g = _widen(c, g, gcd(g, d), trunc), gcd(g, d)
+        _apply_pentagonal(c, d // g, r)
+    if g > 1:
+        c = _widen(c, g, 1, trunc)
     return IntLaurentSeries(0, c, trunc)
 
 

@@ -16,22 +16,26 @@ def corrupt(monkeypatch):
 
     * "crank": every crank-parity series ``cranks.crank_parity_series``
       hands out past that exponent (the memoised series stays exact);
+    * "E": every 5n+4 eta quotient ``cranks.eta_5n4_series`` hands out,
+      at q^((CORRUPT_AT - 4) / 5) instead: the coefficient that stands for
+      the crank-parity coefficient at q^CORRUPT_AT;
     * "closed form": ``distinct.distinct_crank_exact(CORRUPT_AT)``;
     * "distinct sum": the first ``distinct.q_sum`` built, the left side
       of the check that builds it.
     """
     def apply(source: str) -> None:
-        if source == "crank":
-            real = cranks.crank_parity_series
+        if source in ("crank", "E"):
+            name, at = {"crank": ("crank_parity_series", CORRUPT_AT),
+                        "E": ("eta_5n4_series", (CORRUPT_AT - 4) // 5)}[source]
+            real = getattr(cranks, name)
 
-            def crank_parity_series(trunc):
-                g = real(trunc)
-                if trunc <= CORRUPT_AT:
-                    return g
-                return g + IntLaurentSeries.monomial(CORRUPT_AT, 1, trunc)
+            def corrupted(trunc):
+                x = real(trunc)
+                if trunc <= at:
+                    return x
+                return x + IntLaurentSeries.monomial(at, 1, trunc)
 
-            monkeypatch.setattr(cranks, "crank_parity_series",
-                                crank_parity_series)
+            monkeypatch.setattr(cranks, name, corrupted)
         elif source == "closed form":
             real = distinct.distinct_crank_exact
             monkeypatch.setattr(distinct, "distinct_crank_exact",

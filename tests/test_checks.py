@@ -12,9 +12,8 @@ from crankparity import cranks, distinct, fivetower
     (cranks.chan_expansion_check, (120,), "crank", (99, -17425, -17424)),
     (cranks.run_weight_identity_check, (120,), "crank",
      (99, -17425, -17424)),
-    # at depth 0, sum_n c(5n - 1) q^n: n = 20 reads q^99
-    (fivetower.ladder_subsequence_check, (0, 40), "crank",
-     (20, -9830, -9829)),
+    # at depth 0, sum_n c(5n - 1) q^n: n = 20 reads c(99), E's q^19
+    (fivetower.ladder_subsequence_check, (0, 40), "E", (20, -9830, -9829)),
     # fact (iii): (n, coefficient, distinct_crank_exact(n))
     (distinct.gf_identity_check, (120,), "closed form", (99, 2, 3)),
     # fact (i), the first sum against the floor series, fails first

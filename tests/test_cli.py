@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import crankparity
-from crankparity import distinct, partitions
+from crankparity import cranks, distinct, fivetower, partitions
 from crankparity.cli import build_parser, main
 
 SRC = str(Path(crankparity.__file__).resolve().parent.parent)
@@ -211,12 +211,18 @@ class TestVerify:
         ("verify", "ladder", "--alpha-max", "3"),  # refused, not run
         ("ladder", "--alpha-max", "3"),
     ])
-    def test_over_budget_is_one_stderr_line(self, capsys, argv):
+    def test_over_budget_is_one_stderr_line(self, capsys, monkeypatch,
+                                            argv):
+        # refused on E's length, before E or the matrices are built
+        monkeypatch.setattr(cranks, "eta_5n4_series", None)
+        monkeypatch.setattr(fivetower, "ladder_vectors", None)
         code = main(list(argv))
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
         assert captured.err.startswith("crank-parity: ")
-        assert captured.err.count("\n") == 1 and "ceiling" in captured.err
+        assert captured.err.count("\n") == 1
+        assert captured.err.endswith(" coefficients of the 5n+4 eta quotient "
+                                     "E, above the ceiling 40000\n")
 
     @pytest.mark.parametrize("argv, first", [
         (("--alpha", "3"), 61849),
@@ -288,9 +294,11 @@ class TestVerify:
 
     def test_failed_check_is_reported(self, capsys, corrupt):
         # one coefficient off by one (at q^99, see conftest) in the real
-        # crank series and closed form: each failing series check names the
-        # first exponent that disagrees and both sides there, as one string
+        # crank series, E (where it stands for the crank coefficient at
+        # q^99) and closed form: each failing series check names the first
+        # exponent that disagrees and both sides there, as one string
         corrupt("crank")
+        corrupt("E")
         corrupt("closed form")
         for argv, check, count, first, detail in [
             (("--terms", "120", "verify", "chan"), "chan", 120,
@@ -319,7 +327,6 @@ class TestVerify:
     def test_failed_ladder_is_reported(self, capsys, monkeypatch):
         # the real ladder to alpha 1, with L_3's coefficient of G^2 set to
         # 5: 5-adic valuation 1 where the bound for L_3 asks 2
-        from crankparity import fivetower
         real = fivetower.ladder
 
         def ladder(alpha_max):
@@ -667,7 +674,7 @@ class TestDumpSeries:
     def test_one_file_per_series(self, tmp_path):
         # each series is built once, at its longest truncation, and kept in
         # <name>.tsv; the hauptmodul's shorter requests write nothing, and
-        # the ladder reads the crank series, not the multiplier
+        # the ladder reads E, not the crank series or the multiplier
         proc = subprocess.run(
             [sys.executable, "-m", "crankparity", "ladder", "--alpha-max",
              "1", "--imax", "20"],
@@ -675,7 +682,7 @@ class TestDumpSeries:
             capture_output=True, timeout=120)
         assert (proc.returncode, proc.stderr) == (0, b"")
         assert sorted(os.listdir(tmp_path)) == [
-            "crank_parity.tsv", "hauptmodul.tsv"]
+            "eta_5n4.tsv", "hauptmodul.tsv"]
 
     @pytest.mark.parametrize("case", ["under a file", "file is a directory"])
     def test_unusable_cache_costs_the_cache(self, tmp_path, case):

@@ -308,6 +308,13 @@ class TestSubsequence5n4:
     def test_identity_to_200(self):
         assert subsequence_5n4_check(200) is None
 
+    def test_e_to_the_depth_two_ladder(self, fresh_memo):
+        # the depth-2 ladder reads E's first 6,745 terms: each equals
+        # c(5m+4) from a crank series of 33,730 terms, both built here
+        assert subsequence_5n4_check(6745) is None
+        assert series._memo["crank_parity"].trunc == 33730
+        assert series._memo["eta_5n4"].trunc == 6745
+
     def test_rhs_is_divisible_by_five(self):
         sub = subsequence_5n4_series(400)
         assert all(sub.coeff(n) % 5 == 0 for n in range(399))

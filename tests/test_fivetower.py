@@ -339,28 +339,33 @@ class TestModularEquation:
 class TestLadder:
     @pytest.mark.parametrize("alpha_max, need", [(1, 1350), (2, 33725)])
     def test_crank_lengths(self, monkeypatch, fresh_tower, alpha_max, need):
-        # one crank build, at the top rung's length 5^(2a+1) 11 - delta_a + 1
-        exact = cranks.crank_parity_series
+        # the top rung reads c below 5^(2a+1) 11 - delta_a + 1 = need, every
+        # index 4 mod 5: one build of E = sum c(5m+4) q^m, at need / 5
+        # terms, and no crank series
+        exact = cranks.eta_5n4_series
         built = []
 
         def counted(trunc):
             built.append(trunc)
             return exact(trunc)
 
-        monkeypatch.setattr(cranks, "crank_parity_series", counted)
+        monkeypatch.setattr(cranks, "eta_5n4_series", counted)
+        monkeypatch.setattr(cranks, "crank_parity_series", None)
         ladder(alpha_max)
-        assert built[0] == need
-        assert series._memo["crank_parity"].trunc == need
+        assert built[0] == need // 5
+        assert series._memo["eta_5n4"].trunc == need // 5
+        assert "crank_parity" not in series._memo
 
     def test_budget_guard(self, monkeypatch):
-        # alpha = 3 needs 843,100 crank terms: refused before the crank
-        # series or the matrices are built
-        monkeypatch.setattr(cranks, "crank_parity_series", None)
+        # alpha = 3 reads c below 843,100, E's first 168,620 terms: refused
+        # before E or the matrices are built
+        monkeypatch.setattr(cranks, "eta_5n4_series", None)
         monkeypatch.setattr(fivetower, "ladder_vectors", None)
-        for alpha_max, need in ((3, 843100), (4, 21077475)):
+        for alpha_max, need in ((3, 168620), (4, 4215495)):
             with pytest.raises(BudgetExceededError,
-                               match=f"needs {need} crank-parity "
-                                     "coefficients, above the ceiling"):
+                               match=f"needs {need} coefficients of the "
+                                     "5n\\+4 eta quotient E, above the "
+                                     "ceiling 40000$"):
                 ladder(alpha_max)
 
     def test_cached_states_are_frozen(self):
@@ -482,7 +487,8 @@ class TestOneRoute:
                                                        fresh_tower):
         # A's row 7 comes from the modular equation alone, and no series
         # row check reads it; L_3 reaches it (L_3[7] != 0), so rung 4 = L_3 A
-        # moves at G^3 and only the crank side of Claim L can see that
+        # moves at G^3 and only the crank side of Claim L, read off E, can
+        # see that
         exact = fivetower._transfer_rows
 
         def corrupted(pre, imax, jmax):
@@ -505,8 +511,8 @@ class TestOneRoute:
         assert ladder_subsequence_check(1, 40) is None
 
     def test_crank_side_takes_no_cube_pass(self, monkeypatch, fresh_tower):
-        # P_d from Euler passes only, and the crank series takes none: no
-        # Jacobi term is shared with the multiplier or G
+        # P_d and E from Euler passes only: no Jacobi term is shared with
+        # the multiplier or G
         def refused(d, trunc):
             raise AssertionError("cube pass on the crank side")
 
@@ -526,13 +532,17 @@ class TestLadderSubsequence:
     def test_alpha1(self):
         assert ladder_subsequence_check(1, 40) is None
 
-    def test_budget_guard(self):
-        with pytest.raises(BudgetExceededError):
+    def test_budget_guard(self, monkeypatch):
+        # refused before E or the matrices are built
+        monkeypatch.setattr(cranks, "eta_5n4_series", None)
+        monkeypatch.setattr(fivetower, "ladder_vectors", None)
+        with pytest.raises(BudgetExceededError, match="needs 6231120 "):
             ladder_subsequence_check(3, 400)
 
     def test_crank_length_at_depth_two(self, monkeypatch):
-        # below q^40 the crank side reads c(5^5 n - 651) for n <= 39:
-        # 5^5 39 - 651 + 1 coefficients, asked for before anything is built
+        # below q^40 the crank side reads c(5^5 n - 651) for n <= 39, E's
+        # coefficients up to q^((5^5 39 - 655) / 5): 24,245 of them, asked
+        # for before anything is built
         class Recorded(Exception):
             pass
 
@@ -542,20 +552,20 @@ class TestLadderSubsequence:
             asked.append(trunc)
             raise Recorded
 
-        monkeypatch.setattr(cranks, "crank_parity_series", record)
+        monkeypatch.setattr(cranks, "eta_5n4_series", record)
         with pytest.raises(Recorded):
             ladder_subsequence_check(2, 40)
-        assert asked == [121225]
+        assert asked == [24245]
 
     @pytest.mark.parametrize("short", [1, 5, 50])
     def test_short_crank_series_is_refused(self, monkeypatch, short):
-        # c(5n - 1) is read up to q^194: a series cut below it is refused,
-        # not compared on fewer coefficients
-        exact = cranks.crank_parity_series
-        monkeypatch.setattr(cranks, "crank_parity_series",
+        # below q^200, c(5n - 1) is read for n <= 199, E up to q^198: an E
+        # cut below it is refused, not compared on fewer coefficients
+        exact = cranks.eta_5n4_series
+        monkeypatch.setattr(cranks, "eta_5n4_series",
                             lambda trunc: exact(trunc - short))
         with pytest.raises(TruncationError, match=r"unavailable: trunc is "):
-            ladder_subsequence_check(0, 40)
+            ladder_subsequence_check(0, 200)
 
 
 @pytest.fixture
@@ -572,10 +582,10 @@ def fresh_tower(monkeypatch):
 class TestJacobiCorruption:
     # the multiplier (1, 3), (25, -3) and G's (2, -4), (10, 4) each take a
     # pass over Jacobi's cube terms; a sign flipped in one term must be
-    # caught by Claim L, whose crank side (crank series and P_d) takes
-    # none, and by the ladder.  At alpha = 0 Claim L's matrix side is 5G
-    # alone, whose sixth cube term sits at q^42 in (q^2;q^2)^3, so it is
-    # compared below q^200
+    # caught by Claim L, whose crank side (E and P_d) takes none, and by
+    # the ladder.  At alpha = 0 Claim L's matrix side is 5G alone, whose
+    # sixth cube term sits at q^42 in (q^2;q^2)^3, so it is compared below
+    # q^200
     @pytest.mark.parametrize("n", [1, 3, 6])
     def test_flipped_sign_is_caught(self, monkeypatch, fresh_tower, n):
         exact = series._cube_terms
@@ -588,6 +598,32 @@ class TestJacobiCorruption:
         assert ladder_subsequence_check(0, 200) is not None
         with pytest.raises(NotHauptmodulPolynomialError):
             ladder(1)
+
+
+class TestEulerCorruption:
+    # E is built from Euler passes alone; a sign flipped in one of its
+    # pentagonal terms, in E's build and nowhere else, must be caught by
+    # Claim L, whose matrix side never reads E, by the ladder and by the
+    # 5n+4 identity against the crank series
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_flipped_sign_in_e_is_caught(self, monkeypatch, fresh_tower, n):
+        exact_terms = series._pentagonal_terms
+        exact_e = cranks.eta_5n4_series
+
+        def flipped(d, trunc):
+            for k, (e, s) in enumerate(exact_terms(d, trunc), start=1):
+                yield e, -s if k == n else s
+
+        def eta_5n4_series(trunc):
+            with monkeypatch.context() as m:
+                m.setattr(series, "_pentagonal_terms", flipped)
+                return exact_e(trunc)
+
+        monkeypatch.setattr(cranks, "eta_5n4_series", eta_5n4_series)
+        assert ladder_subsequence_check(0, 200) is not None
+        with pytest.raises(LadderConsistencyError, match=r"^rung \d, G\^"):
+            ladder(1)
+        assert cranks.subsequence_5n4_check(200) is not None
 
 
 class TestFiveAdic:

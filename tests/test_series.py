@@ -4,7 +4,7 @@ import random
 import tempfile
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from crankparity.fivetower import (
     HAUPTMODUL_SPEC,
@@ -462,14 +462,30 @@ class TestSparseTerms:
                           + [("pentagonal", sign)] * (abs(r) % 3))
 
 
+# levels with many shared divisors, so the running product stays a series
+# in q^g, g > 1, over several factors; half the draws from any level
+_LEVELS = st.one_of(st.sampled_from([1, 2, 3, 4, 5, 6, 10, 12, 15, 20, 30,
+                                     60]),
+                    st.integers(1, 60))
+
+
 class TestPentagonalQuotient:
     # the reference multiplies dense lists with _conv and inverts with
     # Newton's iteration on it; the quotient never calls _conv.  Exponents
-    # up to 7 draw every split into cube and pentagonal passes.
-    @settings(max_examples=120, deadline=None)
-    @given(trunc=st.integers(1, 400),
-           factors=st.lists(st.tuples(st.integers(1, 60),
-                                      st.integers(-7, 7)), max_size=4))
+    # up to 7 draw every split into cube and pentagonal passes;
+    # truncations below 70 are often below g or not a multiple of it.
+    @settings(max_examples=200, deadline=None)
+    @given(trunc=st.one_of(st.integers(1, 70), st.integers(1, 400)),
+           factors=st.lists(st.tuples(_LEVELS, st.integers(-7, 7)),
+                            max_size=5))
+    # the list in q^g holds ceil(trunc/g) coefficients: truncations just
+    # below, at and past multiples of the levels, P_5 and E among them
+    @example(trunc=4, factors=[(10, 2), (5, -1), (5, -2)])
+    @example(trunc=11, factors=[(10, 2), (5, -1), (5, -2)])
+    @example(trunc=9, factors=[(1, 2), (2, -2), (2, -2), (5, 1), (10, 2)])
+    @example(trunc=59, factors=[(60, 3), (30, -2), (12, 1)])
+    @example(trunc=61, factors=[(60, 3), (30, -2), (12, 1)])
+    @example(trunc=179, factors=[(60, 3), (30, -2), (12, 1)])
     def test_matches_dense_products(self, trunc, factors):
         got = pentagonal_quotient(factors, trunc)
         want = _dense_quotient(factors, trunc)
@@ -482,6 +498,35 @@ class TestPentagonalQuotient:
         factors = ((2, -14), (50, 14))
         got = pentagonal_quotient(factors, 400)
         assert got.first_mismatch(_dense_quotient(factors, 400), 400) is None
+
+    @pytest.mark.parametrize("factors, calls", [
+        # E: (q^10;q^10)^2 on q^10, both (2, -2) on q^2, then the rest
+        (((1, 2), (2, -2), (2, -2), (5, 1), (10, 2)),
+         [(121, 1, 2), (601, 1, -2), (601, 1, -2), (1201, 1, 2),
+          (1201, 5, 1)]),
+        # the multiplier: (50, 2) on q^50, (2, -2) on q^2
+        (LADDER_MULTIPLIER_SPEC.factors,
+         [(25, 1, 2), (601, 1, -2), (1201, 1, 3), (1201, 25, -3)]),
+        # P_5, a series in q^5: every pass on ceil(N/5) coefficients or
+        # fewer
+        (((10, 2), (5, -1), (5, -2)),
+         [(121, 1, 2), (241, 1, -1), (241, 1, -2)]),
+    ])
+    def test_passes_run_on_decimated_lists(self, monkeypatch, factors,
+                                           calls):
+        # (length of the list, level on it, exponent) per factor, at
+        # N = 1201: a factor (d, r) on a series in q^g runs over ceil(N/g)
+        # coefficients at level d/g
+        seen = []
+        real = series._apply_pentagonal
+
+        def recorded(x, d, r):
+            seen.append((len(x), d, r))
+            real(x, d, r)
+
+        monkeypatch.setattr(series, "_apply_pentagonal", recorded)
+        pentagonal_quotient(factors, 1201)
+        assert seen == calls
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(TruncationError):
