@@ -23,7 +23,7 @@ import sys
 from itertools import repeat
 
 from . import cranks, distinct, fivetower, partitions
-from .series import TruncationError, dump_series
+from .series import SERIES, TruncationError, dump_series
 
 SCHEMA = "crank-parity/1"
 
@@ -350,18 +350,8 @@ def cmd_ladder(args) -> int:
 # dump-series
 # ---------------------------------------------------------------------------
 
-_SERIES_BUILDERS = {
-    "crank": cranks.crank_parity_series,
-    "rank": cranks.rank_parity_series,
-    "partition": cranks.partition_series,
-    "hauptmodul": fivetower.hauptmodul,
-    "multiplier": fivetower.ladder_multiplier,
-    "newton": fivetower.newton_quotient,
-}
-
-
 def cmd_dump_series(args) -> int:
-    series = _SERIES_BUILDERS[args.name](_terms(args, "dump-series"))
+    series = SERIES[args.name](_terms(args, "dump-series"))
     dump_series(series, sys.stdout)
     return 0
 
@@ -442,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dump-series",
                        help="raw exponent<TAB>coefficient dump")
-    p.add_argument("name", choices=sorted(_SERIES_BUILDERS))
+    p.add_argument("name", choices=sorted(SERIES))
     p.set_defaults(func=cmd_dump_series)
     return parser
 

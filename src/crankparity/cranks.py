@@ -56,18 +56,17 @@ from typing import NamedTuple
 
 from .series import (
     IntLaurentSeries,
-    TruncationError,
     _apply_pentagonal,
-    memo,
+    memoised,
     pentagonal_quotient,
     q_sum,
 )
 
 
+@memoised("partition")
 def partition_series(trunc: int) -> IntLaurentSeries:
     """1/(q;q)_inf, the partition generating function."""
-    return memo("partition", trunc,
-                lambda t: pentagonal_quotient(((1, -1),), t))
+    return pentagonal_quotient(((1, -1),), trunc)
 
 
 def _add_lambert_summand(c: list, n: int) -> None:
@@ -131,6 +130,7 @@ def _times_euler(g: list) -> list:
     return out
 
 
+@memoised("crank")
 def crank_parity_series(trunc: int) -> IntLaurentSeries:
     """(q;q)_inf (q;q^2)_inf^2, built one way and checked against another.
 
@@ -148,44 +148,37 @@ def crank_parity_series(trunc: int) -> IntLaurentSeries:
     Any disagreement raises AssertionError naming the first exponent that
     differs and both values there.
     """
-    def build(t: int) -> IntLaurentSeries:
-        if t <= 0:
-            raise TruncationError(f"truncation must be positive, got {t}")
-        c = _theta_square(t)
-        _apply_pentagonal(c, 1, -1)
-        bad = IntLaurentSeries(0, _times_euler(c), t).first_mismatch(
-            IntLaurentSeries(0, _lambert_sum(t), t), t)
-        if bad is not None:
-            e, mine, theirs = bad
-            raise AssertionError(
-                "crank-parity series routes disagree; series arithmetic is "
-                f"broken: first at q^{e}: G*(q;q)_inf has {mine}, the "
-                f"Lambert sum {theirs}")
-        return IntLaurentSeries(0, c, t)
-
-    return memo("crank_parity", trunc, build)
+    c = _theta_square(trunc)
+    _apply_pentagonal(c, 1, -1)
+    bad = IntLaurentSeries(0, _times_euler(c), trunc).first_mismatch(
+        IntLaurentSeries(0, _lambert_sum(trunc), trunc), trunc)
+    if bad is not None:
+        e, mine, theirs = bad
+        raise AssertionError(
+            "crank-parity series routes disagree; series arithmetic is "
+            f"broken: first at q^{e}: G*(q;q)_inf has {mine}, the "
+            f"Lambert sum {theirs}")
+    return IntLaurentSeries(0, c, trunc)
 
 
+@memoised("rank")
 def rank_parity_series(trunc: int) -> IntLaurentSeries:
     """sum_n q^(n^2)/(-q;q)_n^2, cross-checked against Watson's form."""
-    def build(t: int) -> IntLaurentSeries:
-        total = q_sum(t, lambda n: (1, n * n, [(n, 1, -2)] if n else [], []))
+    total = q_sum(trunc, lambda n: (1, n * n, [(n, 1, -2)] if n else [], []))
 
-        def watson_term(k):
-            if k == 0:
-                return 1, 0, [], []
-            return 4 * (-1) ** k, k * (3 * k + 1) // 2, [], [(k, 1, -1)]
+    def watson_term(k):
+        if k == 0:
+            return 1, 0, [], []
+        return 4 * (-1) ** k, k * (3 * k + 1) // 2, [], [(k, 1, -1)]
 
-        watson = q_sum(t, watson_term, base=partition_series(t))
-        bad = total.first_mismatch(watson, t)
-        if bad is not None:
-            e, mine, theirs = bad
-            raise AssertionError(
-                "rank-parity series disagrees with Watson's expansion: "
-                f"first at q^{e}: the sum has {mine}, Watson's form {theirs}")
-        return total
-
-    return memo("rank_parity", trunc, build)
+    watson = q_sum(trunc, watson_term, base=partition_series(trunc))
+    bad = total.first_mismatch(watson, trunc)
+    if bad is not None:
+        e, mine, theirs = bad
+        raise AssertionError(
+            "rank-parity series disagrees with Watson's expansion: "
+            f"first at q^{e}: the sum has {mine}, Watson's form {theirs}")
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -242,26 +235,23 @@ def verify_family_congruence(alpha: int, n_max: int) -> CongruenceReport:
 # the 5n+4 subsequence and the two expansion identities
 # ---------------------------------------------------------------------------
 
-def subsequence_5n4_series(terms: int) -> IntLaurentSeries:
-    """sum_n (M_e(5n+4) - M_o(5n+4)) q^n, extracted from the full series."""
-    g = crank_parity_series(5 * terms + 5)
-    return g.extract(5, 4)
-
-
+@memoised("eta_5n4")
 def eta_5n4_series(trunc: int) -> IntLaurentSeries:
     """E = 5 (q;q)^2 (q^5;q^5) (q^10;q^10)^2 / (q^2;q^2)^4, whose q^m
     coefficient is the crank-parity coefficient at 5m+4 by the identity
     ``subsequence_5n4_check`` compares.  Euler passes only: (2, -4) is
     applied as (2, -2), (2, -2), so E takes none of Jacobi's cube terms,
     which the tower's multiplier and hauptmodul are built from."""
-    return memo("eta_5n4", trunc, lambda t: pentagonal_quotient(
-        ((1, 2), (2, -2), (2, -2), (5, 1), (10, 2)), t) * 5)
+    return pentagonal_quotient(
+        ((1, 2), (2, -2), (2, -2), (5, 1), (10, 2)), trunc) * 5
 
 
 def subsequence_5n4_check(terms: int) -> tuple[int, int, int] | None:
     """Compare the 5n+4 subsequence of the crank-parity series with
-    E = 5 (q;q^2)^2 (q^5;q^5) (q^10;q^10)^2 / (q^2;q^2)^2  below q^terms."""
-    return subsequence_5n4_series(terms).first_mismatch(
+    E = 5 (q;q^2)^2 (q^5;q^5) (q^10;q^10)^2 / (q^2;q^2)^2  below q^terms.
+    The crank-parity series below q^(5 terms) holds the subsequence below
+    q^terms exactly."""
+    return crank_parity_series(5 * terms).extract(5, 4).first_mismatch(
         eta_5n4_series(terms), terms)
 
 

@@ -71,7 +71,7 @@ from .series import (
     IntLaurentSeries,
     apply_U,
     eta_quotient,
-    memo,
+    memoised,
     pentagonal_quotient,
 )
 
@@ -103,23 +103,23 @@ COEFFICIENT_CEILING = 4 * 10 ** 4
 JMAX = 11          # ladder rungs are read off and cross-checked on G^1..G^JMAX
 
 
+@memoised("multiplier")
 def ladder_multiplier(trunc: int) -> IntLaurentSeries:
     """The level-50 quotient multiplying odd ladder steps; q + O(q^2)."""
-    return memo("ladder_multiplier", trunc,
-                lambda t: eta_quotient(LADDER_MULTIPLIER_SPEC, t))
+    return eta_quotient(LADDER_MULTIPLIER_SPEC, trunc)
 
 
+@memoised("hauptmodul")
 def hauptmodul(trunc: int) -> IntLaurentSeries:
     """The level-10 hauptmodul G; q + O(q^2)."""
-    return memo("hauptmodul", trunc,
-                lambda t: eta_quotient(HAUPTMODUL_SPEC, t))
+    return eta_quotient(HAUPTMODUL_SPEC, trunc)
 
 
+@memoised("newton")
 def newton_quotient(trunc: int) -> IntLaurentSeries:
     """The auxiliary quotient phi, whose powers phi^mu | U_5 have closed
     forms in G; q^3 + O(q^4)."""
-    return memo("newton_quotient", trunc,
-                lambda t: eta_quotient(NEWTON_QUOTIENT_SPEC, t))
+    return eta_quotient(NEWTON_QUOTIENT_SPEC, trunc)
 
 
 def newton_power_u5(mu: int, order: int) -> IntLaurentSeries:

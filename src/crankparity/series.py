@@ -35,6 +35,7 @@ Newton's iteration on it.
 
 from __future__ import annotations
 
+import functools
 import io
 import operator
 import os
@@ -43,7 +44,7 @@ import tempfile
 from collections import namedtuple
 from itertools import accumulate, permutations, repeat
 from math import fsum, gcd, sqrt
-from typing import Iterable, Iterator, Mapping, TextIO
+from typing import Callable, Iterable, Iterator, Mapping, TextIO
 
 try:
     from gmpy2 import mpz as _mpz
@@ -689,10 +690,29 @@ def load_series(fp: TextIO) -> IntLaurentSeries:
 
 _memo: dict[str, IntLaurentSeries] = {}
 
+# name -> memoised series, one entry per ``memoised`` builder; the name is
+# also its memo key, its cache file ``<name>.tsv`` and its dump-series choice
+SERIES: dict[str, Callable[[int], IntLaurentSeries]] = {}
+
+
+def memoised(name: str):
+    """Decorator: serve ``build(trunc)`` through ``memo`` under ``name`` and
+    enter the result in ``SERIES`` under that name.  The result keeps the
+    builder's name and docstring."""
+    def register(build):
+        @functools.wraps(build)
+        def served(trunc: int) -> IntLaurentSeries:
+            return memo(name, trunc, build)
+
+        SERIES[name] = served
+        return served
+    return register
+
 
 def memo(name: str, trunc: int, build) -> IntLaurentSeries:
     """``build(trunc)``, keeping the longest series built under ``name`` to
-    serve shorter requests by truncation.
+    serve shorter requests by truncation.  A truncation below 1 raises
+    ``TruncationError`` before memory or disk is read.
 
     With CRANK_PARITY_CACHE_DIR set, that longest series also persists there
     as ``<name>.tsv``: the dump format, then a trailer line with the sha256
@@ -706,6 +726,8 @@ def memo(name: str, trunc: int, build) -> IntLaurentSeries:
     and the error, and the series is built and returned as if no cache were
     set, with no write after a failed read.
     """
+    if trunc < 1:
+        raise TruncationError(f"truncation must be positive, got {trunc}")
     cur = _memo.get(name)
     if cur is None or cur.trunc < trunc:
         cache_dir = os.environ.get("CRANK_PARITY_CACHE_DIR")

@@ -41,7 +41,9 @@ def test_every_span_target_resolves():
     (("verify", "claimL", "--alpha", "0"),
      "fivetower.ladder_subsequence_check"),
     (("--terms", "40", "verify", "chan"), "cranks.chan_expansion_check"),
-], ids=["claimL", "chan"])
+    (("--terms", "40", "dump-series", "multiplier"),
+     "fivetower.ladder_multiplier"),
+], ids=["claimL", "chan", "dump-multiplier"])
 def test_traced_run_calls_the_check_once(tmp_path, argv, span):
     # a check captured where the tracer cannot rebind it (a partial, a
     # tuple entry, a default argument) would run untraced: zero calls

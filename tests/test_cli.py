@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import crankparity
-from crankparity import cranks, distinct, fivetower, partitions
+from crankparity import cranks, distinct, fivetower, partitions, series
 from crankparity.cli import build_parser, main
 
 SRC = str(Path(crankparity.__file__).resolve().parent.parent)
@@ -590,11 +590,44 @@ class TestDumpSeries:
          "fbfeec30702fc09c8b8908755a721b434e724900c513d36a80f4af153f9166b1"),
         ("newton",
          "d789712a758d2dd34e0d6ec45e8b2c458d68b25a6ba509d5cf539e0c25a4da44"),
+        ("eta_5n4",
+         "641248e21035a3fe74fdf559ca39bffd670e7579edb33a4c8b9aa084a3633c19"),
     ])
     def test_stdout_is_pinned(self, capsys, name, digest):
         code, out = run_cli(capsys, "--terms", "40", "dump-series", name)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_one_name_per_series(self):
+        # the dump-series choices are the memoised series, by one name
+        parser = build_parser()
+        sub = next(a for a in parser._actions if a.dest == "command")
+        name = next(a for a in sub.choices["dump-series"]._actions
+                    if a.dest == "name")
+        assert sorted(series.SERIES) == name.choices == [
+            "crank", "eta_5n4", "hauptmodul", "multiplier", "newton",
+            "partition", "rank"]
+
+    @pytest.mark.parametrize("name", sorted(series.SERIES))
+    def test_dump_writes_its_own_cache_file(self, capsys, tmp_path,
+                                            monkeypatch, name):
+        # the dump-series name is the cache file's name; the rank series
+        # also writes the partition series its Watson check reads
+        monkeypatch.setenv("CRANK_PARITY_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(series, "_memo", {})
+        code, _ = run_cli(capsys, "--terms", "40", "dump-series", name)
+        assert code == 0
+        want = ["partition.tsv", "rank.tsv"] if name == "rank" else [
+            f"{name}.tsv"]
+        assert sorted(os.listdir(tmp_path)) == want
+
+    def test_eta_5n4_dump_is_the_crank_subsequence(self, capsys):
+        _, crank = run_cli(capsys, "--terms", "200", "dump-series", "crank")
+        _, eta = run_cli(capsys, "--terms", "40", "dump-series", "eta_5n4")
+        c = dict(line.split("\t") for line in crank.splitlines())
+        rows = [line.split("\t") for line in eta.splitlines()]
+        assert len(rows) == 40
+        assert all(v == c[str(5 * int(m) + 4)] for m, v in rows)
 
     def test_crank_dump(self, capsys):
         code, out = run_cli(capsys, "--terms", "12", "dump-series", "crank")
@@ -605,7 +638,6 @@ class TestDumpSeries:
         assert len(lines) == 12
 
     def test_cache_roundtrip(self, capsys, tmp_path, monkeypatch):
-        from crankparity import series
         written = []
         store = series._store
 
@@ -618,11 +650,11 @@ class TestDumpSeries:
         monkeypatch.setattr(series, "_store", spy_store)
         _, first = run_cli(capsys, "--terms", "40", "coeffs", "2", "6",
                            "--source", "series")
-        assert os.listdir(tmp_path) == written == ["crank_parity.tsv"]
+        assert os.listdir(tmp_path) == written == ["crank.tsv"]
         series._memo.clear()  # the second run reads the file back
         _, second = run_cli(capsys, "--terms", "40", "coeffs", "2", "6",
                             "--source", "series")
-        assert first == second and written == ["crank_parity.tsv"]
+        assert first == second and written == ["crank.tsv"]
 
     def test_cut_cache_file_is_rebuilt(self, tmp_path):
         # a later run, in its own process, meets a file cut short by a crash
@@ -635,7 +667,7 @@ class TestDumpSeries:
                 env=env, capture_output=True, text=True, timeout=120)
 
         cold = run()
-        path = tmp_path / "crank_parity.tsv"
+        path = tmp_path / "crank.tsv"
         good = path.read_bytes()
         path.write_bytes(good[:-3])
         warm = run()
@@ -648,7 +680,6 @@ class TestDumpSeries:
         # the trailer vouches for a body that is no series dump (q^1 is
         # missing): the file takes the failed-check path, and stdout and
         # exit status are those of a run with no cache directory
-        from crankparity import series
         argv = [sys.executable, "-m", "crankparity", "--terms", "40",
                 "coeffs", "1", "3", "--source", "series"]
 
@@ -660,7 +691,7 @@ class TestDumpSeries:
                                   timeout=120)
 
         plain, fresh = run(), run(tmp_path / "fresh")
-        path = tmp_path / "crank_parity.tsv"
+        path = tmp_path / "crank.tsv"
         body = b"0\t1\n2\t5\n"
         path.write_bytes(body + series._trailer(body))
         warm = run(tmp_path)
@@ -669,7 +700,7 @@ class TestDumpSeries:
             f"crank-parity: cache file {path} failed its check; "
             "rebuilding\n")
         assert path.read_bytes() == (
-            tmp_path / "fresh" / "crank_parity.tsv").read_bytes()
+            tmp_path / "fresh" / "crank.tsv").read_bytes()
 
     def test_one_file_per_series(self, tmp_path):
         # each series is built once, at its longest truncation, and kept in
@@ -696,7 +727,7 @@ class TestDumpSeries:
             error = "Not a directory"
         else:
             cache_dir = tmp_path
-            (tmp_path / "crank_parity.tsv").mkdir()
+            (tmp_path / "crank.tsv").mkdir()
             error = "Is a directory"
 
         def run(**env):
@@ -709,7 +740,7 @@ class TestDumpSeries:
         plain = run()
         proc = run(CRANK_PARITY_CACHE_DIR=str(cache_dir))
         assert (proc.returncode, proc.stdout) == (0, plain.stdout)
-        path = cache_dir / "crank_parity.tsv"
+        path = cache_dir / "crank.tsv"
         assert proc.stderr.count("\n") == 1
         assert proc.stderr.startswith(f"crank-parity: cache file {path} ")
         assert error in proc.stderr and "Traceback" not in proc.stderr

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crankparity import cranks, series
+from crankparity import fivetower  # enters the tower's series in SERIES
 from crankparity.cranks import (
     chan_expansion_check,
     crank_parity_series,
@@ -13,7 +14,6 @@ from crankparity.cranks import (
     run_weight_expansion,
     run_weight_identity_check,
     subsequence_5n4_check,
-    subsequence_5n4_series,
     verify_family_congruence,
 )
 from crankparity.series import (
@@ -108,9 +108,17 @@ class TestCrankParitySeries:
         assert [g.coeff(n) for n in range(5)] == [1, -3, 2, -1, 5]
 
     def test_non_positive_truncation_is_refused(self, fresh_memo):
-        for trunc in (0, -3):
-            with pytest.raises(TruncationError, match=r"must be positive"):
-                crank_parity_series(trunc)
+        # every memoised series, cold and after a build that a shorter
+        # request would be cut from
+        assert len(series.SERIES) == 7
+        for build in series.SERIES.values():
+            for warm in (False, True):
+                if warm:
+                    build(20)
+                for trunc in (0, -5):
+                    with pytest.raises(TruncationError,
+                                       match=r"must be positive"):
+                        build(trunc)
 
     def test_routes_agree_to_2000(self):
         g = crank_parity_series(2000)
@@ -302,7 +310,7 @@ class TestFamilyCongruence:
 
 class TestSubsequence5n4:
     def test_constant_term_is_five(self):
-        sub = subsequence_5n4_series(10)
+        sub = crank_parity_series(50).extract(5, 4)
         assert sub.coeff(0) == 5
 
     def test_identity_to_200(self):
@@ -310,13 +318,13 @@ class TestSubsequence5n4:
 
     def test_e_to_the_depth_two_ladder(self, fresh_memo):
         # the depth-2 ladder reads E's first 6,745 terms: each equals
-        # c(5m+4) from a crank series of 33,730 terms, both built here
+        # c(5m+4) from a crank series of 33,725 terms, both built here
         assert subsequence_5n4_check(6745) is None
-        assert series._memo["crank_parity"].trunc == 33730
+        assert series._memo["crank"].trunc == 33725
         assert series._memo["eta_5n4"].trunc == 6745
 
     def test_rhs_is_divisible_by_five(self):
-        sub = subsequence_5n4_series(400)
+        sub = crank_parity_series(2000).extract(5, 4)
         assert all(sub.coeff(n) % 5 == 0 for n in range(399))
         # the quotient by 5 stays integral (exact scalar division)
         assert (sub / 5).coeff(0) == 1

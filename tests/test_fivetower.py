@@ -354,7 +354,7 @@ class TestLadder:
         ladder(alpha_max)
         assert built[0] == need // 5
         assert series._memo["eta_5n4"].trunc == need // 5
-        assert "crank_parity" not in series._memo
+        assert "crank" not in series._memo
 
     def test_budget_guard(self, monkeypatch):
         # alpha = 3 reads c below 843,100, E's first 168,620 terms: refused

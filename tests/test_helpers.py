@@ -5,10 +5,12 @@ No linter runs on this package, so a function, method or constant left
 behind when its last reader goes is caught here, from the modules' syntax
 trees alone.  A single-underscore helper must be called or read in the
 package.  A public one must be read in the package, be a span that
-``bench/tracer.py`` wraps, or be named in ``REFERENCE`` with the reason it
-is kept.  Dunder methods are called by Python, not by name, and are not
-checked.  A name a module binds by assignment in its own scope must be
-read in the package; ``__version__`` is read by packaging tools instead.
+``bench/tracer.py`` wraps, be a series declared with ``@memoised(...)``
+(``dump-series`` reaches it through ``series.SERIES``), or be named in
+``REFERENCE`` with the reason it is kept.  Dunder methods are called by
+Python, not by name, and are not checked.  A name a module binds by
+assignment in its own scope must be read in the package; ``__version__``
+is read by packaging tools instead.
 """
 
 import ast
@@ -74,6 +76,17 @@ def public_names(tree: ast.Module) -> list[str]:
     return [name for name in defined(tree) if not name.startswith("_")]
 
 
+def memoised_series(tree: ast.Module) -> set[str]:
+    """Names of the module-level functions decorated with ``memoised(...)``,
+    which ``dump-series`` reaches through ``series.SERIES``."""
+    return {node.name for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+            and any(isinstance(d, ast.Call)
+                    and "memoised" in (getattr(d.func, "id", None),
+                                       getattr(d.func, "attr", None))
+                    for d in node.decorator_list)}
+
+
 def names_read(tree: ast.Module) -> set[str]:
     """Every bare name and attribute name the module loads."""
     read = set()
@@ -116,8 +129,8 @@ def unread_constants(sources: list[str]) -> list[str]:
 def unreached_public(sources: list[str], spans: set[str],
                      reference) -> list[str]:
     trees = [ast.parse(source) for source in sources]
-    reached = set().union(*(names_read(tree) for tree in trees), spans,
-                          reference)
+    reached = set().union(*(names_read(tree) | memoised_series(tree)
+                            for tree in trees), spans, reference)
     return [name for tree in trees for name in public_names(tree)
             if name not in reached]
 
@@ -178,6 +191,10 @@ def test_a_left_over_public_helper_is_caught():
         "def traced():\n    return used()\n"
         "def used():\n    return 2\n"
         "def oracle():\n    return 3\n"
+        "@memoised('dumped')\ndef dumped(trunc):\n    return trunc\n"
+        "@series.memoised('other')\ndef other(trunc):\n    return trunc\n"
+        "@lru_cache(maxsize=None)\ndef cached(trunc):\n    return trunc\n"
         "class C:\n    def stale(self):\n        return 4\n"
         "    def _private(self):\n        return 5\n",
-    ], {"traced"}, {"oracle": "the tests' oracle"}) == ["left_over", "stale"]
+    ], {"traced"}, {"oracle": "the tests' oracle"}) == [
+        "left_over", "cached", "stale"]
