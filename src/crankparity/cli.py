@@ -92,7 +92,7 @@ def _emit(args, payload: dict, columns: list[str], rows: list[dict],
 def cmd_coeffs(args) -> int:
     n_lo, n_hi = _n_range(args, 0)
     source = args.source
-    terms = _terms(args, "coeffs")
+    terms = args.terms or n_hi + 1
     if source in ("series", "both") and n_hi >= terms:
         raise SystemExit(
             f"coeffs: truncation {terms} too small for n = {n_hi}; rerun "
@@ -129,15 +129,12 @@ def cmd_coeffs(args) -> int:
 
 def _verify_family(args) -> tuple:
     n_max = args.n_max if args.n_max is not None else _terms(args, "family")
-    first = cranks.qualifying_residue(args.alpha)[0]
-    if n_max < first:
-        raise SystemExit(
-            f"verify family: no n <= {n_max} has 24n == 1 (mod "
-            f"5^{2 * args.alpha + 1}); raise --n-max to at least {first}")
-    report = cranks.verify_family_congruence(args.alpha, n_max)
-    return (len(report.tested_n),
-            report.failures[0] if report.failures else None,
-            report.to_json_dict())
+    try:
+        report = cranks.verify_family_congruence(args.alpha, n_max)
+    except ValueError as exc:  # no n <= n_max qualifies
+        raise SystemExit(f"verify family: {exc}")
+    failures = report["failures"]
+    return report["count"], failures[0] if failures else None, report
 
 
 # The series identities: one call on the truncation each (claimL also on

@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import operator
 from math import isqrt
-from typing import NamedTuple
 
 from .series import (
     IntLaurentSeries,
@@ -185,50 +184,33 @@ def rank_parity_series(trunc: int) -> IntLaurentSeries:
 # congruence family
 # ---------------------------------------------------------------------------
 
-class CongruenceReport(NamedTuple):
-    """Outcome of one congruence sweep: which n were tested against which
-    modulus, and which failed (expected none)."""
-
-    alpha: int
-    modulus: int
-    tested_n: list
-    failures: list
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-    def to_json_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "modulus": self.modulus,
-            "count": len(self.tested_n),
-            "failures": list(self.failures),
-        }
-
-
 def qualifying_residue(alpha: int) -> tuple[int, int]:
     """(residue, modulus) with 24n == 1 mod 5^(2a+1) iff n == residue."""
     mod = 5 ** (2 * alpha + 1)
     return pow(24, -1, mod), mod
 
 
-def verify_family_congruence(alpha: int, n_max: int) -> CongruenceReport:
+def verify_family_congruence(alpha: int, n_max: int) -> dict:
     """Check 5^(alpha+1) divides the crank-parity coefficient at every
-    n <= n_max with 24n == 1 mod 5^(2*alpha+1); raises ValueError if there
-    is no such n."""
+    n <= n_max with 24n == 1 mod 5^(2*alpha+1).
+
+    The report is the plain dict ``verify family`` prints as its detail:
+    alpha, modulus, the count of n tested and the n that fail (expected
+    none).  Raises ValueError if alpha < 0 or no n <= n_max qualifies,
+    the latter naming the least n_max (``--n-max``) that has one.
+    """
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
     residue, step = qualifying_residue(alpha)
     if n_max < residue:
         raise ValueError(
-            f"no n <= {n_max} has 24n == 1 (mod 5^{2 * alpha + 1}); the "
-            f"first is {residue}")
+            f"no n <= {n_max} has 24n == 1 (mod 5^{2 * alpha + 1}); raise "
+            f"--n-max to at least {residue}")
     series = crank_parity_series(n_max + 1)
     modulus = 5 ** (alpha + 1)
-    tested = list(range(residue, n_max + 1, step))
-    return CongruenceReport(alpha, modulus, tested,
-                            [n for n in tested if series.coeff(n) % modulus])
+    tested = range(residue, n_max + 1, step)
+    return {"alpha": alpha, "modulus": modulus, "count": len(tested),
+            "failures": [n for n in tested if series.coeff(n) % modulus]}
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ import os
 import sys
 import tempfile
 from collections import namedtuple
+from importlib import import_module
 from itertools import accumulate, permutations, repeat
 from math import fsum, gcd, sqrt
 from typing import Callable, Iterable, Iterator, Mapping, TextIO
@@ -795,3 +796,10 @@ def _load_checked(path: str, trunc: int) -> IntLaurentSeries | None:
           file=sys.stderr)
     os.unlink(path)
     return None
+
+
+# The memoised series register in SERIES when their modules run; those
+# modules import this one, so loading them here, once every name above is
+# bound, makes SERIES whole whichever package module is imported first.
+import_module(".cranks", __package__)
+import_module(".fivetower", __package__)

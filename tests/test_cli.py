@@ -130,6 +130,16 @@ class TestCoeffs:
             main(["--terms", "10", "coeffs", "1", "50", "--source", "series"])
         assert "--terms at least 51" in str(err.value)
 
+    def test_builds_to_n_hi_without_terms(self, capsys, monkeypatch):
+        # no --terms: the series is built to N_HI alone, so no N_HI is too
+        # large for it
+        monkeypatch.delenv("CRANK_PARITY_CACHE_DIR", raising=False)
+        monkeypatch.setattr(series, "_memo", {})
+        code, out = run_cli(capsys, "coeffs", "0", "2500", "--source",
+                            "series")
+        assert (code, len(out.splitlines())) == (0, 2502)
+        assert series._memo["crank"].trunc == 2501
+
     def test_oracle_cap(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["coeffs", "1", "80"])
@@ -238,6 +248,21 @@ class TestVerify:
         assert proc.stderr.startswith("verify family: no n <= ")
         assert proc.stderr.endswith(
             f"raise --n-max to at least {first}\n")
+
+    @pytest.mark.parametrize("argv, alpha, n_max", [
+        (("--alpha", "3"), 3, 10_000),
+        (("--alpha", "2", "--n-max", "500"), 2, 500),
+        (("--alpha", "1", "--n-max", "20"), 1, 20),
+    ])
+    def test_family_refusal_is_the_sweeps_error(self, argv, alpha, n_max):
+        # the cases above: the CLI prints the sweep's one refusal after its
+        # prefix, with no check of its own
+        with pytest.raises(ValueError) as refused:
+            cranks.verify_family_congruence(alpha, n_max)
+        proc = subprocess.run(
+            [sys.executable, "-m", "crankparity", "verify", "family", *argv],
+            capture_output=True, text=True, env=cli_env(), timeout=60)
+        assert proc.stderr == f"verify family: {refused.value}\n"
 
     def test_family_with_one_case_passes(self, capsys):
         code, out = run_cli(capsys, "verify", "family", "--alpha", "2",

@@ -3,7 +3,8 @@ importing the CLI stays lean.
 
 No linter runs on this package, so an import left behind when its last use
 goes is caught here, from the module's syntax tree alone.  A fresh
-interpreter checks which modules importing the CLI loads, and the value
+interpreter checks which modules importing the CLI loads, and that the
+series table is whole whichever package module comes first; the value
 classes that replace dataclasses keep the dataclass contract.
 """
 
@@ -45,22 +46,27 @@ def test_a_left_over_import_is_caught():
 
 
 # ---------------------------------------------------------------------------
-# start-up: what importing the CLI loads
+# start-up: what a fresh import loads
 # ---------------------------------------------------------------------------
+
+def fresh_stdout(code: str) -> str:
+    """What a fresh interpreter prints running ``code``, with the package
+    on PYTHONPATH."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(PACKAGE.parent)
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True,
+                          timeout=60).stdout
+
 
 def loaded_by(statement: str) -> set[str]:
     """Modules a fresh interpreter adds to sys.modules running
-    ``statement``, with the package on PYTHONPATH."""
-    code = ("import sys\n"
-            "before = set(sys.modules)\n"
-            f"{statement}\n"
-            "print(*sorted(set(sys.modules) - before))\n")
-    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
-    env["PYTHONPATH"] = str(PACKAGE.parent)
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True,
-                         timeout=60).stdout
-    return set(out.split())
+    ``statement``."""
+    return set(fresh_stdout("import sys\n"
+                            "before = set(sys.modules)\n"
+                            f"{statement}\n"
+                            "print(*sorted(set(sys.modules) - before))\n"
+                            ).split())
 
 
 def test_cli_start_up_skips_heavy_modules():
@@ -76,21 +82,30 @@ def test_package_import_loads_only_init():
     assert loaded_by("import crankparity") == {"crankparity"}
 
 
+@pytest.mark.parametrize("first", ["series", "distinct", "cranks", "circle",
+                                   "fivetower", "cli"])
+def test_series_table_is_whole_whichever_module_comes_first(first):
+    # the memoised series of cranks and fivetower, each a dump-series choice
+    out = fresh_stdout(f"import crankparity.{first}\n"
+                       "from crankparity.series import SERIES\n"
+                       "print(*sorted(SERIES))\n")
+    assert out.split() == ["crank", "eta_5n4", "hauptmodul", "multiplier",
+                           "newton", "partition", "rank"]
+
+
 # ---------------------------------------------------------------------------
 # the value classes: immutable, compared and hashed by value
 # ---------------------------------------------------------------------------
 
 def value_pairs():
     """(field, two equal instances built apart) for each value class."""
-    from crankparity import circle, cranks, distinct, partitions, series
+    from crankparity import circle, distinct, partitions, series
 
     cases = {
         "ParityCount": ("even", lambda: partitions.ParityCount(3, 2)),
         "PentagonalInfo": ("floor_p", lambda: distinct.pent_info(40)),
         "EtaQuotientSpec": ("factors",
                             lambda: series.EtaQuotientSpec([(1, 24)])),
-        "CongruenceReport": ("alpha", lambda: cranks.CongruenceReport(
-            0, 5, (4, 29), ())),
         "AsymptoticReport": ("passed", lambda: circle.report(10, 4, 64)),
     }
     return [pytest.param(field, make(), make(), id=name)
