@@ -53,19 +53,16 @@ except ImportError:  # gmpy2 is the optional 'fast' extra; int is exact too
     _mpz = int
 
 
-class SeriesError(Exception):
-    """Base class for series arithmetic errors."""
-
-
-class TruncationError(SeriesError, ValueError):
+class TruncationError(ValueError):
     """A coefficient or comparison was requested beyond the exact range."""
 
 
-class NonUnitDivisorError(SeriesError, ArithmeticError):
-    """Division required a non-exact integer quotient."""
+class NonUnitDivisorError(ArithmeticError):
+    """The reciprocal of a series whose lead is not +-1: its coefficients
+    would not all be integers."""
 
 
-class FractionalExponentError(SeriesError, ValueError):
+class FractionalExponentError(ValueError):
     """An eta quotient whose prefactor exponent sum is not divisible by 24."""
 
 
@@ -112,9 +109,7 @@ def _conv(a: list, b: list, rlen: int) -> list:
 
 def _recip_unit(c: list, rlen: int) -> list:
     """Newton iteration for 1/c mod q^rlen, c[0] == +-1, all integer."""
-    if c[0] == -1:
-        return [-x for x in _recip_unit([-x for x in c], rlen)]
-    z = [1]
+    z = [c[0]]  # 1/c[0] == c[0]
     m = 1
     while m < rlen:
         m2 = min(2 * m, rlen)
@@ -313,17 +308,6 @@ class IntLaurentSeries:
         return IntLaurentSeries(-val, out, -val + rlen)
 
     def __truediv__(self, other):
-        if isinstance(other, int):
-            if other == 0:
-                raise ZeroDivisionError
-            out = []
-            for c in self.coeffs:
-                quot, rem = divmod(c, other)
-                if rem:
-                    raise NonUnitDivisorError(
-                        f"coefficient {c} not divisible by {other}")
-                out.append(quot)
-            return IntLaurentSeries(self.offset, out, self.trunc)
         if not isinstance(other, IntLaurentSeries):
             return NotImplemented
         return self * other.reciprocal()
@@ -332,26 +316,17 @@ class IntLaurentSeries:
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
-            return self.reciprocal() ** (-n)
-        rlen = len(self.coeffs)
+            return self.reciprocal() ** -n
         if n == 0:
-            return IntLaurentSeries.one(max(rlen, 1))
-        if n == 1:
-            return self
-        # binary powering on the coefficient window; the window length is
-        # preserved and the offset scales with the exponent
-        base = list(self.coeffs)
-        acc = None
-        m = n
-        while True:
-            if m & 1:
-                acc = list(base) if acc is None else _conv(acc, base, rlen)
-            m >>= 1
-            if not m:
-                break
-            base = _conv(base, base, rlen)
-        off = n * self.offset
-        return IntLaurentSeries(off, acc, off + rlen)
+            return IntLaurentSeries.one(len(self.coeffs))
+        # binary powering through __mul__, high bit first: every product
+        # keeps the window length and the offset scales with the exponent
+        out = self
+        for bit in bin(n)[3:]:
+            out = out * out
+            if bit == "1":
+                out = out * self
+        return out
 
     # -- reshaping -----------------------------------------------------------
 
@@ -658,9 +633,8 @@ def eta_quotient(spec: EtaQuotientSpec, trunc: int) -> IntLaurentSeries:
 
 
 def apply_U(d: int, x: IntLaurentSeries) -> IntLaurentSeries:
-    """Atkin operator: keep exponents divisible by d and divide them by d."""
-    if d < 1:
-        raise ValueError("U_d needs d >= 1")
+    """Atkin operator: keep exponents divisible by d and divide them by d;
+    ``extract`` refuses d < 1."""
     return x.extract(d, 0)
 
 

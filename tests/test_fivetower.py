@@ -320,7 +320,12 @@ class TestModularEquation:
         (EtaQuotientSpec(()), 2, 3, 1,
          "prefactor 1, row 5, G^4: series gives -13553000, modular "
          "equation gives -13552965"),
-    ], ids=["A-row-6", "B-row-6", "B-row-2", "A-row-1-G0", "A-row-2"])
+        # the top column of a row, G^(5i), is compared too
+        (EtaQuotientSpec(()), 6, 30, 1,
+         "prefactor 1, row 6, G^30: series gives 11920928955078126, "
+         "modular equation gives 11920928955078125"),
+    ], ids=["A-row-6", "B-row-6", "B-row-2", "A-row-1-G0", "A-row-2",
+            "A-row-6-top"])
     def test_corrupt_series_row_is_refused(self, monkeypatch, pre, i, j,
                                            delta, message):
         corrupt_series_rows(monkeypatch, pre, i, j, delta)
@@ -538,6 +543,23 @@ class TestLadderSubsequence:
         monkeypatch.setattr(fivetower, "ladder_vectors", None)
         with pytest.raises(BudgetExceededError, match="needs 6231120 "):
             ladder_subsequence_check(3, 400)
+
+    def test_ceiling_admits_its_own_length(self, monkeypatch):
+        # depth two below q^40 needs 24,245 coefficients of E (see below):
+        # built at a ceiling of exactly that, refused one below it
+        class Recorded(Exception):
+            pass
+
+        def record(trunc):
+            raise Recorded
+
+        monkeypatch.setattr(cranks, "eta_5n4_series", record)
+        monkeypatch.setattr(fivetower, "COEFFICIENT_CEILING", 24245)
+        with pytest.raises(Recorded):
+            ladder_subsequence_check(2, 40)
+        monkeypatch.setattr(fivetower, "COEFFICIENT_CEILING", 24244)
+        with pytest.raises(BudgetExceededError, match="needs 24245 "):
+            ladder_subsequence_check(2, 40)
 
     def test_crank_length_at_depth_two(self, monkeypatch):
         # below q^40 the crank side reads c(5^5 n - 651) for n <= 39, E's

@@ -1,4 +1,6 @@
+import functools
 import io
+import operator
 import os
 import random
 import tempfile
@@ -131,11 +133,10 @@ class TestDiv:
         with pytest.raises(NonUnitDivisorError):
             x / y
 
-    def test_scalar_divides_exactly(self):
+    def test_divisor_must_be_a_series(self):
         x = IntLaurentSeries.from_terms({0: 10, 3: -5}, 5)
-        assert coeffs_of(x / 5, 0, 5) == [2, 0, 0, -1, 0]
-        with pytest.raises(NonUnitDivisorError):
-            x / 3
+        with pytest.raises(TypeError):
+            x / 5
 
     def test_roundtrip_random(self):
         rng = random.Random(0xD1E)
@@ -351,6 +352,26 @@ class TestSeriesProperties:
             with pytest.raises(TruncationError):
                 got.coeff(got.trunc)
 
+    @settings(max_examples=200, deadline=None)
+    @given(x=series_st(unit=True), n=st.integers(-3, 8))
+    def test_power_is_the_repeated_product(self, x, n):
+        # x^n is the n-fold product of x (of 1/x for n < 0), window and all
+        base = x.reciprocal() if n < 0 else x
+        want = (functools.reduce(operator.mul, [base] * abs(n)) if n
+                else IntLaurentSeries.one(len(x.coeffs)))
+        got = x ** n
+        assert (got.offset, got.trunc, got.coeffs) == (
+            want.offset, want.trunc, want.coeffs)
+
+    @pytest.mark.parametrize("lead", (1, -1))
+    @settings(max_examples=100, deadline=None)
+    @given(x=series_st(unit=True))
+    def test_unit_times_its_reciprocal_is_one(self, lead, x):
+        u = IntLaurentSeries(x.offset, (lead,) + x.coeffs[1:], x.trunc)
+        prod = u * u.reciprocal()
+        assert prod.first_mismatch(IntLaurentSeries.one(prod.trunc),
+                                   prod.trunc) is None
+
     @settings(max_examples=300, deadline=None)
     @given(x=series_st(), data=st.data())
     def test_load_series_on_damaged_dumps(self, x, data):
@@ -563,6 +584,11 @@ class TestApplyU:
         x = IntLaurentSeries(0, [1] * 11, 11)
         assert apply_U(5, x).trunc == 3
 
+    @pytest.mark.parametrize("d", (0, -1, -5))
+    def test_rejects_d_below_one(self, d):
+        with pytest.raises(ValueError):
+            apply_U(d, IntLaurentSeries.one(10))
+
     def test_commutation_rule(self):
         # (f(q^d) g(q)) | U_d == f(q) (g | U_d); f(q^d) is exact below
         # d*(trunc-1)+1, as the exponents in between are exactly zero
@@ -597,6 +623,7 @@ class TestTruncationDiscipline:
         y = IntLaurentSeries.from_terms({0: 4, 3: 7}, 12)
         # below both offsets the exponents are exact zeros on each side
         assert x.first_mismatch(y, 9) == (-2, 1, 0)
+        assert y.first_mismatch(x, 9) == (-2, 0, 1)
         assert y.first_mismatch(x + IntLaurentSeries.monomial(-2, -1, 9),
                                 9) == (0, 4, 0)
         assert x.first_mismatch(x.truncate(5), 5) is None
