@@ -31,15 +31,6 @@ and at the same precision as the mpf arithmetic they stand for, without its
 per-operation wrapping and context switches.  Only the results are wrapped
 as mpf, without rounding, so they keep their precision whatever the
 caller's mpmath context.
-
-Also here: a direct numerical check of the modular transformation of the
-partition generating function F(q) = 1/(q;q)_inf,
-
-    F(exp(2 pi i h/k - 2 pi z/k^2))
-        = e^(pi i s(h,k)) (z/k)^(1/2) exp(pi/(12 z) - pi z/(12 k^2))
-          * F(exp(2 pi i H/k - 2 pi/z)),        h H == -1 (mod k), Re z > 0,
-
-evaluated on both sides by truncated products.
 """
 
 from __future__ import annotations
@@ -250,47 +241,3 @@ def verify_error_bound(n_lo: int, n_hi: int, precision_bits: int = 128
     return [report(n, series.coeff(n), precision_bits)
             for n in range(n_lo, n_hi + 1)]
 
-
-# ---------------------------------------------------------------------------
-# eta-type transformation of the partition generating function
-# ---------------------------------------------------------------------------
-
-def partition_gf_value(q, precision_bits: int = 128):
-    """1/(q;q)_inf at a point inside the unit disc, by direct product."""
-    with workprec(precision_bits + 16):
-        q = mpmath.mpmathify(q)
-        if abs(q) >= 1:
-            raise ValueError(f"product diverges for |q| >= 1, got |q| = "
-                             f"{mpmath.nstr(abs(q), 8)}")
-        eps = mpf(2) ** (-(precision_bits + 24))
-        prod = mpmath.mpc(1)
-        qn = q
-        while abs(qn) > eps:
-            prod *= (1 - qn)
-            qn *= q
-        return 1 / prod
-
-
-def eta_transformation_check(h: int, k: int, z,
-                             precision_bits: int = 128) -> mpf:
-    """Evaluate both sides of the modular transformation of 1/(q;q)_inf at
-    (h, k, z) and return |LHS - RHS|.  Requires gcd(h,k) = 1 and Re z > 0."""
-    if k < 1 or gcd(h, k) != 1:
-        raise InvalidPairError(f"need coprime h, k with k >= 1: ({h}, {k})")
-    with workprec(precision_bits + 32):
-        z = mpmath.mpmathify(z)
-        if mpmath.re(z) <= 0:
-            raise ValueError("the transformation needs Re z > 0")
-        pi = mpmath.pi
-        j = mpmath.mpc(0, 1)
-        lhs_q = mpmath.exp(2 * pi * j * h / k - 2 * pi * z / k ** 2)
-        lhs = partition_gf_value(lhs_q, precision_bits)
-
-        big_h = 0 if k == 1 else (-pow(h, -1, k)) % k
-        rhs_q = mpmath.exp(2 * pi * j * big_h / k - 2 * pi / z)
-        s = dedekind_sum(h, k)
-        rhs = (mpmath.expjpi(mpf(s.numerator) / s.denominator)
-               * mpmath.sqrt(z / k)
-               * mpmath.exp(pi / (12 * z) - pi * z / (12 * k ** 2))
-               * partition_gf_value(rhs_q, precision_bits))
-        return +abs(lhs - rhs)

@@ -443,6 +443,10 @@ def main(argv: list[str] | None = None) -> int:
     except (TruncationError, fivetower.BudgetExceededError) as exc:
         print(f"crank-parity: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        # two routes to one result disagree: the program itself is at fault
+        print(f"crank-parity: {exc}", file=sys.stderr)
+        return 1
     except BrokenPipeError:
         # stdout's reader is gone; point fd 1 at the null device so the
         # interpreter's final flush of what is still buffered cannot raise

@@ -1,10 +1,9 @@
 """The 5-adic tower: eta quotients, hauptmodul polynomials, and the ladder.
 
-Three weight-0 eta quotients drive the congruence family modulo powers of 5:
+Two weight-0 eta quotients drive the congruence family modulo powers of 5:
 
     multiplier   eta(t)^3 eta(50t)^2 / (eta(2t)^2 eta(25t)^3)    on level 50
     hauptmodul   eta(t)^2 eta(10t)^4 / (eta(2t)^4 eta(5t)^2)     on level 10
-    newton quotient  eta(t) eta(50t)^2 / (eta(2t)^2 eta(25t))    on level 50
 
 The keystone identity is  multiplier | U_5 == 5 * hauptmodul.  Every series
 in the tower reduces to a Laurent polynomial in the hauptmodul G = q + ...
@@ -94,7 +93,6 @@ class BudgetExceededError(RuntimeError):
 
 LADDER_MULTIPLIER_SPEC = EtaQuotientSpec(((1, 3), (2, -2), (50, 2), (25, -3)))
 HAUPTMODUL_SPEC = EtaQuotientSpec(((1, 2), (2, -4), (10, 4), (5, -2)))
-NEWTON_QUOTIENT_SPEC = EtaQuotientSpec(((1, 1), (2, -2), (50, 2), (25, -1)))
 
 # coefficients of E: alpha = 2 needs 24,245 (claimL at 40 terms), the
 # ladder at alpha = 3 needs 168,620, a build of half a minute or more:
@@ -113,19 +111,6 @@ def ladder_multiplier(trunc: int) -> IntLaurentSeries:
 def hauptmodul(trunc: int) -> IntLaurentSeries:
     """The level-10 hauptmodul G; q + O(q^2)."""
     return eta_quotient(HAUPTMODUL_SPEC, trunc)
-
-
-@memoised("newton")
-def newton_quotient(trunc: int) -> IntLaurentSeries:
-    """The auxiliary quotient phi, whose powers phi^mu | U_5 have closed
-    forms in G; q^3 + O(q^4)."""
-    return eta_quotient(NEWTON_QUOTIENT_SPEC, trunc)
-
-
-def newton_power_u5(mu: int, order: int) -> IntLaurentSeries:
-    """phi^mu | U_5, exact below q^order (mu may be negative)."""
-    return apply_U(5, eta_quotient(NEWTON_QUOTIENT_SPEC ** mu,
-                                   5 * (order - 1) + 1))
 
 
 # ---------------------------------------------------------------------------

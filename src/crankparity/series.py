@@ -614,9 +614,6 @@ class EtaQuotientSpec(namedtuple("EtaQuotientSpec", "factors")):
     def prefactor_exponent(self) -> int:
         return sum(d * r for d, r in self.factors) // 24
 
-    def __pow__(self, n: int) -> "EtaQuotientSpec":
-        return EtaQuotientSpec(tuple((d, r * n) for d, r in self.factors))
-
 
 def eta_quotient(spec: EtaQuotientSpec, trunc: int) -> IntLaurentSeries:
     """q-expansion of the eta quotient ``spec``, exact below ``trunc``.

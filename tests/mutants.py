@@ -21,7 +21,8 @@ Run from the repository root:
 
     python tests/mutants.py [TARGET ...]
 
-With TARGET arguments, only the mutants whose target is one of them run.
+With TARGET arguments, only the mutants whose module or target is one of
+them run.
 It prints one line per mutant, killed (with the first failing test) or
 survived (with the reason, for a mutant known to be equivalent), then the
 score and the run time.
@@ -232,7 +233,8 @@ def run_tests(mutant: Mutant | None, files: list[str]) -> tuple[str, float]:
 
 
 def main(argv: list[str]) -> int:
-    chosen = [m for m in MUTANTS if not argv or m.target in argv]
+    chosen = [m for m in MUTANTS
+              if not argv or m.module in argv or m.target in argv]
     if not chosen:
         print(f"no mutant targets {' '.join(argv)}", file=sys.stderr)
         return 2

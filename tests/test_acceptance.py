@@ -12,6 +12,7 @@ import mpmath
 
 from crankparity import circle, cranks, distinct, fivetower, partitions
 from crankparity.series import apply_U
+from modular import eta_transformation_check, phi_power_u5
 
 
 @contextmanager
@@ -66,7 +67,7 @@ def test_04_keystone_and_phi_closed_forms():
                   3: {-1: 6, 0: -5}, 4: {-2: 6, 0: -5}}
         for mu, want in wanted.items():
             poly = fivetower.reduce_to_hauptmodul(
-                fivetower.newton_power_u5(-mu, 40), -3, 0)
+                phi_power_u5(-mu, 40), -3, 0)
             assert poly == want, mu
 
 
@@ -110,10 +111,9 @@ def test_07_eta_transformation_points():
     with criterion(7, "modular transformation of 1/(q;q)_inf numerically "
                       "exact below 1e-10 at three sample points"):
         tol = mpmath.mpf("1e-10")
-        assert circle.eta_transformation_check(1, 1, 1, 128) < tol
-        assert circle.eta_transformation_check(
-            1, 2, mpmath.mpc(0.7, 0.2), 128) < tol
-        assert circle.eta_transformation_check(1, 5, 1.3, 128) < tol
+        assert eta_transformation_check(1, 1, 1, 128) < tol
+        assert eta_transformation_check(1, 2, mpmath.mpc(0.7, 0.2), 128) < tol
+        assert eta_transformation_check(1, 5, 1.3, 128) < tol
 
 
 def test_08_weighted_identity():

@@ -234,6 +234,19 @@ class TestVerify:
         assert captured.err.endswith(" coefficients of the 5n+4 eta quotient "
                                      "E, above the ceiling 40000\n")
 
+    def test_failed_route_check_is_one_line(self, capsys, monkeypatch):
+        # the Lambert sum off by one at q^28, where it is 0: the crank
+        # series' route check raises AssertionError, printed as one stderr
+        # line with no traceback
+        real = cranks._lambert_sum
+        monkeypatch.setattr(cranks, "_lambert_sum", lambda trunc: [
+            c + (e == 28) for e, c in enumerate(real(trunc))])
+        monkeypatch.setattr(series, "_memo", {})
+        code = main(["--terms", "100", "verify", "ramatype"])
+        assert (code, *capsys.readouterr()) == (1, "", "crank-parity: "
+            "crank-parity series routes disagree; series arithmetic is "
+            "broken: first at q^28: G*(q;q)_inf has 0, the Lambert sum 1\n")
+
     @pytest.mark.parametrize("argv, first", [
         (("--alpha", "3"), 61849),
         (("--alpha", "2", "--n-max", "500"), 2474),
@@ -613,8 +626,6 @@ class TestDumpSeries:
          "f3a8fd9f9ed940a51cf7757d902d6c01566a947bc1cb3dff8d4532093676f3a5"),
         ("multiplier",
          "fbfeec30702fc09c8b8908755a721b434e724900c513d36a80f4af153f9166b1"),
-        ("newton",
-         "d789712a758d2dd34e0d6ec45e8b2c458d68b25a6ba509d5cf539e0c25a4da44"),
         ("eta_5n4",
          "641248e21035a3fe74fdf559ca39bffd670e7579edb33a4c8b9aa084a3633c19"),
     ])
@@ -623,15 +634,22 @@ class TestDumpSeries:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
-    def test_one_name_per_series(self):
-        # the dump-series choices are the memoised series, by one name
+    def test_one_name_per_series(self, capsys):
+        # the dump-series choices are the memoised series, by one name,
+        # and argparse refuses any other
         parser = build_parser()
         sub = next(a for a in parser._actions if a.dest == "command")
         name = next(a for a in sub.choices["dump-series"]._actions
                     if a.dest == "name")
         assert sorted(series.SERIES) == name.choices == [
-            "crank", "eta_5n4", "hauptmodul", "multiplier", "newton",
-            "partition", "rank"]
+            "crank", "eta_5n4", "hauptmodul", "multiplier", "partition",
+            "rank"]
+        with pytest.raises(SystemExit) as err:
+            main(["dump-series", "newton"])
+        line = capsys.readouterr().err.splitlines()[-1]
+        assert err.value.code == 2 and line.replace("'", "") == (
+            "crank-parity dump-series: error: argument name: invalid "
+            "choice: newton (choose from " + ", ".join(name.choices) + ")")
 
     @pytest.mark.parametrize("name", sorted(series.SERIES))
     def test_dump_writes_its_own_cache_file(self, capsys, tmp_path,

@@ -3,7 +3,6 @@ import pytest
 from crankparity import cranks, fivetower, series
 from crankparity.fivetower import (
     LADDER_MULTIPLIER_SPEC,
-    NEWTON_QUOTIENT_SPEC,
     SIGMAS,
     BudgetExceededError,
     LadderConsistencyError,
@@ -15,8 +14,6 @@ from crankparity.fivetower import (
     ladder_multiplier,
     ladder_subsequence_check,
     ladder_vectors,
-    newton_power_u5,
-    newton_quotient,
     reduce_to_hauptmodul,
     u_matrix_rows,
     v_matrix_rows,
@@ -31,13 +28,14 @@ from crankparity.series import (
     apply_U,
     eta_quotient,
 )
+from modular import PHI_SPEC, phi_power_u5, spec_power
 
 
 class TestEtaQuotients:
     def test_expansions_start_at_q(self):
         assert ladder_multiplier(20).offset == 1
         assert hauptmodul(20).offset == 1
-        assert newton_quotient(20).offset == 3
+        assert eta_quotient(PHI_SPEC, 20).offset == 3
 
     def test_hauptmodul_negative_powers(self):
         g = hauptmodul(60)
@@ -64,7 +62,7 @@ class TestReduce:
         assert poly == {1: 5}
 
     def test_negative_window(self):
-        poly = reduce_to_hauptmodul(newton_power_u5(-2, 40), -2, 0)
+        poly = reduce_to_hauptmodul(phi_power_u5(-2, 40), -2, 0)
         # nonzero entries only, in increasing j, and read-only
         assert list(poly.items()) == [(-1, 2), (0, -1)]
         with pytest.raises(TypeError):
@@ -78,7 +76,7 @@ class TestReduce:
 
     def test_window_start_enforced(self):
         with pytest.raises(NotHauptmodulPolynomialError):
-            reduce_to_hauptmodul(newton_power_u5(-2, 40), 0, 3)
+            reduce_to_hauptmodul(phi_power_u5(-2, 40), 0, 3)
 
     def test_window_from_one_refuses_a_constant_term(self):
         # G^j = q^j + ... for j >= 1, so a constant term is a q^0 term
@@ -153,7 +151,7 @@ class TestNewtonQuotientPowers:
         (4, {-2: 6, 0: -5}),
     ])
     def test_negative_power_closed_forms(self, mu, want):
-        poly = reduce_to_hauptmodul(newton_power_u5(-mu, 40),
+        poly = reduce_to_hauptmodul(phi_power_u5(-mu, 40),
                                     -(3 * mu // 5) - 1, 0)
         assert poly == want
 
@@ -168,9 +166,16 @@ class TestNewtonQuotientPowers:
         # q^(-3mu), so the multiplier is padded by 3mu terms
         t = 5 * (40 - 1) + 1
         image = apply_U(5, ladder_multiplier(t + 3 * mu)
-                        * eta_quotient(NEWTON_QUOTIENT_SPEC ** -mu, t))
+                        * eta_quotient(spec_power(PHI_SPEC, -mu), t))
         poly = reduce_to_hauptmodul(image, -(3 * mu // 5) - 2, 1)
         assert poly == want
+
+    def test_another_quotient_has_no_closed_form(self, monkeypatch):
+        # criterion 4's reduction, with the multiplier in phi's place
+        monkeypatch.setattr("modular.PHI_SPEC", LADDER_MULTIPLIER_SPEC)
+        for mu in range(1, 5):
+            with pytest.raises(NotHauptmodulPolynomialError):
+                reduce_to_hauptmodul(phi_power_u5(-mu, 40), -3, 0)
 
 
 class TestTransferMatrices:

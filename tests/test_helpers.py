@@ -30,8 +30,6 @@ REFERENCE = {
     "weight_omega": "the tests' oracle: omega by its definition",
     "weight_omega1": "the tests' oracle: omega_1 by its definition",
     "rank_parity": "the tests' oracle: the rank parity by enumeration",
-    "newton_power_u5": "acceptance criterion 4 reads it",
-    "eta_transformation_check": "acceptance criterion 7 reads it",
     "euler_factor": "a bench/tracer.py span, and the tests' Euler product "
                     "built apart from the pentagonal route",
 }

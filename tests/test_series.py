@@ -8,11 +8,7 @@ import tempfile
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from crankparity.fivetower import (
-    HAUPTMODUL_SPEC,
-    LADDER_MULTIPLIER_SPEC,
-    NEWTON_QUOTIENT_SPEC,
-)
+from crankparity.fivetower import HAUPTMODUL_SPEC, LADDER_MULTIPLIER_SPEC
 from crankparity import series
 from crankparity.series import (
     EtaQuotientSpec,
@@ -33,10 +29,11 @@ from crankparity.series import (
     pentagonal_quotient,
     q_sum,
 )
+from modular import PHI_SPEC, spec_power
 
 F_SPEC = EtaQuotientSpec(((1, 3), (2, -2), (50, 2), (25, -3)))
 G_SPEC = EtaQuotientSpec(((1, 2), (2, -4), (10, 4), (5, -2)))
-PHI_SPEC = EtaQuotientSpec(((1, 1), (2, -2), (50, 2), (25, -1)))
+G_INV_SPEC = spec_power(G_SPEC, -1)
 
 
 def coeffs_of(s, lo, hi):
@@ -556,8 +553,8 @@ class TestPentagonalQuotient:
             pentagonal_quotient(((0, 1),), 10)
 
     @pytest.mark.parametrize(
-        "spec", [LADDER_MULTIPLIER_SPEC, HAUPTMODUL_SPEC, NEWTON_QUOTIENT_SPEC]
-        + [NEWTON_QUOTIENT_SPEC ** mu for mu in range(-6, 8)],
+        "spec", [LADDER_MULTIPLIER_SPEC, HAUPTMODUL_SPEC, PHI_SPEC]
+        + [spec_power(PHI_SPEC, mu) for mu in range(-6, 8)],
         ids=["multiplier", "hauptmodul", "phi"]
         + [f"phi^{mu}" for mu in range(-6, 8)])
     def test_eta_quotient_matches_dense_products(self, spec):
@@ -699,12 +696,12 @@ class TestMemo:
         monkeypatch.setenv("CRANK_PARITY_CACHE_DIR", str(tmp_path))
         monkeypatch.setattr("crankparity.series._memo", {})
         from crankparity import series
-        want = eta_quotient(G_SPEC ** -1, 25)  # negative offset
+        want = eta_quotient(G_INV_SPEC, 25)  # negative offset
         built = []
 
         def build(t):
             built.append(t)
-            return eta_quotient(G_SPEC ** -1, t)
+            return eta_quotient(G_INV_SPEC, t)
 
         def cold(t):
             series._memo.clear()  # as a fresh process would start
@@ -741,7 +738,7 @@ class TestMemo:
 
         def build(t):
             built.append(t)
-            return eta_quotient(G_SPEC ** -1, t)
+            return eta_quotient(G_INV_SPEC, t)
 
         def spy_store(path, x):
             written.append(x.trunc)
@@ -756,13 +753,13 @@ class TestMemo:
         assert cold(40).trunc == 40 and built == written == [40]
         got = cold(25)  # served from the file, cut to the request
         assert (got.offset, got.trunc) == (-1, 25)
-        assert got.first_mismatch(eta_quotient(G_SPEC ** -1, 25), 25) is None
+        assert got.first_mismatch(eta_quotient(G_INV_SPEC, 25), 25) is None
         assert memo("test-memo-grow", 40, build).trunc == 40
         assert built == written == [40]  # nothing built, nothing written
 
         got = cold(60)  # the file is too short: rebuilt and replaced
         assert built == written == [40, 60] and got.trunc == 60
-        assert got.first_mismatch(eta_quotient(G_SPEC ** -1, 60), 60) is None
+        assert got.first_mismatch(eta_quotient(G_INV_SPEC, 60), 60) is None
         assert series._load_checked(str(path), 60).trunc == 60
         assert cold(50).trunc == 50 and built == written == [40, 60]
         assert sorted(os.listdir(tmp_path)) == [path.name]
@@ -778,7 +775,7 @@ class TestMemo:
 
         def build(t):
             built.append(t)
-            return eta_quotient(G_SPEC ** -1, t)
+            return eta_quotient(G_INV_SPEC, t)
 
         def spy_load(fp):
             text = fp.read()
@@ -792,13 +789,13 @@ class TestMemo:
         got = memo("test-memo-prefix", 25, build)
         assert built == [60] and decoded == [list(range(-1, 25))]
         assert (got.offset, got.trunc) == (-1, 25)
-        assert got.first_mismatch(eta_quotient(G_SPEC ** -1, 25), 25) is None
+        assert got.first_mismatch(eta_quotient(G_INV_SPEC, 25), 25) is None
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_damaged_file_is_dropped_or_read_back_exactly(self, data):
         from crankparity import series
-        want = eta_quotient(G_SPEC ** -1, 25)
+        want = eta_quotient(G_INV_SPEC, 25)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "damaged.tsv")
             series._store(path, want)
