@@ -61,14 +61,6 @@ from mpmath.libmp import (
 from . import cranks
 
 
-class InvalidPairError(ValueError):
-    """Dedekind sum arguments must be coprime."""
-
-
-class PrecisionError(ArithmeticError):
-    """A quantity that should vanish to working precision did not."""
-
-
 def dedekind_sum(h: int, k: int) -> Fraction:
     """s(h,k) = sum_{r=1}^{k-1} ((r/k)) ((hr/k)) with the sawtooth
     ((x)) = x - floor(x) - 1/2 for non-integer x, else 0.
@@ -83,9 +75,9 @@ def dedekind_sum(h: int, k: int) -> Fraction:
     over the product of the 12hk.
     """
     if k < 1:
-        raise InvalidPairError(f"k must be positive, got {k}")
+        raise ValueError(f"k must be positive, got {k}")
     if gcd(h, k) != 1:
-        raise InvalidPairError(f"gcd({h},{k}) != 1")
+        raise ValueError(f"gcd({h},{k}) != 1")
     h %= k
     num, den, sign = 0, 1, 1
     while h:
@@ -101,8 +93,9 @@ def dedekind_sum(h: int, k: int) -> Fraction:
 def _arc_angles(k: int) -> tuple:
     """(h, M_h mod 24k) for 0 < h <= k coprime to 2k, where
     M_h = 12k (2 s(h,k) - 3 s(h,2k)): the terms h < k for k >= 2, and h = 1
-    for k = 1.  Raises PrecisionError unless M_(2k-h) == -M_h (mod 24k) for
-    every 0 < h < 2k, so the terms h > k are the conjugates of these."""
+    for k = 1.  Raises AssertionError unless every M_h is an integer and
+    M_(2k-h) == -M_h (mod 24k) for every 0 < h < 2k, so the terms h > k
+    are the conjugates of these."""
     period = 24 * k
     angles = {}
     for h in range(1, 2 * k):
@@ -110,13 +103,13 @@ def _arc_angles(k: int) -> tuple:
             continue
         m = 12 * k * (2 * dedekind_sum(h, k) - 3 * dedekind_sum(h, 2 * k))
         if m.denominator != 1:
-            raise ArithmeticError(
+            raise AssertionError(
                 f"12k (2 s(h,k) - 3 s(h,2k)) = {m} at h = {h}, k = {k} "
                 f"is not an integer")
         angles[h] = m.numerator % period
     for h, m in angles.items():
         if (m + angles[2 * k - h]) % period:
-            raise PrecisionError(
+            raise AssertionError(
                 f"B_{k}: the terms h = {h} and h = {2 * k - h} are not "
                 f"conjugate: M = {m} and {angles[2 * k - h]} (mod {period})")
     return tuple((h, m) for h, m in angles.items() if h <= k)
@@ -133,8 +126,8 @@ def _cosine(j: int, k: int, bits: int) -> int:
 
 
 def kloosterman_sum(k: int, n: int, precision_bits: int = 128) -> mpf:
-    """B_k(n), exactly real: raises PrecisionError unless the h and 2k-h
-    terms pair as conjugates, M_(2k-h) == -M_h (mod 24k)."""
+    """B_k(n), exactly real: _arc_angles raises AssertionError unless the h
+    and 2k-h terms pair as conjugates, M_(2k-h) == -M_h (mod 24k)."""
     if k < 1:
         raise ValueError("k must be positive")
     return _kloosterman_residue(k, n % (2 * k), precision_bits)

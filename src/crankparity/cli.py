@@ -6,7 +6,10 @@ The parsed ``args`` are the one configuration object, and argparse the only
 validator of options.  Every command is deterministic for given ``args``;
 --parallel only maps ``circle.report`` over worker processes, keeping index
 order, so it never changes an emitted number.  Exit status is 0 exactly when
-everything requested passed.
+everything requested passed.  ``main`` prints a refused request
+(``TruncationError``, ``BudgetExceededError``) as one ``crank-parity:``
+stderr line with exit status 2, and a failed check on the package's own
+series (``AssertionError``) as one such line with exit status 1.
 
 ``_emit`` is the one writer of a command's result to stdout, in the format
 ``args.output`` names; only dump-series bypasses it, always writing the dump
@@ -440,13 +443,12 @@ def main(argv: list[str] | None = None) -> int:
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except (TruncationError, fivetower.BudgetExceededError) as exc:
+    except (TruncationError, fivetower.BudgetExceededError,
+            AssertionError) as exc:
+        # a refused request exits 2; a failed check on the package's own
+        # series (AssertionError) is a fault of the program and exits 1
         print(f"crank-parity: {exc}", file=sys.stderr)
-        return 2
-    except AssertionError as exc:
-        # two routes to one result disagree: the program itself is at fault
-        print(f"crank-parity: {exc}", file=sys.stderr)
-        return 1
+        return 1 if isinstance(exc, AssertionError) else 2
     except BrokenPipeError:
         # stdout's reader is gone; point fd 1 at the null device so the
         # interpreter's final flush of what is still buffered cannot raise

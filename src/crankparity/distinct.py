@@ -48,15 +48,6 @@ from .series import (
 )
 
 
-class BootstrapNeededError(LookupError):
-    """T(p) for a signed prime p == 1 (mod 24) was needed but not supplied."""
-
-    def __init__(self, prime: int):
-        super().__init__(
-            f"T({prime}) is +-2 by a Hecke character not computed here; "
-            "supply it via prime_values")
-
-
 # ---------------------------------------------------------------------------
 # pentagonal bookkeeping
 # ---------------------------------------------------------------------------
@@ -242,7 +233,7 @@ def signed_factorization(m: int) -> list[tuple[int, int]]:
 
 
 def t_prime_power(p: int, e: int, prime_values: Mapping[int, int] | None = None
-                  ) -> int:
+                  ) -> int | None:
     """T(p^e) for a signed prime p == 1 (mod 6):
 
         0            p != 1 (mod 24), e odd
@@ -252,7 +243,8 @@ def t_prime_power(p: int, e: int, prime_values: Mapping[int, int] | None = None
         (-1)^e (e+1) p == 1 (mod 24), T(p) = -2
 
     The two p == 1 (mod 24) cases coincide for even e, so a prime value is
-    only ever required at odd exponents.
+    only ever required at odd exponents; None there when ``prime_values``
+    lacks T(p).
     """
     if e < 1:
         raise ValueError("exponent must be positive")
@@ -269,7 +261,7 @@ def t_prime_power(p: int, e: int, prime_values: Mapping[int, int] | None = None
         return e + 1
     tp = (prime_values or {}).get(p)
     if tp is None:
-        raise BootstrapNeededError(p)
+        return None
     if tp not in (2, -2):
         raise ValueError(f"T({p}) must be +-2, got {tp}")
     return (e + 1) if tp == 2 else -(e + 1)
@@ -288,10 +280,11 @@ def _split_t(factors: list[tuple[int, int]],
     known = 1
     unknown = []
     for p, e in factors:
-        try:
-            known *= t_prime_power(p, e, values)
-        except BootstrapNeededError:
+        t = t_prime_power(p, e, values)
+        if t is None:
             unknown.append((p, e))
+        else:
+            known *= t
         if not known:
             break
     return known, unknown
@@ -308,7 +301,9 @@ def multiplicative_t(n: int, prime_values: Mapping[int, int] | None = None
         raise ValueError("n must be positive")
     known, unknown = _split_t(signed_factorization(24 * n + 1), prime_values)
     if known and unknown:
-        raise BootstrapNeededError(unknown[-1][0])
+        raise ValueError(
+            f"T({unknown[-1][0]}) is +-2 by a Hecke character not computed "
+            "here; supply it via prime_values")
     return known
 
 

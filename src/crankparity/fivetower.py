@@ -6,7 +6,7 @@ Two weight-0 eta quotients drive the congruence family modulo powers of 5:
     hauptmodul   eta(t)^2 eta(10t)^4 / (eta(2t)^4 eta(5t)^2)     on level 10
 
 The keystone identity is  multiplier | U_5 == 5 * hauptmodul.  Every series
-in the tower reduces to a Laurent polynomial in the hauptmodul G = q + ...
+in the tower reduces to a polynomial in the hauptmodul G = q + ...
 (found by triangular elimination from the lowest exponent up, with the
 residual required to vanish identically to the working truncation), which
 turns U_5 and P |-> (multiplier * P)|U_5 into integer matrices A and B on
@@ -75,18 +75,6 @@ from .series import (
 )
 
 
-class NotHauptmodulPolynomialError(ArithmeticError):
-    """Triangular elimination left a nonzero residual: the series is not a
-    hauptmodul polynomial in the requested degree window (or the truncation
-    was too small to close the reduction)."""
-
-
-class LadderConsistencyError(AssertionError):
-    """Two routes to the same ladder data disagree: the crank side of
-    Claim L and the matrix product, or a series row and the modular
-    equation."""
-
-
 class BudgetExceededError(RuntimeError):
     """The requested depth needs more series coefficients than allowed."""
 
@@ -114,43 +102,35 @@ def hauptmodul(trunc: int) -> IntLaurentSeries:
 
 
 # ---------------------------------------------------------------------------
-# Laurent polynomials in the hauptmodul
+# polynomials in the hauptmodul
 # ---------------------------------------------------------------------------
 
-# G^j for a contiguous run of j around 0, all from G at one truncation
-# (the trunc of G^1); grown by _haupt_power, never handed out
-_haupt_table: dict[int, IntLaurentSeries] = {}
+# G^0, G^1, ..., all from G at one truncation (the trunc of G^1); grown
+# by _haupt_power, never handed out
+_haupt_table: list[IntLaurentSeries] = []
 
 
 def _haupt_power(j: int, order: int) -> IntLaurentSeries:
-    """G^j exact below q^order, truncated to order (j may be negative).
+    """G^j, j >= 0, exact below q^order, truncated to order.
 
-    Built from G at truncation b, G^j (j >= 1) is exact below q^(b+j-1)
-    and G^-j below q^(b-j-1), so b = order + 1 + max(0, -j) serves the
-    request.  A table at a smaller b is replaced by one at that b, once G
-    at that b is built; otherwise missing powers are added by one product
-    each, stepping outward from the nearest one present.
+    Built from G at truncation b, G^j is exact below q^(b+j-1), so
+    b = order + 1 serves the request.  A table at a smaller b is replaced
+    by one at that b, once G at that b is built; otherwise missing powers
+    are added by one product each, from the highest one present.
     """
+    if j < 0:
+        raise ValueError(f"G^{j}: only powers j >= 0 are built")
     table = _haupt_table
-    base = order + 1 + max(0, -j)
-    if not table or table[1].trunc < base:
-        fresh = {0: IntLaurentSeries.one(base), 1: hauptmodul(base)}
-        table.clear()
-        table.update(fresh)
-    if j not in table:
-        step = 1 if j > 0 else -1
-        if step not in table:
-            table[-1] = table[1].reciprocal()
-        k = max(table) if j > 0 else min(table)
-        while k != j:
-            table[k + step] = table[k] * table[step]
-            k += step
+    if not table or table[1].trunc <= order:
+        table[:] = [IntLaurentSeries.one(order + 1), hauptmodul(order + 1)]
+    while len(table) <= j:
+        table.append(table[-1] * table[1])
     return table[j].truncate(order)
 
 
 def evaluate(poly: Mapping[int, int], order: int) -> IntLaurentSeries:
-    """Expand sum c_j G^j, given as {j: c_j}, as a q-series exact below
-    q^order."""
+    """Expand sum c_j G^j, given as {j: c_j} with j >= 0, as a q-series
+    exact below q^order."""
     total = IntLaurentSeries.zero(order)
     for j, c in poly.items():
         total = total + _haupt_power(j, order) * c
@@ -159,19 +139,19 @@ def evaluate(poly: Mapping[int, int], order: int) -> IntLaurentSeries:
 
 def reduce_to_hauptmodul(x: IntLaurentSeries, jmin: int,
                          jmax: int) -> Mapping[int, int]:
-    """Write x as sum_{jmin <= j <= jmax} c_j G^j by eliminating from the
-    lowest exponent upward (G^j = q^j + ..., so the system is triangular);
-    returns the read-only {j: c_j} of the nonzero c_j, in increasing j.
-    The residual must vanish identically to x's truncation.  A term below
-    q^jmin is refused: with jmin = 1, a constant term, and so is a
-    truncation at or below jmax.
+    """Write x as sum_{jmin <= j <= jmax} c_j G^j, 0 <= jmin, by
+    eliminating from the lowest exponent upward (G^j = q^j + ..., so the
+    system is triangular); returns the read-only {j: c_j} of the nonzero
+    c_j, in increasing j.  AssertionError unless the residual vanishes
+    identically to x's truncation; so too for a term below q^jmin (with
+    jmin = 1, a constant term) and for a truncation at or below jmax.
     """
     val = x.valuation()
     if val is not None and val < jmin:
-        raise NotHauptmodulPolynomialError(
+        raise AssertionError(
             f"series has exponent {val} below the window start {jmin}")
     if x.trunc <= jmax:
-        raise NotHauptmodulPolynomialError(
+        raise AssertionError(
             f"truncation {x.trunc} cannot close a degree-{jmax} reduction")
     residual = x
     coeffs = {}
@@ -180,11 +160,12 @@ def reduce_to_hauptmodul(x: IntLaurentSeries, jmin: int,
         if c:
             coeffs[j] = c
             residual = residual - _haupt_power(j, x.trunc) * c
-    if residual.valuation() is not None:
-        raise NotHauptmodulPolynomialError(
-            f"nonzero residual starting at q^{residual.valuation()}: not a "
-            f"hauptmodul polynomial on [{jmin}, {jmax}] (or truncation "
-            "too small)")
+    e = residual.valuation()
+    if e is not None:
+        raise AssertionError(
+            f"nonzero residual starting at q^{e}: {residual.coeff(e)} != 0, "
+            f"not a hauptmodul polynomial on [{jmin}, {jmax}] (or "
+            "truncation too small)")
     return MappingProxyType(coeffs)
 
 
@@ -248,11 +229,11 @@ def _modular_step(rows, i: int, jmax: int) -> dict[int, int]:
 def _routes_agree(where: str, series: Mapping[int, int],
                   other: Mapping[int, int], other_gives: str,
                   jmax: int) -> None:
-    """Raise LadderConsistencyError at the first G^j, j <= jmax, where a
+    """Raise AssertionError at the first G^j, j <= jmax, where a
     polynomial from the series route differs from another route's."""
     for j in range(jmax + 1):
         if series.get(j, 0) != other.get(j, 0):
-            raise LadderConsistencyError(
+            raise AssertionError(
                 f"{where}, G^{j}: series gives {series.get(j, 0)}, "
                 f"{other_gives} {other.get(j, 0)}")
 

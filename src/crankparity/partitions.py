@@ -40,14 +40,6 @@ from itertools import accumulate
 from typing import Iterator, NamedTuple
 
 
-class UndefinedStatisticError(ValueError):
-    """Statistic requested for the empty partition."""
-
-
-class NotDistinctError(ValueError):
-    """Distinct-parts statistic requested for a partition with repeats."""
-
-
 class ParityCount(NamedTuple):
     """How many enumerated objects carry an even / odd statistic value."""
 
@@ -156,8 +148,7 @@ def _ascending_distinct(n: int):
 def _check_partition(p) -> tuple[int, ...]:
     p = tuple(p)
     if not p:
-        raise UndefinedStatisticError("statistic undefined for the empty "
-                                      "partition")
+        raise ValueError("statistic undefined for the empty partition")
     for i, part in enumerate(p):
         if part < 1:
             raise ValueError(f"parts must be positive: {part}")
@@ -187,7 +178,7 @@ def distinct_crank(p) -> int:
     collapses to: largest part if no one occurs, else #parts - 2."""
     p = _check_partition(p)
     if len(set(p)) != len(p):
-        raise NotDistinctError(f"parts are not distinct: {p}")
+        raise ValueError(f"parts are not distinct: {p}")
     if p[-1] != 1:
         return p[0]
     return len(p) - 2
@@ -394,8 +385,7 @@ def _weight_sweep(n: int) -> tuple[int, int, bool]:
     if n < 0:
         raise ValueError(f"cannot partition a negative integer: {n}")
     if n == 0:
-        raise UndefinedStatisticError("statistic undefined for the empty "
-                                      "partition")
+        raise ValueError("statistic undefined for the empty partition")
     # 1^n: the run is the size 1 alone, with multiplicity n
     total = -3 if n & 1 else 1             # 1 + 4 (-1)^1 if n is odd
     total1 = -1 + 2 * (-1 if n & 1 else 1)  # (-1)^1 - 2 (-1)^1 (-1)^n
@@ -436,7 +426,7 @@ def crank_parity_oracle(n: int) -> int:
     with the series coefficient only for n >= 2.
     """
     if n < 1:
-        raise UndefinedStatisticError("crank parity needs n >= 1")
+        raise ValueError("crank parity needs n >= 1")
     return crank_parity(n).diff
 
 

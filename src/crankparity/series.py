@@ -57,15 +57,6 @@ class TruncationError(ValueError):
     """A coefficient or comparison was requested beyond the exact range."""
 
 
-class NonUnitDivisorError(ArithmeticError):
-    """The reciprocal of a series whose lead is not +-1: its coefficients
-    would not all be integers."""
-
-
-class FractionalExponentError(ValueError):
-    """An eta quotient whose prefactor exponent sum is not divisible by 24."""
-
-
 # ---------------------------------------------------------------------------
 # multiplication kernels
 # ---------------------------------------------------------------------------
@@ -301,7 +292,7 @@ class IntLaurentSeries:
                                     "to its truncation")
         lead = self.coeff(val)
         if lead not in (1, -1):
-            raise NonUnitDivisorError(
+            raise ValueError(
                 f"reciprocal needs leading coefficient +-1, got {lead}")
         rlen = len(self.coeffs)  # constructor stripped to the valuation
         out = _recip_unit(list(self.coeffs), rlen)
@@ -605,7 +596,7 @@ class EtaQuotientSpec(namedtuple("EtaQuotientSpec", "factors")):
                 raise ValueError(f"eta level multiplier must be positive: {d}")
         total = sum(d * r for d, r in factors)
         if total % 24:
-            raise FractionalExponentError(
+            raise ValueError(
                 f"sum d*r = {total} is not divisible by 24; the expansion "
                 "would need fractional exponents")
         return super().__new__(cls, factors)

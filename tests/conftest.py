@@ -2,11 +2,22 @@
 
 import pytest
 
-from crankparity import cranks, distinct
+from crankparity import cranks, distinct, fivetower, series
 from crankparity.series import IntLaurentSeries
 
 # the exponent, or n, where ``corrupt`` adds one
 CORRUPT_AT = 99
+
+
+@pytest.fixture
+def fresh_tower(monkeypatch):
+    """Rebuild every eta quotient, power of G, row and rung in the test."""
+    monkeypatch.delenv("CRANK_PARITY_CACHE_DIR", raising=False)
+    monkeypatch.setattr(series, "_memo", {})
+    monkeypatch.setattr(fivetower, "_haupt_table", [])
+    fivetower._series_rows.cache_clear()
+    yield
+    fivetower._series_rows.cache_clear()
 
 
 @pytest.fixture

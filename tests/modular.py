@@ -5,7 +5,8 @@ The Newton quotient on level 50,
     phi = eta(t) eta(50t)^2 / (eta(2t)^2 eta(25t)) = q^3 + O(q^4),
 
 whose powers phi^mu | U_5 have closed forms in the hauptmodul G
-(acceptance criterion 4), and the modular transformation of the partition
+(acceptance criterion 4), polynomials in G and 1/G read off by
+``reduce_laurent``, and the modular transformation of the partition
 generating function F(q) = 1/(q;q)_inf (criterion 7),
 
     F(exp(2 pi i h/k - 2 pi z/k^2))
@@ -18,6 +19,7 @@ with s(h,k) the package's Dedekind sum and F from ``mpmath.qp``.
 from mpmath import exp, expjpi, mpf, mpmathify, pi, qp, sqrt, workprec
 
 from crankparity.circle import dedekind_sum
+from crankparity.fivetower import hauptmodul, reduce_to_hauptmodul
 from crankparity.series import EtaQuotientSpec, apply_U, eta_quotient
 
 PHI_SPEC = EtaQuotientSpec(((1, 1), (2, -2), (50, 2), (25, -1)))
@@ -33,6 +35,16 @@ def phi_power_u5(mu: int, order: int):
     q^order (mu may be negative)."""
     return apply_U(5, eta_quotient(spec_power(PHI_SPEC, mu),
                                    5 * (order - 1) + 1))
+
+
+def reduce_laurent(x, jmin: int, jmax: int) -> dict[int, int]:
+    """x as sum_{jmin <= j <= jmax} c_j G^j, jmin = -k <= 0, as {j: c_j}:
+    x G^k, exact below q^(t+k) for x = O(q^t), reduced over
+    G^0..G^(jmax+k), with the keys shifted back by k."""
+    k = -jmin
+    shifted = x * hauptmodul(x.trunc + k + 1) ** k
+    return {j - k: c for j, c in
+            reduce_to_hauptmodul(shifted, 0, jmax + k).items()}
 
 
 def eta_transformation_check(h: int, k: int, z, precision_bits: int = 128):

@@ -7,8 +7,6 @@ import pytest
 from crankparity import circle
 from crankparity.circle import (
     AsymptoticReport,
-    InvalidPairError,
-    PrecisionError,
     dedekind_sum,
     kloosterman_sum,
     main_term,
@@ -62,9 +60,9 @@ class TestDedekindSum:
                 assert lhs == rhs, (h, k)
 
     def test_non_coprime_rejected(self):
-        with pytest.raises(InvalidPairError):
+        with pytest.raises(ValueError, match=r"^gcd\(2,4\) != 1$"):
             dedekind_sum(2, 4)
-        with pytest.raises(InvalidPairError):
+        with pytest.raises(ValueError, match="^k must be positive, got 0$"):
             dedekind_sum(1, 0)
 
 
@@ -162,7 +160,7 @@ class TestKloostermanMemo:
 
         monkeypatch.setattr(circle, "dedekind_sum", one_shifted)
         for n in (1, 1 + 10, 1 + 20):
-            with pytest.raises(PrecisionError, match=r"h = 1 and h = 9"):
+            with pytest.raises(AssertionError, match=r"h = 1 and h = 9"):
                 kloosterman_sum(5, n)
 
     @pytest.mark.parametrize("bits", [53, 128])
@@ -192,7 +190,7 @@ class TestKloostermanMemo:
                                    else 0)
 
         monkeypatch.setattr(circle, "dedekind_sum", off_by_half_step)
-        with pytest.raises(ArithmeticError, match=r"is not an integer"):
+        with pytest.raises(AssertionError, match=r"is not an integer"):
             kloosterman_sum(5, 1)
 
 

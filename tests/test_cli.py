@@ -1,3 +1,4 @@
+import ast
 import csv
 import hashlib
 import io
@@ -5,12 +6,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import crankparity
-from crankparity import cranks, distinct, fivetower, partitions, series
+from crankparity import circle, cranks, distinct, fivetower, partitions, series
 from crankparity.cli import build_parser, main
 
 SRC = str(Path(crankparity.__file__).resolve().parent.parent)
@@ -460,6 +462,75 @@ class TestVerify:
         assert run_cli(capsys, "verify", "weighted", "--n-max", "15") == (
             1, "FAIL weighted: 15 cases (first counterexample: 2)\n")
         assert len(totals) <= 2
+
+
+def fault_line(capsys, argv) -> str:
+    """The one stderr line of a command that hits a fault: exit status 1,
+    nothing on stdout, no traceback."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err.startswith("crank-parity: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    return captured.err
+
+
+class TestFaults:
+    """A check the package runs on series it built itself fails: the
+    command prints one stderr line and exits 1, as for every fault."""
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "ladder"),
+        ("verify", "claimL", "--alpha", "1"),
+        ("ladder", "--alpha-max", "1", "--imax", "20"),
+    ])
+    def test_tower_fault_is_one_line(self, capsys, monkeypatch, fresh_tower,
+                                     argv):
+        # every sign of Jacobi's cube terms flipped, so G is no hauptmodul:
+        # the series rows fail their reduction
+        exact = series._cube_terms
+        monkeypatch.setattr(series, "_cube_terms", lambda d, trunc: (
+            (e, -c) for e, c in exact(d, trunc)))
+        err = fault_line(capsys, argv)
+        assert err == ("crank-parity: nonzero residual starting at q^6: "
+                       "-427696 != 0, not a hauptmodul polynomial on [1, 5] "
+                       "(or truncation too small)\n")
+
+    def test_circle_fault_is_one_line(self, capsys, monkeypatch):
+        # s(h,k) off by 1/(6k) moves every M_h by one: no pair conjugates
+        honest = circle.dedekind_sum
+        monkeypatch.setattr(circle, "dedekind_sum",
+                            lambda h, k: honest(h, k) + Fraction(1, 6 * k))
+        memos = (circle._arc_angles, circle._kloosterman_residue)
+        for memo in memos:
+            memo.cache_clear()
+        try:
+            err = fault_line(capsys, ("asymptotic", "1", "5"))
+        finally:
+            for memo in memos:
+                memo.cache_clear()
+        assert err == ("crank-parity: B_1: the terms h = 1 and h = 1 are not "
+                       "conjugate: M = 1 and 1 (mod 24)\n")
+
+    def test_main_catches_every_exception_class(self):
+        # a class main does not catch would reach the user as a traceback
+        package = Path(crankparity.__file__).resolve().parent
+        defined, caught = set(), set()
+        for path in package.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ClassDef) and any(
+                        ast.unparse(base).endswith(("Error", "Exception"))
+                        for base in node.bases):
+                    defined.add(node.name)
+                elif isinstance(node, ast.FunctionDef) \
+                        and node.name == "main" and path.name == "cli.py":
+                    caught = {ast.unparse(name).rpartition(".")[2]
+                              for handler in ast.walk(node)
+                              if isinstance(handler, ast.ExceptHandler)
+                              for name in getattr(handler.type, "elts",
+                                                  [handler.type])}
+        assert defined == {"BudgetExceededError", "TruncationError"}
+        assert defined | {"AssertionError"} <= caught
 
 
 class TestOutputFormats:

@@ -3,7 +3,6 @@ from types import SimpleNamespace
 import pytest
 
 from crankparity.distinct import (
-    BootstrapNeededError,
     _first_sum,
     _second_sum,
     bootstrap_t_values,
@@ -215,7 +214,10 @@ class TestMultiplicativeT:
 
     def test_unknown_prime_raises(self):
         # 24*3+1 = 73 == 1 (mod 24) prime: value required
-        with pytest.raises(BootstrapNeededError):
+        assert t_prime_power(73, 1) is None
+        with pytest.raises(ValueError, match=r"^T\(73\) is \+-2 by a Hecke "
+                                             "character not computed here; "
+                                             "supply it via prime_values$"):
             multiplicative_t(3)
 
     def test_prime_power_case_table(self):

@@ -27,7 +27,7 @@ def test_stdout_matches_the_record(capsys, monkeypatch, command):
         if name.startswith("CRANK_PARITY_"):
             monkeypatch.delenv(name)
     monkeypatch.setattr(series, "_memo", {})
-    monkeypatch.setattr(fivetower, "_haupt_table", {})
+    monkeypatch.setattr(fivetower, "_haupt_table", [])
     code = main(command.split())
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert {"exit": code, "sha256": digest} == RECORDED[command]

@@ -5,8 +5,6 @@ from crankparity.fivetower import (
     LADDER_MULTIPLIER_SPEC,
     SIGMAS,
     BudgetExceededError,
-    LadderConsistencyError,
-    NotHauptmodulPolynomialError,
     evaluate,
     five_adic,
     hauptmodul,
@@ -28,7 +26,7 @@ from crankparity.series import (
     apply_U,
     eta_quotient,
 )
-from modular import PHI_SPEC, phi_power_u5, spec_power
+from modular import PHI_SPEC, phi_power_u5, reduce_laurent, spec_power
 
 
 class TestEtaQuotients:
@@ -62,71 +60,85 @@ class TestReduce:
         assert poly == {1: 5}
 
     def test_negative_window(self):
-        poly = reduce_to_hauptmodul(phi_power_u5(-2, 40), -2, 0)
-        # nonzero entries only, in increasing j, and read-only
-        assert list(poly.items()) == [(-1, 2), (0, -1)]
-        with pytest.raises(TypeError):
-            poly[0] = 1
+        # the window G^-2..G^0, read as x G^2 over G^0..G^2
+        assert reduce_laurent(phi_power_u5(-2, 40), -2, 0) == {-1: 2, 0: -1}
 
     def test_non_polynomial_rejected(self):
         # the multiplier itself lives on level 50 and is not a polynomial
-        # in the level-10 hauptmodul
-        with pytest.raises(NotHauptmodulPolynomialError):
+        # in the level-10 hauptmodul; the message names the first nonzero
+        # residual coefficient and the 0 it should be
+        with pytest.raises(AssertionError,
+                           match=r"^nonzero residual starting at q\^6: "
+                                 r"-154 != 0, not a hauptmodul polynomial "
+                                 r"on \[0, 5\]"):
             reduce_to_hauptmodul(ladder_multiplier(120), 0, 5)
 
     def test_window_start_enforced(self):
-        with pytest.raises(NotHauptmodulPolynomialError):
+        with pytest.raises(AssertionError,
+                           match="exponent -1 below the window start 0"):
             reduce_to_hauptmodul(phi_power_u5(-2, 40), 0, 3)
 
     def test_window_from_one_refuses_a_constant_term(self):
         # G^j = q^j + ... for j >= 1, so a constant term is a q^0 term
         t = 40
         x = IntLaurentSeries.one(t) + hauptmodul(t)
-        with pytest.raises(NotHauptmodulPolynomialError,
+        with pytest.raises(AssertionError,
                            match="exponent 0 below the window start 1"):
             reduce_to_hauptmodul(x, 1, 3)
 
     def test_short_truncation_is_refused(self):
         # G^11 is read at q^11, so a series cut at q^11 cannot give c_11
         x = ladder_multiplier(11)
-        with pytest.raises(NotHauptmodulPolynomialError,
+        with pytest.raises(AssertionError,
                            match="truncation 11 cannot close"):
             reduce_to_hauptmodul(x, 0, 11)
 
     def test_evaluate_roundtrip(self):
-        poly = {-1: 2, 0: -1, 3: 7}
-        assert reduce_to_hauptmodul(evaluate(poly, 40), -1, 3) == poly
+        poly = reduce_to_hauptmodul(evaluate({3: 7, 1: 0, 0: -1}, 40), 0, 3)
+        # nonzero entries only, in increasing j, and read-only
+        assert list(poly.items()) == [(0, -1), (3, 7)]
+        with pytest.raises(TypeError):
+            poly[0] = 1
 
     def test_evaluate_against_independent_powers(self):
-        # grow the shared power table first: longer, then further negative
+        # grow the shared power table first: longer, then read shorter
         _haupt_power(12, 80)
-        _haupt_power(-3, 50)
-        coeffs = {-2: 3, 0: -1, 4: 7, 9: 2}
+        _haupt_power(3, 50)
+        coeffs = {0: -1, 2: 3, 4: 7, 9: 2}
         got = evaluate(coeffs, 40)
-        g = hauptmodul(43)
+        g = hauptmodul(41)
         want = IntLaurentSeries.zero(40)
         for j, c in coeffs.items():
-            power = g ** j if j >= 0 else g.reciprocal() ** -j
-            want = want + power.truncate(40) * c
+            want = want + (g ** j).truncate(40) * c
         assert got.trunc == 40 and got.first_mismatch(want, 40) is None
 
     def test_power_table_grows_and_rebuilds(self, monkeypatch):
-        # from an empty table: extend both ways, rebuild at a larger base
-        # at (0, 60), then read and extend the rebuilt table
-        monkeypatch.setattr(fivetower, "_haupt_table", {})
-        for j, order in [(-2, 40), (5, 20), (-3, 30), (5, 38), (9, 12),
-                         (0, 60), (5, 58), (-4, 25), (1, 3)]:
+        # from an empty table: extend, rebuild at a larger base at (0, 60),
+        # then read and extend the rebuilt table
+        monkeypatch.setattr(fivetower, "_haupt_table", [])
+        for j, order in [(2, 40), (5, 20), (3, 30), (5, 38), (9, 12),
+                         (0, 60), (5, 58), (11, 25), (1, 3)]:
             got = _haupt_power(j, order)
-            g = hauptmodul(order + 1 + max(0, -j))
-            want = g ** j if j >= 0 else g.reciprocal() ** -j
+            want = hauptmodul(order + 1) ** j
             assert got.trunc == order, (j, order)
             assert got.first_mismatch(want, order) is None, (j, order)
+
+    def test_negative_power_is_refused(self, monkeypatch):
+        # a list index would wrap: G^-1 would read the top power present
+        monkeypatch.setattr(fivetower, "_haupt_table", [])
+        _haupt_power(4, 20)
+        for call in (lambda: _haupt_power(-1, 20),
+                     lambda: evaluate({-1: 2, 0: 1}, 20)):
+            with pytest.raises(ValueError,
+                               match=r"^G\^-1: only powers j >= 0 are built$"):
+                call()
+        assert len(fivetower._haupt_table) == 5
 
     def test_failed_rebuild_keeps_the_table(self, monkeypatch):
         # G at the new base is built before the table is replaced, so a
         # build that raises (an interrupt, a MemoryError) leaves the old
         # table whole and the next request rebuilds
-        monkeypatch.setattr(fivetower, "_haupt_table", {})
+        monkeypatch.setattr(fivetower, "_haupt_table", [])
         _haupt_power(2, 10)
         raised = []
 
@@ -151,8 +163,7 @@ class TestNewtonQuotientPowers:
         (4, {-2: 6, 0: -5}),
     ])
     def test_negative_power_closed_forms(self, mu, want):
-        poly = reduce_to_hauptmodul(phi_power_u5(-mu, 40),
-                                    -(3 * mu // 5) - 1, 0)
+        poly = reduce_laurent(phi_power_u5(-mu, 40), -(3 * mu // 5) - 1, 0)
         assert poly == want
 
     @pytest.mark.parametrize("mu,want", [
@@ -167,15 +178,16 @@ class TestNewtonQuotientPowers:
         t = 5 * (40 - 1) + 1
         image = apply_U(5, ladder_multiplier(t + 3 * mu)
                         * eta_quotient(spec_power(PHI_SPEC, -mu), t))
-        poly = reduce_to_hauptmodul(image, -(3 * mu // 5) - 2, 1)
+        poly = reduce_laurent(image, -(3 * mu // 5) - 2, 1)
         assert poly == want
 
     def test_another_quotient_has_no_closed_form(self, monkeypatch):
         # criterion 4's reduction, with the multiplier in phi's place
         monkeypatch.setattr("modular.PHI_SPEC", LADDER_MULTIPLIER_SPEC)
         for mu in range(1, 5):
-            with pytest.raises(NotHauptmodulPolynomialError):
-                reduce_to_hauptmodul(phi_power_u5(-mu, 40), -3, 0)
+            with pytest.raises(AssertionError,
+                               match=r"^nonzero residual starting at q\^"):
+                reduce_laurent(phi_power_u5(-mu, 40), -3, 0)
 
 
 class TestTransferMatrices:
@@ -293,7 +305,7 @@ class TestModularEquation:
         sigma = {**SIGMAS[k], j: SIGMAS[k].get(j, 0) + delta}
         monkeypatch.setattr(fivetower, "SIGMAS",
                             (*SIGMAS[:k], sigma, *SIGMAS[k + 1:]))
-        with pytest.raises(LadderConsistencyError,
+        with pytest.raises(AssertionError,
                            match=r"^prefactor 1, row [56], G\^"):
             _transfer_rows(EtaQuotientSpec(()), 8, 41)
 
@@ -334,14 +346,14 @@ class TestModularEquation:
     def test_corrupt_series_row_is_refused(self, monkeypatch, pre, i, j,
                                            delta, message):
         corrupt_series_rows(monkeypatch, pre, i, j, delta)
-        with pytest.raises(LadderConsistencyError) as info:
+        with pytest.raises(AssertionError) as info:
             _transfer_rows(pre, 8, 41)
         assert str(info.value) == message
 
     def test_corrupt_series_row_stops_the_ladder(self, monkeypatch):
         # the ladder steps by A before B, and A's build sees its row 2
         corrupt_series_rows(monkeypatch, EtaQuotientSpec(()), 2, 3, 1)
-        with pytest.raises(LadderConsistencyError,
+        with pytest.raises(AssertionError,
                            match=r"^prefactor 1, row 5, G\^4: "):
             ladder_vectors(1, 11)
 
@@ -392,7 +404,7 @@ class TestLadder:
         assert rungs[0] == {0: 1} and rungs[1] == {1: 5}
 
     def test_crank_and_matrix_routes_agree(self):
-        # ladder() raises LadderConsistencyError internally on mismatch;
+        # ladder() raises AssertionError internally on mismatch;
         # also compare explicitly here, on every j <= 11
         rungs = ladder(2)
         vectors = ladder_vectors(2, 11)
@@ -432,7 +444,7 @@ class TestLadder:
         # L_1 = 5G by series; a matrix route claiming 4G must be refused
         monkeypatch.setattr(fivetower, "ladder_vectors",
                             lambda alpha_max, jmax: {1: {1: 4}})
-        with pytest.raises(LadderConsistencyError,
+        with pytest.raises(AssertionError,
                            match=r"rung 1, G\^1: series gives 5, "
                                  "matrices give 4"):
             ladder(0)
@@ -508,7 +520,7 @@ class TestOneRoute:
             return rows
 
         monkeypatch.setattr(fivetower, "_transfer_rows", corrupted)
-        with pytest.raises(LadderConsistencyError, match=r"^rung 4, G\^3: "):
+        with pytest.raises(AssertionError, match=r"^rung 4, G\^3: "):
             ladder(2)
 
     def test_no_multiplier_on_the_ladder_paths(self, monkeypatch,
@@ -595,17 +607,6 @@ class TestLadderSubsequence:
             ladder_subsequence_check(0, 200)
 
 
-@pytest.fixture
-def fresh_tower(monkeypatch):
-    """Rebuild every eta quotient, power of G, row and rung in the test."""
-    monkeypatch.delenv("CRANK_PARITY_CACHE_DIR", raising=False)
-    monkeypatch.setattr(series, "_memo", {})
-    monkeypatch.setattr(fivetower, "_haupt_table", {})
-    fivetower._series_rows.cache_clear()
-    yield
-    fivetower._series_rows.cache_clear()
-
-
 class TestJacobiCorruption:
     # the multiplier (1, 3), (25, -3) and G's (2, -4), (10, 4) each take a
     # pass over Jacobi's cube terms; a sign flipped in one term must be
@@ -623,7 +624,8 @@ class TestJacobiCorruption:
 
         monkeypatch.setattr(series, "_cube_terms", flipped)
         assert ladder_subsequence_check(0, 200) is not None
-        with pytest.raises(NotHauptmodulPolynomialError):
+        with pytest.raises(AssertionError,
+                           match=r"^nonzero residual starting at q\^"):
             ladder(1)
 
 
@@ -648,7 +650,7 @@ class TestEulerCorruption:
 
         monkeypatch.setattr(cranks, "eta_5n4_series", eta_5n4_series)
         assert ladder_subsequence_check(0, 200) is not None
-        with pytest.raises(LadderConsistencyError, match=r"^rung \d, G\^"):
+        with pytest.raises(AssertionError, match=r"^rung \d, G\^"):
             ladder(1)
         assert cranks.subsequence_5n4_check(200) is not None
 
