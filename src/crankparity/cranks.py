@@ -14,7 +14,9 @@ share no code make it:
     of Partitions, ch. 2).  theta(-q)^2 = sum_{a,b in Z} (-1)^(a+b)
     q^(a^2+b^2) is written from the lattice points, then one sparse
     in-place pentagonal-number pass (``series._apply_pentagonal``) divides
-    by (q;q)_inf;
+    by (q;q)_inf.  That unchecked core (``_gauss_quotient``) also builds
+    the tower's multiplier q G(q) / G(q^25), which no check compares with
+    G;
   * L, Garvan's form of the crank generating function at z = -1,
         (q;q)_inf * G  =  1 + 4 sum_{n>=1} (-1)^n q^(n(n+1)/2) / (1 + q^n),
     whose summands are geometric series written straight into a list by
@@ -113,6 +115,16 @@ def _theta_square(trunc: int) -> list:
     return c
 
 
+def _gauss_quotient(trunc: int) -> list:
+    """theta(-q)^2 / (q;q)_inf = (q;q)_inf^3 / (q^2;q^2)_inf^2 below
+    q^trunc: the lattice of ``_theta_square``, then one in-place pentagonal
+    division pass.  The crank series' core before its check, and the core
+    of the tower's multiplier."""
+    c = _theta_square(trunc)
+    _apply_pentagonal(c, 1, -1)
+    return c
+
+
 def _times_euler(g: list) -> list:
     """g * (q;q)_inf below q^len(g), by Euler's pentagonal number theorem.
 
@@ -135,9 +147,10 @@ def crank_parity_series(trunc: int) -> IntLaurentSeries:
 
     Three sides, no code shared between them:
 
-    * G = theta(-q)^2 / (q;q)_inf: ``_theta_square`` writes theta(-q)^2
-      from the lattice points, then one in-place ``_apply_pentagonal``
-      pass divides by (q;q)_inf; G is returned and memoised;
+    * G = theta(-q)^2 / (q;q)_inf (``_gauss_quotient``): ``_theta_square``
+      writes theta(-q)^2 from the lattice points, then one in-place
+      ``_apply_pentagonal`` pass divides by (q;q)_inf; G is returned and
+      memoised;
     * L = Garvan's Lambert sum, sparse geometric series written into a
       plain list (``_lambert_sum``);
     * the check G * (q;q)_inf == L over every coefficient below q^trunc,
@@ -147,8 +160,7 @@ def crank_parity_series(trunc: int) -> IntLaurentSeries:
     Any disagreement raises AssertionError naming the first exponent that
     differs and both values there.
     """
-    c = _theta_square(trunc)
-    _apply_pentagonal(c, 1, -1)
+    c = _gauss_quotient(trunc)
     bad = IntLaurentSeries(0, _times_euler(c), trunc).first_mismatch(
         IntLaurentSeries(0, _lambert_sum(trunc), trunc), trunc)
     if bad is not None:

@@ -5,6 +5,14 @@ Two weight-0 eta quotients drive the congruence family modulo powers of 5:
     multiplier   eta(t)^3 eta(50t)^2 / (eta(2t)^2 eta(25t)^3)    on level 50
     hauptmodul   eta(t)^2 eta(10t)^4 / (eta(2t)^4 eta(5t)^2)     on level 10
 
+The multiplier is q C(q) / C(q^25), where C = (q;q)^3/(q^2;q^2)^2 is the
+crank series, and ``_multiplier`` builds it so: C's unchecked core
+theta(-q)^2 / (q;q)_inf from ``cranks``, then sparse passes for
+(q^50;q^50)^2 / (q^25;q^25)^3.  Sharing theta(-q)^2 with C costs no
+independence, since no check compares the multiplier with C: Claim L's
+crank side reads E, not C, and the keystone compares it with the
+hauptmodul, whose eta quotient keeps its cube passes.
+
 The keystone identity is  multiplier | U_5 == 5 * hauptmodul.  Every series
 in the tower reduces to a polynomial in the hauptmodul G = q + ...
 (found by triangular elimination from the lowest exponent up, with the
@@ -45,11 +53,11 @@ reads c off the 5n+4 eta quotient E = sum_m c(5m+4) q^m
 ``ladder_vectors`` reads each step's rows only on the columns the steps
 above it need, windows taken backward from the top rung's G^JMAX, so each
 rung is exact on its own window, at least G^1..G^JMAX.  E takes no part in
-the matrix route, nor any of the Jacobi cube passes the multiplier and G
-are built with, so every rung is checked against a series that route does
-not use.  The 5-adic valuations of the matrix entries and ladder entries
-are what the congruence family rests on, and are exported for direct
-verification.
+the matrix route, nor the lattice theta(-q)^2 or the Jacobi cube passes
+that the multiplier and G are built with, so every rung is checked against
+a series that route does not use.  The 5-adic valuations of the matrix
+entries and ladder entries are what the congruence family rests on, and
+are exported for direct verification.
 ``ladder_subsequence_check`` compares the top rung with R_(2a+1) below
 q^terms and returns None, or ``(exponent, lhs, rhs)`` at the first
 disagreement.
@@ -68,6 +76,8 @@ from . import cranks
 from .series import (
     EtaQuotientSpec,
     IntLaurentSeries,
+    _apply_pentagonal,
+    _past_prefactor,
     apply_U,
     eta_quotient,
     memoised,
@@ -89,10 +99,25 @@ COEFFICIENT_CEILING = 4 * 10 ** 4
 JMAX = 11          # ladder rungs are read off and cross-checked on G^1..G^JMAX
 
 
+def _multiplier(trunc: int) -> IntLaurentSeries:
+    """The multiplier below q^trunc, unmemoised, as q C(q) / C(q^25), where
+    C = (q;q)^3/(q^2;q^2)^2 is the crank series: C's unchecked core,
+    theta(-q)^2 over one Euler division at level 1
+    (``cranks._gauss_quotient``), then two Euler multiply passes at level
+    50 and one cube division at level 25, all in place.  A truncation at
+    or below the prefactor q^1 is refused."""
+    c = cranks._gauss_quotient(_past_prefactor(1, trunc))
+    _apply_pentagonal(c, 50, 2)
+    _apply_pentagonal(c, 25, -3)
+    return IntLaurentSeries(1, c, trunc)
+
+
 @memoised("multiplier")
 def ladder_multiplier(trunc: int) -> IntLaurentSeries:
-    """The level-50 quotient multiplying odd ladder steps; q + O(q^2)."""
-    return eta_quotient(LADDER_MULTIPLIER_SPEC, trunc)
+    """The level-50 quotient multiplying odd ladder steps; q + O(q^2).
+    ``dump-series`` is its only reader: B's rows build ``_multiplier``
+    afresh, off the memo and the cache."""
+    return _multiplier(trunc)
 
 
 @memoised("hauptmodul")
@@ -194,13 +219,15 @@ def _series_rows(pre: EtaQuotientSpec) -> tuple[Mapping[int, int], ...]:
     its full width 5i+v, each certified by a zero residual at order
     5*SERIES_ROWS+11.  The eta quotient pre = q^v + O(q^(v+1)) is 1 (v = 0)
     or the multiplier (v = 1), so row 0 is {0: 1} or, by the keystone,
-    {1: 5}.  No later row has a constant term: its window starts at G^1,
-    and reduce_to_hauptmodul refuses a nonzero q^0 coefficient below it."""
+    {1: 5}.  The multiplier is built afresh by ``_multiplier``, off the
+    memo and the cache, never as its eta quotient.  No later row has a
+    constant term: its window starts at G^1, and reduce_to_hauptmodul
+    refuses a nonzero q^0 coefficient below it."""
     v = pre.prefactor_exponent
     order = 5 * SERIES_ROWS + 11
     t = 5 * order + 1
     g = hauptmodul(t)
-    cur = eta_quotient(pre, t)
+    cur = _multiplier(t) if v else IntLaurentSeries.one(t)
     rows = []
     for i in range(SERIES_ROWS + 1):
         if i:

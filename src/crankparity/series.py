@@ -606,6 +606,15 @@ class EtaQuotientSpec(namedtuple("EtaQuotientSpec", "factors")):
         return sum(d * r for d, r in self.factors) // 24
 
 
+def _past_prefactor(shift: int, trunc: int) -> int:
+    """trunc - shift, the number of coefficients of a series q^shift *
+    (1 + O(q)) below q^trunc; TruncationError unless it is positive."""
+    if trunc <= shift:
+        raise TruncationError(
+            f"truncation {trunc} does not reach past the prefactor q^{shift}")
+    return trunc - shift
+
+
 def eta_quotient(spec: EtaQuotientSpec, trunc: int) -> IntLaurentSeries:
     """q-expansion of the eta quotient ``spec``, exact below ``trunc``.
 
@@ -613,10 +622,7 @@ def eta_quotient(spec: EtaQuotientSpec, trunc: int) -> IntLaurentSeries:
     quotients.
     """
     shift = spec.prefactor_exponent
-    length = trunc - shift
-    if length <= 0:
-        raise TruncationError(
-            f"truncation {trunc} does not reach past the prefactor q^{shift}")
+    length = _past_prefactor(shift, trunc)
     return pentagonal_quotient(spec.factors, length).shift(shift)
 
 
@@ -636,19 +642,22 @@ def dump_series(x: IntLaurentSeries, fp: TextIO) -> None:
 
 
 def load_series(fp: TextIO) -> IntLaurentSeries:
-    pairs = []
-    for line in fp:
-        line = line.strip()
-        if not line:
-            continue
-        e, c = line.split("\t")
-        pairs.append((int(e), int(c)))
-    if not pairs:
-        raise ValueError("empty series dump")
-    exps = [e for e, _ in pairs]
-    if exps != list(range(exps[0], exps[0] + len(exps))):
-        raise ValueError("series dump must cover a contiguous exponent range")
-    return IntLaurentSeries(exps[0], [c for _, c in pairs], exps[-1] + 1)
+    """The series a dump states, or ValueError: blank lines are skipped,
+    every other line, stripped, must hold one tab between two fields that
+    int() reads, and the exponents must be contiguous.  The lines are
+    decoded in bulk, about 64 KiB of them at a time, so only one chunk is
+    held as text beside the integers read so far."""
+    exps, coeffs = [], []
+    while chunk := fp.readlines(1 << 16):
+        lines = list(filter(None, map(str.strip, chunk)))
+        if set(map(str.count, lines, repeat("\t"))) - {1}:
+            raise ValueError("series dump line not exponent<TAB>coefficient")
+        fields = "\t".join(lines).split("\t") if lines else []
+        exps += map(int, fields[::2])
+        coeffs += map(int, fields[1::2])
+    if not exps or exps != list(range(exps[0], exps[0] + len(exps))):
+        raise ValueError("series dump empty or its exponents not contiguous")
+    return IntLaurentSeries(exps[0], coeffs, exps[-1] + 1)
 
 
 _memo: dict[str, IntLaurentSeries] = {}

@@ -117,6 +117,11 @@ MUTANTS = [
     Mutant("series", "_cube_terms",
            "while d * n * (n + 1) // 2 < trunc:",
            "while d * n * (n + 1) // 2 <= trunc:"),
+    Mutant("series", "_past_prefactor",
+           "if trunc <= shift:", "if trunc < shift:"),
+    Mutant("series", "load_series",
+           'fields = "\\t".join(lines).split("\\t") if lines else []',
+           'fields = "\\t".join(lines).split("\\t")'),
     Mutant("series", "_load_checked",
            "if data[cut:] == _trailer(data[:cut]):",
            "if data[cut:] != _trailer(data[:cut]):"),
@@ -133,7 +138,13 @@ MUTANTS = [
     Mutant("cranks", "_theta_square",
            "c[1::2] = [-x for x in c[1::2]]",
            "c[2::2] = [-x for x in c[2::2]]"),
-    # fivetower: the modular equation and the ladder's crank side
+    # fivetower: the multiplier's route, the modular equation and the
+    # ladder's crank side
+    Mutant("fivetower", "_multiplier",
+           "_apply_pentagonal(c, 25, -3)", "_apply_pentagonal(c, 25, -2)"),
+    Mutant("fivetower", "_series_rows",
+           "cur = _multiplier(t) if v else IntLaurentSeries.one(t)",
+           "cur = eta_quotient(pre, t)"),
     Mutant("fivetower", "SIGMAS", "{1: 10, 2: -5},", "{1: 10, 2: -4},"),
     Mutant("fivetower", "_modular_step",
            "s = s if k % 2 else -s", "s = -s if k % 2 else s"),

@@ -197,8 +197,9 @@ class TestCrankParitySeries:
     def test_routes_share_no_kernel(self, monkeypatch, fresh_memo):
         # G by the lattice and one pentagonal division, L by slice passes,
         # the check by its own slice passes: no binomial pass, no dense
-        # product and none of Jacobi's cube terms, which the multiplier
-        # that Claim L compares with G is built from, is reached
+        # product and none of Jacobi's cube terms is reached.  The tower's
+        # multiplier shares G's lattice and division (_gauss_quotient),
+        # but no check compares it with G
         def unreachable(*args):
             raise AssertionError("dense, binomial or cube kernel reached")
 
@@ -206,7 +207,8 @@ class TestCrankParitySeries:
             monkeypatch.setattr(series, kernel, unreachable)
 
         # each side's functions run only inside that side
-        owner = {"_theta_square": "G", "_apply_pentagonal": "G",
+        owner = {"_gauss_quotient": "G", "_theta_square": "G",
+                 "_apply_pentagonal": "G",
                  "_lambert_sum": "L", "_add_lambert_summand": "L",
                  "_times_euler": "check"}
         running, called = [], set()

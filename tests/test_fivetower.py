@@ -35,6 +35,30 @@ class TestEtaQuotients:
         assert hauptmodul(20).offset == 1
         assert eta_quotient(PHI_SPEC, 20).offset == 3
 
+    def test_multiplier_route_matches_its_eta_quotient(self):
+        # q C(q) / C(q^25) against the eta quotient's own Euler and cube
+        # passes, at every truncation to 319 (across the level-25 and
+        # level-50 terms) and at longer ones
+        for t in [*range(2, 320), 501, 1001, 2500, 5003]:
+            got = fivetower._multiplier(t)
+            want = eta_quotient(LADDER_MULTIPLIER_SPEC, t)
+            assert (got.offset, got.coeffs, got.trunc) \
+                == (want.offset, want.coeffs, want.trunc), t
+
+    @pytest.mark.parametrize("build, trunc, message", [
+        (ladder_multiplier, 1,
+         r"truncation 1 does not reach past the prefactor q\^1"),
+        (fivetower._multiplier, 1,
+         r"truncation 1 does not reach past the prefactor q\^1"),
+        (fivetower._multiplier, 0,
+         r"truncation 0 does not reach past the prefactor q\^1"),
+        (ladder_multiplier, 0, r"truncation must be positive, got 0"),
+    ], ids=["memoised-1", "builder-1", "builder-0", "memoised-0"])
+    def test_multiplier_refuses_its_prefactor(self, fresh_tower, build,
+                                              trunc, message):
+        with pytest.raises(TruncationError, match=f"^{message}$"):
+            build(trunc)
+
     def test_hauptmodul_negative_powers(self):
         g = hauptmodul(60)
         ginv = g.reciprocal()
@@ -532,13 +556,66 @@ class TestOneRoute:
         assert ladder(1)[3] == ladder_vectors(1, 11)[3]
         assert ladder_subsequence_check(1, 40) is None
 
+    def test_multiplier_passes(self, monkeypatch, fresh_tower):
+        # one lattice theta(-q)^2, one Euler division at level 1, two Euler
+        # multiply passes at level 50 and one cube division at level 25:
+        # no cube multiply pass and no eta quotient.  A pass is named by
+        # its first term, (d, -1) for Euler's and (d, -3) for Jacobi's
+        lattices, passes = [], []
+        real_theta, real_sparse = cranks._theta_square, series._apply_sparse
+
+        def theta(trunc):
+            lattices.append(trunc)
+            return real_theta(trunc)
+
+        def sparse(x, terms, sign):
+            passes.append((terms[0], sign))
+            real_sparse(x, terms, sign)
+
+        monkeypatch.setattr(cranks, "_theta_square", theta)
+        monkeypatch.setattr(series, "_apply_sparse", sparse)
+        monkeypatch.setattr(fivetower, "eta_quotient", None)
+        ladder_multiplier(2001)
+        assert lattices == [2000]
+        assert sorted(passes) == [((1, -1), -1), ((25, -3), -1),
+                                  ((50, -1), 1), ((50, -1), 1)]
+
+    def test_b_rows_take_no_multiplier_eta_quotient(self, monkeypatch,
+                                                   fresh_tower):
+        # B's rows build the multiplier afresh by its one route, off the
+        # memo, and never as its eta quotient
+        real = fivetower.eta_quotient
+        specs = []
+
+        def recorded(spec, trunc):
+            specs.append(spec)
+            return real(spec, trunc)
+
+        monkeypatch.setattr(fivetower, "eta_quotient", recorded)
+        rows = fivetower._series_rows(LADDER_MULTIPLIER_SPEC)
+        assert rows[0] == {1: 5}
+        assert LADDER_MULTIPLIER_SPEC not in specs
+        assert "multiplier" not in series._memo
+
+    def test_lattice_fault_is_caught_by_the_ladder(self, monkeypatch,
+                                                   fresh_tower):
+        # a lattice one square short moves the multiplier that B's rows
+        # read from q^197 (the points (+-14, 0), (0, +-14) dropped); no
+        # hauptmodul polynomial fits it
+        real = cranks.isqrt
+        monkeypatch.setattr(cranks, "isqrt", lambda n: real(n) - 1)
+        with pytest.raises(AssertionError,
+                           match=r"^nonzero residual starting at q\^"):
+            ladder(1)
+
     def test_crank_side_takes_no_cube_pass(self, monkeypatch, fresh_tower):
-        # P_d and E from Euler passes only: no Jacobi term is shared with
-        # the multiplier or G
-        def refused(d, trunc):
-            raise AssertionError("cube pass on the crank side")
+        # P_d and E from Euler passes only: no Jacobi term and no lattice
+        # theta(-q)^2 is shared with the multiplier or G
+        def refused(*args):
+            raise AssertionError("cube pass or lattice on the crank side")
 
         monkeypatch.setattr(series, "_cube_terms", refused)
+        monkeypatch.setattr(cranks, "_theta_square", refused)
         sides = {nu: _crank_side(nu, 12) for nu in (1, 2, 3, 4)}
         monkeypatch.undo()
         rungs = ladder(2)
@@ -608,10 +685,10 @@ class TestLadderSubsequence:
 
 
 class TestJacobiCorruption:
-    # the multiplier (1, 3), (25, -3) and G's (2, -4), (10, 4) each take a
-    # pass over Jacobi's cube terms; a sign flipped in one term must be
-    # caught by Claim L, whose crank side (E and P_d) takes none, and by
-    # the ladder.  At alpha = 0 Claim L's matrix side is 5G alone, whose
+    # the multiplier's one pass over Jacobi's cube terms is its division
+    # (25, -3), and G's are (2, -4) and (10, 4); a sign flipped in one term
+    # must be caught by Claim L, whose crank side (E and P_d) takes none,
+    # and by the ladder.  At alpha = 0 Claim L's matrix side is 5G alone, whose
     # sixth cube term sits at q^42 in (q^2;q^2)^3, so it is compared below
     # q^200
     @pytest.mark.parametrize("n", [1, 3, 6])

@@ -400,11 +400,73 @@ class TestSeriesProperties:
         assert [e for e, _ in pairs] == list(range(pairs[0][0], got.trunc))
         assert [got.coeff(e) for e, _ in pairs] == [c for _, c in pairs]
 
+    @settings(max_examples=300, deadline=None)
+    @given(x=series_st(), data=st.data())
+    def test_load_series_reads_as_a_line_loop(self, x, data):
+        # the bulk reader accepts and refuses what the line-by-line reader
+        # it replaced does, on dumps damaged with whitespace that strip()
+        # or int() take, in every newline mode of a text stream
+        def line_loop(fp):
+            pairs = []
+            for line in fp:
+                line = line.strip()
+                if line:
+                    e, c = line.split("\t")
+                    pairs.append((int(e), int(c)))
+            exps = [e for e, _ in pairs]
+            if not exps or exps != list(range(exps[0],
+                                              exps[0] + len(exps))):
+                raise ValueError("not a dump")
+            return IntLaurentSeries(exps[0], [c for _, c in pairs],
+                                    exps[-1] + 1)
+
+        buf = io.StringIO()
+        dump_series(x, buf)
+        text = buf.getvalue()
+        edits = data.draw(st.lists(st.tuples(
+            st.booleans(), st.integers(0, len(text)),
+            st.sampled_from("07-+_ \t\n\r\x0b\x0c\x1c\x85\xa0\u0663x")),
+            max_size=4), label="edits")
+        for replace, at, ch in edits:
+            text = text[:at] + ch + text[at + replace:]
+        newline = data.draw(st.sampled_from(("\n", None, "", "\r", "\r\n")))
+
+        def read(load):
+            try:
+                y = load(io.StringIO(text, newline=newline))
+            except ValueError:
+                return None
+            return y.offset, y.coeffs, y.trunc
+
+        assert read(load_series) == read(line_loop)
+
+    def test_load_series_reads_across_chunks(self):
+        # lines are decoded about 64 KiB at a time: a dump several chunks
+        # long, with a run of blank lines longer than a chunk inside it,
+        # reads back whole, and a damaged line in a later chunk is refused
+        x = IntLaurentSeries(-3, range(10 ** 6, 10 ** 6 + 20000), 19997)
+        buf = io.StringIO()
+        dump_series(x, buf)
+        lines = buf.getvalue().splitlines(keepends=True)
+        text = "".join(lines[:9000]) + "\n" * 200000 + "".join(lines[9000:])
+        y = load_series(io.StringIO(text))
+        assert (y.offset, y.coeffs, y.trunc) == (x.offset, x.coeffs, x.trunc)
+        lines[15000] = lines[15000].replace("\t", " ")
+        with pytest.raises(ValueError, match="^series dump line not"):
+            load_series(io.StringIO("".join(lines)))
+
 
 class TestEtaQuotient:
     def test_multiplier_spec_offset(self):
         f = eta_quotient(F_SPEC, 40)
         assert f.offset == 1 and f.coeff(1) == 1
+
+    @pytest.mark.parametrize("trunc", [0, 1])
+    def test_prefactor_is_refused(self, trunc):
+        # F = q + O(q^2): no coefficient lies below q^1
+        with pytest.raises(TruncationError, match=rf"^truncation {trunc} does"
+                           r" not reach past the prefactor q\^1$"):
+            eta_quotient(F_SPEC, trunc)
 
     def test_hauptmodul_reciprocal_expansion(self):
         ginv = eta_quotient(G_SPEC, 40).reciprocal()
