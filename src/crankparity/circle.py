@@ -221,7 +221,7 @@ class AsymptoticReport(NamedTuple):
 
 
 def report(n: int, exact: int, precision_bits: int = 128) -> AsymptoticReport:
-    """The report at n from its exact coefficient; a process pool maps it."""
+    """The report at n from its exact coefficient."""
     with workprec(precision_bits + 16):
         return AsymptoticReport.build(n, exact, main_term(n, precision_bits))
 

@@ -2,14 +2,19 @@
 asymptotic reports, distinct-parts tables, ladder dumps, and raw series
 dumps.
 
-The parsed ``args`` are the one configuration object, and argparse the only
-validator of options.  Every command is deterministic for given ``args``;
---parallel only maps ``circle.report`` over worker processes, keeping index
-order, so it never changes an emitted number.  Exit status is 0 exactly when
-everything requested passed.  ``main`` prints a refused request
+The parsed ``args`` are the one configuration object, and every command is
+deterministic for given ``args``.  Exit status is 0 exactly when everything
+requested passed.  argparse refuses a malformed or out-of-bounds option with
+its usage message and exit status 2.  ``main`` prints a refused request
 (``TruncationError``, ``BudgetExceededError``) as one ``crank-parity:``
 stderr line with exit status 2, and a failed check on the package's own
-series (``AssertionError``) as one such line with exit status 1.
+series (``AssertionError``) as one such line with exit status 1.  The
+options argparse cannot judge alone are refused by the command with one
+unprefixed stderr line and exit status 1 (``SystemExit`` with a message):
+an empty or negative N range (``_n_range``), an oracle sweep past
+--oracle-max or an --n-max that checks no n (``_oracle_n_max`` and
+``coeffs``), a --terms too short for ``coeffs``' N_HI, and an --n-max
+below the first n that ``verify family`` checks at its --alpha.
 
 ``_emit`` is the one writer of a command's result to stdout, in the format
 ``args.output`` names; only dump-series bypasses it, always writing the dump
@@ -23,7 +28,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from itertools import repeat
 
 from . import cranks, distinct, fivetower, partitions
 from .series import SERIES, TruncationError, dump_series
@@ -261,22 +265,7 @@ def cmd_asymptotic(args) -> int:
 
     n_lo, n_hi = _n_range(args, 1)
     bits = args.precision_bits
-    reports = None
-    if args.parallel and n_hi > n_lo:
-        from concurrent.futures import ProcessPoolExecutor
-
-        ns = range(n_lo, n_hi + 1)
-        series = cranks.crank_parity_series(n_hi + 1)
-        try:
-            with ProcessPoolExecutor() as pool:
-                reports = list(pool.map(circle.report, ns,
-                                        map(series.coeff, ns), repeat(bits)))
-        except OSError as exc:
-            print(f"crank-parity: no worker processes ({exc}); running "
-                  "sequentially", file=sys.stderr)
-    if reports is None:
-        reports = circle.verify_error_bound(n_lo, n_hi, bits)
-
+    reports = circle.verify_error_bound(n_lo, n_hi, bits)
     digits = max(10, int(bits * 0.301) - 2)
     columns = ["n", "exact", "main", "abs_error", "bound", "pass"]
     rows = [dict(zip(columns, r.csv_row(digits))) for r in reports]
@@ -389,8 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="enumeration oracle cap (hard limit 90)")
     parser.add_argument("--output", choices=("json", "csv", "text"),
                         default="text")
-    parser.add_argument("--parallel", action="store_true",
-                        help="evaluate asymptotic sweeps in worker processes")
     sub = parser.add_subparsers(dest="command", required=True)
     non_negative = _int_at_least(0)
     alpha_max = {"type": non_negative, "default": 2,

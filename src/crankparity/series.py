@@ -29,7 +29,7 @@ its ceil(N/g) coefficients, so a pass costs N^1.5 / (g sqrt(d)); the
 factors go in the order that makes the sum of those costs least.
 Dense operands, such as hauptmodul powers, have one kernel:
 ``_conv`` multiplies by Kronecker substitution (coefficients packed into one
-huge integer and multiplied with gmpy2 when available), and reciprocals run
+huge integer, which CPython's own int multiplies), and reciprocals run
 Newton's iteration on it.
 """
 
@@ -46,11 +46,6 @@ from importlib import import_module
 from itertools import accumulate, permutations, repeat
 from math import fsum, gcd, sqrt
 from typing import Callable, Iterable, Iterator, Mapping, TextIO
-
-try:
-    from gmpy2 import mpz as _mpz
-except ImportError:  # gmpy2 is the optional 'fast' extra; int is exact too
-    _mpz = int
 
 
 class TruncationError(ValueError):
@@ -91,7 +86,7 @@ def _conv(a: list, b: list, rlen: int) -> list:
     width = bound.bit_length() // 8 + 1
     half = 1 << (8 * width - 1)
     nbytes = rlen * width
-    c = int(_mpz(_pack(a, width)) * _mpz(_pack(b, width)))
+    c = _pack(a, width) * _pack(b, width)
     c += int.from_bytes((bytes(width - 1) + b"\x80") * rlen, "little")
     buf = (c & ((1 << (8 * nbytes)) - 1)).to_bytes(nbytes, "little")
     return [int.from_bytes(buf[i:i + width], "little") - half
@@ -684,7 +679,8 @@ def memoised(name: str):
 def memo(name: str, trunc: int, build) -> IntLaurentSeries:
     """``build(trunc)``, keeping the longest series built under ``name`` to
     serve shorter requests by truncation.  A truncation below 1 raises
-    ``TruncationError`` before memory or disk is read.
+    ``TruncationError`` before memory or disk is read, and so does one at or
+    below the served series' first exponent, as its builder would.
 
     With CRANK_PARITY_CACHE_DIR set, that longest series also persists there
     as ``<name>.tsv``: the dump format, then a trailer line with the sha256
@@ -717,6 +713,7 @@ def memo(name: str, trunc: int, build) -> IntLaurentSeries:
                 except OSError as exc:
                     _unusable(path, exc)
         _memo[name] = cur
+    _past_prefactor(cur.offset, trunc)
     return cur.truncate(trunc) if cur.trunc > trunc else cur
 
 

@@ -119,6 +119,8 @@ MUTANTS = [
            "while d * n * (n + 1) // 2 <= trunc:"),
     Mutant("series", "_past_prefactor",
            "if trunc <= shift:", "if trunc < shift:"),
+    Mutant("series", "memo",
+           "_past_prefactor(cur.offset, trunc)", "pass"),
     Mutant("series", "load_series",
            'fields = "\\t".join(lines).split("\\t") if lines else []',
            'fields = "\\t".join(lines).split("\\t")'),

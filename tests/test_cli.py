@@ -38,7 +38,7 @@ class TestRunConfig:
     def test_defaults(self):
         args = build_parser().parse_args(["coeffs", "1", "2"])
         assert (args.terms, args.precision_bits, args.oracle_max,
-                args.output, args.parallel) == (None, 128, 60, "text", False)
+                args.output) == (None, 128, 60, "text")
 
     def test_limits(self, capsys):
         for option, value in [("--terms", "4"), ("--precision-bits", "32"),
@@ -590,22 +590,14 @@ class TestAsymptotic:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
-    def test_parallel_is_deterministic(self, capsys):
-        _, seq = run_cli(capsys, "asymptotic", "3", "8")
-        _, par = run_cli(capsys, "--parallel", "asymptotic", "3", "8")
-        assert seq == par
-
-    def test_parallel_fallback_is_reported(self, capsys, monkeypatch):
-        def no_pool():
-            raise OSError("no semaphores")
-
-        _, seq = run_cli(capsys, "asymptotic", "3", "8")
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
-        code = main(["--parallel", "asymptotic", "3", "8"])
+    def test_parallel_is_not_an_option(self, capsys):
+        # one execution path: no worker-process flag
+        with pytest.raises(SystemExit) as err:
+            main(["--parallel", "asymptotic", "3", "8"])
         captured = capsys.readouterr()
-        assert code == 0 and captured.out == seq
-        assert captured.err == ("crank-parity: no worker processes (no "
-                                "semaphores); running sequentially\n")
+        assert err.value.code == 2 and captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            "crank-parity: error: unrecognized arguments: --parallel")
 
 
 class TestOracleSweepPins:

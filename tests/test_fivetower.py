@@ -59,6 +59,24 @@ class TestEtaQuotients:
         with pytest.raises(TruncationError, match=f"^{message}$"):
             build(trunc)
 
+    @pytest.mark.parametrize("warm", ["memo", "cache"])
+    @pytest.mark.parametrize("build", [ladder_multiplier, hauptmodul],
+                             ids=["multiplier", "hauptmodul"])
+    def test_a_longer_series_served_refuses_its_prefactor(
+            self, fresh_tower, monkeypatch, tmp_path, build, warm):
+        # a series kept from a longer request, in memory or in the cache
+        # directory, is refused at q^1 as a fresh build is, not cut to
+        # 0 + O(q^1)
+        monkeypatch.setenv("CRANK_PARITY_CACHE_DIR", str(tmp_path))
+        build(50)
+        if warm == "cache":
+            monkeypatch.setattr(series, "_memo", {})
+        with pytest.raises(TruncationError, match=r"^truncation 1 does not "
+                           r"reach past the prefactor q\^1$"):
+            build(1)
+        got = build(2)
+        assert (got.offset, got.coeffs) == (1, (1,))
+
     def test_hauptmodul_negative_powers(self):
         g = hauptmodul(60)
         ginv = g.reciprocal()

@@ -78,6 +78,24 @@ def test_cli_start_up_skips_heavy_modules():
     assert loaded & heavy == set()
 
 
+def test_asymptotic_runs_in_one_process():
+    # one execution path: no worker pool, and no optional multiply backend
+    loaded = loaded_by("import contextlib, io\n"
+                       "from crankparity.cli import main\n"
+                       "with contextlib.redirect_stdout(io.StringIO()):\n"
+                       "    main(['asymptotic', '1', '5'])")
+    assert "crankparity.circle" in loaded
+    assert {m.split(".")[0] for m in loaded} \
+        & {"concurrent", "multiprocessing"} == set()
+    nodes = [node for path in PACKAGE.glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text()))]
+    imported = {a.name for node in nodes if isinstance(node, ast.Import)
+                for a in node.names}
+    imported |= {node.module for node in nodes
+                 if isinstance(node, ast.ImportFrom) and node.module}
+    assert "gmpy2" not in {name.split(".")[0] for name in imported}
+
+
 def test_package_import_loads_only_init():
     assert loaded_by("import crankparity") == {"crankparity"}
 

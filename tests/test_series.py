@@ -754,6 +754,29 @@ class TestMemo:
         assert memo("g", 40, build).trunc == 40
         assert built == [30, 40]
 
+    @pytest.mark.parametrize("warm", ["memory", "disk"])
+    def test_a_longer_series_refuses_past_its_offset(self, tmp_path,
+                                                     monkeypatch, warm):
+        # G starts at q^1: a request for truncation 1 is refused whether G
+        # is built, kept in memory or read from the cache directory
+        monkeypatch.setenv("CRANK_PARITY_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr("crankparity.series._memo", {})
+        built = []
+
+        def build(t):
+            built.append(t)
+            return eta_quotient(G_SPEC, t)
+
+        message = r"^truncation 1 does not reach past the prefactor q\^1$"
+        with pytest.raises(TruncationError, match=message):
+            memo("test-memo-offset", 1, build)
+        memo("test-memo-offset", 30, build)
+        if warm == "disk":
+            series._memo.clear()  # as a fresh process would start
+        with pytest.raises(TruncationError, match=message):
+            memo("test-memo-offset", 1, build)
+        assert built == [1, 30]
+
     def test_disk_layer_checks_what_it_loads(self, tmp_path, monkeypatch,
                                              capsys):
         monkeypatch.setenv("CRANK_PARITY_CACHE_DIR", str(tmp_path))
