@@ -74,7 +74,6 @@ from typing import Mapping
 
 from . import cranks
 from .series import (
-    EtaQuotientSpec,
     IntLaurentSeries,
     _apply_pentagonal,
     _past_prefactor,
@@ -89,8 +88,9 @@ class BudgetExceededError(RuntimeError):
     """The requested depth needs more series coefficients than allowed."""
 
 
-LADDER_MULTIPLIER_SPEC = EtaQuotientSpec(((1, 3), (2, -2), (50, 2), (25, -3)))
-HAUPTMODUL_SPEC = EtaQuotientSpec(((1, 2), (2, -4), (10, 4), (5, -2)))
+# (d, r) factors of the eta quotients prod_d eta(d*tau)^(r_d)
+LADDER_MULTIPLIER_SPEC = ((1, 3), (2, -2), (50, 2), (25, -3))
+HAUPTMODUL_SPEC = ((1, 2), (2, -4), (10, 4), (5, -2))
 
 # coefficients of E: alpha = 2 needs 24,245 (claimL at 40 terms), the
 # ladder at alpha = 3 needs 168,620, a build of half a minute or more:
@@ -214,16 +214,15 @@ SIGMAS = tuple(MappingProxyType(sigma) for sigma in (
 
 
 @lru_cache(maxsize=None)
-def _series_rows(pre: EtaQuotientSpec) -> tuple[Mapping[int, int], ...]:
+def _series_rows(v: int) -> tuple[Mapping[int, int], ...]:
     """Rows 0..SERIES_ROWS of pre by the series route: (pre * G^i) | U_5 at
     its full width 5i+v, each certified by a zero residual at order
-    5*SERIES_ROWS+11.  The eta quotient pre = q^v + O(q^(v+1)) is 1 (v = 0)
+    5*SERIES_ROWS+11.  The prefactor pre = q^v + O(q^(v+1)) is 1 (v = 0)
     or the multiplier (v = 1), so row 0 is {0: 1} or, by the keystone,
     {1: 5}.  The multiplier is built afresh by ``_multiplier``, off the
     memo and the cache, never as its eta quotient.  No later row has a
     constant term: its window starts at G^1, and reduce_to_hauptmodul
     refuses a nonzero q^0 coefficient below it."""
-    v = pre.prefactor_exponent
     order = 5 * SERIES_ROWS + 11
     t = 5 * order + 1
     g = hauptmodul(t)
@@ -265,9 +264,10 @@ def _routes_agree(where: str, series: Mapping[int, int],
                 f"{other_gives} {other.get(j, 0)}")
 
 
-def _transfer_rows(pre: EtaQuotientSpec, imax: int, jmax: int) -> Rows:
+def _transfer_rows(v: int, imax: int, jmax: int) -> Rows:
     """Row i, 1 <= i <= imax: (pre * G^i) | U_5 = sum_j c_ij G^j, cut at
-    the column window min(5i+v, jmax); 5i+v is the row's full width.
+    the column window min(5i+v, jmax); 5i+v is the row's full width, and
+    the prefactor pre = q^v + ... is 1 (v = 0) or the multiplier (v = 1).
 
     Rows up to SERIES_ROWS come from _series_rows; each later row is the
     modular equation's combination of the five before it (_modular_step),
@@ -279,10 +279,10 @@ def _transfer_rows(pre: EtaQuotientSpec, imax: int, jmax: int) -> Rows:
     of degree <= 5 without a constant term.  A window is exact because no
     sigma has a term below G^1.
     """
-    v = pre.prefactor_exponent
-    rows = list(_series_rows(pre))
+    rows = list(_series_rows(v))
     for i in range(5, SERIES_ROWS + 1):
-        _routes_agree(f"prefactor {pre.factors or 1}, row {i}", rows[i],
+        _routes_agree(f"prefactor {LADDER_MULTIPLIER_SPEC if v else 1}, "
+                      f"row {i}", rows[i],
                       _modular_step(rows, i, 5 * i + v),
                       "modular equation gives", 5 * i + v)
     rows = [{j: c for j, c in row.items() if j <= jmax} for row in rows]
@@ -293,15 +293,15 @@ def _transfer_rows(pre: EtaQuotientSpec, imax: int, jmax: int) -> Rows:
 
 
 def u_matrix_rows(imax: int) -> Rows:
-    """A: row i is G^i | U_5, full width 5i (the empty eta quotient is 1);
+    """A: row i is G^i | U_5, full width 5i (the prefactor is 1);
     rows past SERIES_ROWS come from the modular equation of G."""
-    return _transfer_rows(EtaQuotientSpec(()), imax, 5 * imax)
+    return _transfer_rows(0, imax, 5 * imax)
 
 
 def v_matrix_rows(imax: int) -> Rows:
     """B: row i is (multiplier * G^i) | U_5, full width 5i+1; rows past
     SERIES_ROWS come from the modular equation of G."""
-    return _transfer_rows(LADDER_MULTIPLIER_SPEC, imax, 5 * imax + 1)
+    return _transfer_rows(1, imax, 5 * imax + 1)
 
 
 def _vec_mat(vec: dict[int, int], rows: Rows) -> dict[int, int]:
@@ -367,11 +367,11 @@ def ladder_vectors(alpha_max: int, jmax: int) -> dict[int, dict[int, int]]:
     (5,0,0,...) (AB)^a  /  (5,0,0,...) (AB)^a A.
 
     Every step reads a column window taken backward from the top rung's
-    jmax: a step by rows (pre * G^i) | U_5 with pre = q^v + ..., v = 0 for
-    A and 1 for B, that reads columns <= w needs the rung before it only
-    on columns <= 5w - v, because row i starts at G^ceil((i+v)/5).  So the
-    top rung is exact on G^1..G^jmax, and each lower rung on its own
-    window, which is at least jmax.
+    jmax: a step by rows (pre * G^i) | U_5, the prefactor pre = q^v + ...
+    with v = 0 for A and 1 for B, that reads columns <= w needs the rung
+    before it only on columns <= 5w - v, because row i starts at
+    G^ceil((i+v)/5).  So the top rung is exact on G^1..G^jmax, and each
+    lower rung on its own window, which is at least jmax.
     """
     top = 2 * alpha_max + 1
     windows = [jmax]  # the windows of rungs top, top-1, ..., 2
@@ -380,8 +380,7 @@ def ladder_vectors(alpha_max: int, jmax: int) -> dict[int, dict[int, int]]:
     vec = {1: 5}
     vectors = {1: vec}
     for nu, w in zip(range(2, top + 1), reversed(windows)):
-        pre = LADDER_MULTIPLIER_SPEC if nu % 2 else EtaQuotientSpec(())
-        vec = _vec_mat(vec, _transfer_rows(pre, max(vec), w))
+        vec = _vec_mat(vec, _transfer_rows(nu % 2, max(vec), w))
         vectors[nu] = vec
     return vectors
 

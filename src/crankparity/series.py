@@ -41,7 +41,6 @@ import operator
 import os
 import sys
 import tempfile
-from collections import namedtuple
 from importlib import import_module
 from itertools import accumulate, permutations, repeat
 from math import fsum, gcd, sqrt
@@ -553,16 +552,21 @@ def pentagonal_quotient(factors: Iterable[tuple[int, int]],
 
     The factors are applied in the order that minimises the sum of
     passes / (g * sqrt(d)) over the factors, g taken once the factor is in
-    (``_pass_cost``), found over every order of the factors (the quotients
-    here have at most five); among equal orders, the first in the order
-    the factors are given.
+    (``_pass_cost``), found over every order of the nonzero factors;
+    among equal orders, the first in the order the factors are given.
+    More than eight nonzero factors (8! orders) are refused: the
+    quotients here have at most five.
     """
     if trunc <= 0:
         raise TruncationError(f"truncation must be positive, got {trunc}")
     factors = list(factors)
     if any(d < 1 for d, _ in factors):
         raise ValueError("d must be positive")
-    order = min(permutations([f for f in factors if f[1]]), key=_pass_cost)
+    factors = [f for f in factors if f[1]]
+    if len(factors) > 8:
+        raise ValueError(f"{len(factors)} nonzero factors: at most 8 are "
+                         "searched for their cheapest order")
+    order = min(permutations(factors), key=_pass_cost)
     g = order[0][0] if order else 1
     c = [1] + [0] * (-(-trunc // g) - 1)
     for d, r in order:
@@ -574,33 +578,6 @@ def pentagonal_quotient(factors: Iterable[tuple[int, int]],
     return IntLaurentSeries(0, c, trunc)
 
 
-class EtaQuotientSpec(namedtuple("EtaQuotientSpec", "factors")):
-    """Exponent data for prod_d eta(d*tau)^(r_d), stored as (d, r) pairs.
-
-    Only quotients with sum d*r divisible by 24 are allowed: those have an
-    integer-exponent q-expansion, and every quotient used here is of that
-    kind.  Fractional prefactors are rejected rather than modelled.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, factors: Iterable[tuple[int, int]]) -> "EtaQuotientSpec":
-        factors = tuple((int(d), int(r)) for d, r in factors)
-        for d, _ in factors:
-            if d < 1:
-                raise ValueError(f"eta level multiplier must be positive: {d}")
-        total = sum(d * r for d, r in factors)
-        if total % 24:
-            raise ValueError(
-                f"sum d*r = {total} is not divisible by 24; the expansion "
-                "would need fractional exponents")
-        return super().__new__(cls, factors)
-
-    @property
-    def prefactor_exponent(self) -> int:
-        return sum(d * r for d, r in self.factors) // 24
-
-
 def _past_prefactor(shift: int, trunc: int) -> int:
     """trunc - shift, the number of coefficients of a series q^shift *
     (1 + O(q)) below q^trunc; TruncationError unless it is positive."""
@@ -610,15 +587,26 @@ def _past_prefactor(shift: int, trunc: int) -> int:
     return trunc - shift
 
 
-def eta_quotient(spec: EtaQuotientSpec, trunc: int) -> IntLaurentSeries:
-    """q-expansion of the eta quotient ``spec``, exact below ``trunc``.
+def eta_quotient(factors: Iterable[tuple[int, int]],
+                 trunc: int) -> IntLaurentSeries:
+    """q-expansion of the eta quotient prod_d eta(d*tau)^(r_d) over the
+    (d, r) pairs, exact below ``trunc``.
 
-    The result carries offset sum(d*r)/24, which is negative for reciprocal
-    quotients.
+    Only quotients with sum d*r divisible by 24 are built: those have an
+    integer-exponent q-expansion, with offset sum(d*r)/24, which is
+    negative for reciprocal quotients.  Fractional prefactors are refused
+    rather than modelled, and ``pentagonal_quotient`` refuses a level
+    d < 1.
     """
-    shift = spec.prefactor_exponent
+    factors = list(factors)
+    total = sum(d * r for d, r in factors)
+    if total % 24:
+        raise ValueError(
+            f"sum d*r = {total} is not divisible by 24; the expansion "
+            "would need fractional exponents")
+    shift = total // 24
     length = _past_prefactor(shift, trunc)
-    return pentagonal_quotient(spec.factors, length).shift(shift)
+    return pentagonal_quotient(factors, length).shift(shift)
 
 
 def apply_U(d: int, x: IntLaurentSeries) -> IntLaurentSeries:

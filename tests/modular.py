@@ -20,14 +20,20 @@ from mpmath import exp, expjpi, mpf, mpmathify, pi, qp, sqrt, workprec
 
 from crankparity.circle import dedekind_sum
 from crankparity.fivetower import hauptmodul, reduce_to_hauptmodul
-from crankparity.series import EtaQuotientSpec, apply_U, eta_quotient
+from crankparity.series import apply_U, eta_quotient
 
-PHI_SPEC = EtaQuotientSpec(((1, 1), (2, -2), (50, 2), (25, -1)))
+# (d, r) factors, as eta_quotient takes them
+PHI_SPEC = ((1, 1), (2, -2), (50, 2), (25, -1))
 
 
-def spec_power(spec: EtaQuotientSpec, n: int) -> EtaQuotientSpec:
+def spec_power(spec, n: int):
     """The eta quotient spec^n: every exponent times n."""
-    return EtaQuotientSpec((d, r * n) for d, r in spec.factors)
+    return tuple((d, r * n) for d, r in spec)
+
+
+def prefactor_exponent(spec) -> int:
+    """sum d*r / 24: the eta quotient spec is q^that * (1 + O(q))."""
+    return sum(d * r for d, r in spec) // 24
 
 
 def phi_power_u5(mu: int, order: int):

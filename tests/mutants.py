@@ -119,6 +119,7 @@ MUTANTS = [
            "while d * n * (n + 1) // 2 <= trunc:"),
     Mutant("series", "_past_prefactor",
            "if trunc <= shift:", "if trunc < shift:"),
+    Mutant("series", "eta_quotient", "if total % 24:", "if total % 12:"),
     Mutant("series", "memo",
            "_past_prefactor(cur.offset, trunc)", "pass"),
     Mutant("series", "load_series",
@@ -146,7 +147,8 @@ MUTANTS = [
            "_apply_pentagonal(c, 25, -3)", "_apply_pentagonal(c, 25, -2)"),
     Mutant("fivetower", "_series_rows",
            "cur = _multiplier(t) if v else IntLaurentSeries.one(t)",
-           "cur = eta_quotient(pre, t)"),
+           "cur = eta_quotient(LADDER_MULTIPLIER_SPEC, t) if v "
+           "else IntLaurentSeries.one(t)"),
     Mutant("fivetower", "SIGMAS", "{1: 10, 2: -5},", "{1: 10, 2: -4},"),
     Mutant("fivetower", "_modular_step",
            "s = s if k % 2 else -s", "s = -s if k % 2 else s"),

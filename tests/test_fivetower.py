@@ -20,13 +20,18 @@ from crankparity.fivetower import (
     _transfer_rows,
 )
 from crankparity.series import (
-    EtaQuotientSpec,
     IntLaurentSeries,
     TruncationError,
     apply_U,
     eta_quotient,
 )
-from modular import PHI_SPEC, phi_power_u5, reduce_laurent, spec_power
+from modular import (
+    PHI_SPEC,
+    phi_power_u5,
+    prefactor_exponent,
+    reduce_laurent,
+    spec_power,
+)
 
 
 class TestEtaQuotients:
@@ -267,17 +272,15 @@ class TestTransferMatrices:
             rows[1] = {1: 999}
         assert u_matrix_rows(3)[1][1] == 11
         # a windowed row past the window is empty, and read-only too
-        windowed = _transfer_rows(LADDER_MULTIPLIER_SPEC, 12, 1)
+        windowed = _transfer_rows(1, 12, 1)
         with pytest.raises(TypeError):
             windowed[12][1] = 999
 
     @pytest.mark.parametrize("jmax", [1, 2, 5, 11])
     def test_windowed_rows_are_cut_full_rows(self, jmax):
         imax = 12
-        for pre, full in ((EtaQuotientSpec(()), u_matrix_rows(imax)),
-                          (LADDER_MULTIPLIER_SPEC, v_matrix_rows(imax))):
-            v = pre.prefactor_exponent
-            windowed = _transfer_rows(pre, imax, jmax)
+        for v, full in ((0, u_matrix_rows(imax)), (1, v_matrix_rows(imax))):
+            windowed = _transfer_rows(v, imax, jmax)
             assert sorted(windowed) == list(range(1, imax + 1))
             for i in range(1, imax + 1):
                 cut = {j: c for j, c in full[i].items() if j <= jmax}
@@ -295,10 +298,11 @@ class TestTransferMatrices:
 
 
 def series_route_rows(pre, imax, jmax=None):
-    """(pre * G^i) | U_5 for i = 1..imax, one series product per row: full
-    width certified by a zero residual, or the prefix cut after q^jmax and
-    read to column jmax (empty once the image starts past q^jmax)."""
-    v = pre.prefactor_exponent
+    """(pre * G^i) | U_5 for i = 1..imax, pre the eta quotient of the (d, r)
+    factors pre, one series product per row: full width certified by a
+    zero residual, or the prefix cut after q^jmax and read to column jmax
+    (empty once the image starts past q^jmax)."""
+    v = prefactor_exponent(pre)
     order = 5 * imax + 11 if jmax is None else jmax + 4
     t = 5 * order + 1
     g, cur = hauptmodul(t), eta_quotient(pre, t)
@@ -314,12 +318,12 @@ def series_route_rows(pre, imax, jmax=None):
     return rows
 
 
-def corrupt_series_rows(monkeypatch, pre, i, j, delta):
+def corrupt_series_rows(monkeypatch, v, i, j, delta):
     exact = fivetower._series_rows
 
-    def corrupted(spec):
-        rows = list(exact(spec))
-        if spec == pre:
+    def corrupted(w):
+        rows = list(exact(w))
+        if w == v:
             rows[i] = dict(rows[i])
             rows[i][j] = rows[i].get(j, 0) + delta
         return tuple(rows)
@@ -349,52 +353,52 @@ class TestModularEquation:
                             (*SIGMAS[:k], sigma, *SIGMAS[k + 1:]))
         with pytest.raises(AssertionError,
                            match=r"^prefactor 1, row [56], G\^"):
-            _transfer_rows(EtaQuotientSpec(()), 8, 41)
+            _transfer_rows(0, 8, 41)
 
-    @pytest.mark.parametrize("pre", [EtaQuotientSpec(()),
-                                     LADDER_MULTIPLIER_SPEC])
+    @pytest.mark.parametrize("pre", [(), LADDER_MULTIPLIER_SPEC])
     def test_full_rows_match_the_series_route(self, pre):
-        assert _transfer_rows(pre, 12, 5 * 12 + pre.prefactor_exponent) \
+        v = prefactor_exponent(pre)
+        assert _transfer_rows(v, 12, 5 * 12 + v) \
             == series_route_rows(pre, 12)
 
     def test_windowed_rows_match_the_series_route(self):
-        assert _transfer_rows(LADDER_MULTIPLIER_SPEC, 130, 11) \
+        assert _transfer_rows(1, 130, 11) \
             == series_route_rows(LADDER_MULTIPLIER_SPEC, 130, 11)
 
-    @pytest.mark.parametrize("pre, i, j, delta, message", [
-        (EtaQuotientSpec(()), 6, 2, 1,
+    @pytest.mark.parametrize("v, i, j, delta, message", [
+        (0, 6, 2, 1,
          "prefactor 1, row 6, G^2: series gives 1522, modular equation "
          "gives 1521"),
-        (LADDER_MULTIPLIER_SPEC, 6, 2, 1,
+        (1, 6, 2, 1,
          "prefactor ((1, 3), (2, -2), (50, 2), (25, -3)), row 6, G^2: "
          "series gives -634, modular equation gives -635"),
         # row 5 of B is rebuilt from rows 0..4, so it sees row 2
-        (LADDER_MULTIPLIER_SPEC, 2, 1, 1,
+        (1, 2, 1, 1,
          "prefactor ((1, 3), (2, -2), (50, 2), (25, -3)), row 5, G^2: "
          "series gives 1640, modular equation gives 1675"),
         # a constant in A's row 1 reaches row 5 through sigma_4 = 10G - 5G^2
-        (EtaQuotientSpec(()), 1, 0, 1,
+        (0, 1, 0, 1,
          "prefactor 1, row 5, G^1: series gives 1, modular equation "
          "gives -9"),
-        (EtaQuotientSpec(()), 2, 3, 1,
+        (0, 2, 3, 1,
          "prefactor 1, row 5, G^4: series gives -13553000, modular "
          "equation gives -13552965"),
         # the top column of a row, G^(5i), is compared too
-        (EtaQuotientSpec(()), 6, 30, 1,
+        (0, 6, 30, 1,
          "prefactor 1, row 6, G^30: series gives 11920928955078126, "
          "modular equation gives 11920928955078125"),
     ], ids=["A-row-6", "B-row-6", "B-row-2", "A-row-1-G0", "A-row-2",
             "A-row-6-top"])
-    def test_corrupt_series_row_is_refused(self, monkeypatch, pre, i, j,
+    def test_corrupt_series_row_is_refused(self, monkeypatch, v, i, j,
                                            delta, message):
-        corrupt_series_rows(monkeypatch, pre, i, j, delta)
+        corrupt_series_rows(monkeypatch, v, i, j, delta)
         with pytest.raises(AssertionError) as info:
-            _transfer_rows(pre, 8, 41)
+            _transfer_rows(v, 8, 41)
         assert str(info.value) == message
 
     def test_corrupt_series_row_stops_the_ladder(self, monkeypatch):
         # the ladder steps by A before B, and A's build sees its row 2
-        corrupt_series_rows(monkeypatch, EtaQuotientSpec(()), 2, 3, 1)
+        corrupt_series_rows(monkeypatch, 0, 2, 3, 1)
         with pytest.raises(AssertionError,
                            match=r"^prefactor 1, row 5, G\^4: "):
             ladder_vectors(1, 11)
@@ -507,7 +511,7 @@ def full_width_chain(alpha_max, jmax):
     for a in range(alpha_max):
         vec = times(vec, u_matrix_rows(max(vec)))
         vectors[2 * a + 2] = vec
-        b_rows = _transfer_rows(LADDER_MULTIPLIER_SPEC, max(vec), jmax) \
+        b_rows = _transfer_rows(1, max(vec), jmax) \
             if a == alpha_max - 1 else v_matrix_rows(max(vec))
         vec = times(vec, b_rows)
         vectors[2 * a + 3] = vec
@@ -537,9 +541,9 @@ class TestWindows:
         exact = fivetower._transfer_rows
         seen = []
 
-        def recorded(pre, imax, jmax):
-            seen.append((pre.prefactor_exponent, imax, jmax))
-            return exact(pre, imax, jmax)
+        def recorded(v, imax, jmax):
+            seen.append((v, imax, jmax))
+            return exact(v, imax, jmax)
 
         monkeypatch.setattr(fivetower, "_transfer_rows", recorded)
         ladder_vectors(alpha_max, 11)
@@ -555,9 +559,9 @@ class TestOneRoute:
         # see that
         exact = fivetower._transfer_rows
 
-        def corrupted(pre, imax, jmax):
-            rows = dict(exact(pre, imax, jmax))
-            if pre == EtaQuotientSpec(()) and imax >= 7:
+        def corrupted(v, imax, jmax):
+            rows = dict(exact(v, imax, jmax))
+            if v == 0 and imax >= 7:
                 rows[7] = {**rows[7], 3: rows[7][3] + 1}
             return rows
 
@@ -610,7 +614,7 @@ class TestOneRoute:
             return real(spec, trunc)
 
         monkeypatch.setattr(fivetower, "eta_quotient", recorded)
-        rows = fivetower._series_rows(LADDER_MULTIPLIER_SPEC)
+        rows = fivetower._series_rows(1)
         assert rows[0] == {1: 5}
         assert LADDER_MULTIPLIER_SPEC not in specs
         assert "multiplier" not in series._memo

@@ -117,13 +117,11 @@ def test_series_table_is_whole_whichever_module_comes_first(first):
 
 def value_pairs():
     """(field, two equal instances built apart) for each value class."""
-    from crankparity import circle, distinct, partitions, series
+    from crankparity import circle, distinct, partitions
 
     cases = {
         "ParityCount": ("even", lambda: partitions.ParityCount(3, 2)),
         "PentagonalInfo": ("floor_p", lambda: distinct.pent_info(40)),
-        "EtaQuotientSpec": ("factors",
-                            lambda: series.EtaQuotientSpec([(1, 24)])),
         "AsymptoticReport": ("passed", lambda: circle.report(10, 4, 64)),
     }
     return [pytest.param(field, make(), make(), id=name)
@@ -137,16 +135,3 @@ def test_value_class_contract(field, a, b):
         setattr(a, field, getattr(b, field))
     back = pickle.loads(pickle.dumps(a))
     assert back == a and type(back) is type(a)
-
-
-def test_eta_spec_keys_the_series_rows():
-    from crankparity import fivetower, series
-
-    rows = fivetower._series_rows
-    rows.cache_clear()
-    try:
-        first = rows(series.EtaQuotientSpec(()))
-        assert rows(series.EtaQuotientSpec([])) is first
-        assert rows.cache_info().hits == 1
-    finally:
-        rows.cache_clear()

@@ -11,7 +11,6 @@ from hypothesis import example, given, settings, strategies as st
 from crankparity.fivetower import HAUPTMODUL_SPEC, LADDER_MULTIPLIER_SPEC
 from crankparity import series
 from crankparity.series import (
-    EtaQuotientSpec,
     IntLaurentSeries,
     TruncationError,
     _conv,
@@ -27,10 +26,10 @@ from crankparity.series import (
     pentagonal_quotient,
     q_sum,
 )
-from modular import PHI_SPEC, spec_power
+from modular import PHI_SPEC, prefactor_exponent, spec_power
 
-F_SPEC = EtaQuotientSpec(((1, 3), (2, -2), (50, 2), (25, -3)))
-G_SPEC = EtaQuotientSpec(((1, 2), (2, -4), (10, 4), (5, -2)))
+F_SPEC = ((1, 3), (2, -2), (50, 2), (25, -3))
+G_SPEC = ((1, 2), (2, -4), (10, 4), (5, -2))
 G_INV_SPEC = spec_power(G_SPEC, -1)
 
 
@@ -478,16 +477,36 @@ class TestEtaQuotient:
 
     def test_fractional_prefactor_rejected(self):
         with pytest.raises(ValueError, match=r"^sum d\*r = 1 is not "
-                                             "divisible by 24"):
-            EtaQuotientSpec(((1, 1),))
+                                             "divisible by 24; the expansion "
+                                             "would need fractional "
+                                             "exponents$"):
+            eta_quotient(((1, 1),), 10)
         with pytest.raises(ValueError, match=r"^sum d\*r = 9 is not "
                                              "divisible by 24"):
-            EtaQuotientSpec(((2, 3), (3, 1)))
+            eta_quotient([(2, 3), (3, 1)], 10)
+        # q^(1/2) prod: half-integer exponents
+        with pytest.raises(ValueError, match=r"^sum d\*r = 12 is not "
+                                             "divisible by 24"):
+            eta_quotient(((1, 12),), 10)
+
+    @pytest.mark.parametrize("factors", [((0, 24),), ((-1, 24),),
+                                         ((1, 24), (0, 1))])
+    def test_level_below_one_is_refused(self, factors):
+        with pytest.raises(ValueError, match="^d must be positive$"):
+            eta_quotient(factors, 10)
+
+    def test_takes_any_iterable_of_pairs(self):
+        want = eta_quotient(G_SPEC, 40)
+        for factors in (list(G_SPEC), [list(f) for f in G_SPEC],
+                        iter(G_SPEC)):
+            got = eta_quotient(factors, 40)
+            assert (got.offset, got.coeffs, got.trunc) \
+                == (want.offset, want.coeffs, want.trunc)
 
     def test_pure_product_against_euler(self):
         # eta(tau)^24 = q (q;q)_inf^24 ties the quotient builder to the
         # independent binomial-product route
-        z = eta_quotient(EtaQuotientSpec(((1, 24),)), 30)
+        z = eta_quotient(((1, 24),), 30)
         assert z.offset == 1
         assert z.first_mismatch((euler_factor(1, 1, 29) ** 24).shift(1),
                                 30) is None
@@ -586,7 +605,7 @@ class TestPentagonalQuotient:
          [(121, 1, 2), (601, 1, -2), (601, 1, -2), (1201, 1, 2),
           (1201, 5, 1)]),
         # the multiplier: (50, 2) on q^50, (2, -2) on q^2
-        (LADDER_MULTIPLIER_SPEC.factors,
+        (LADDER_MULTIPLIER_SPEC,
          [(25, 1, 2), (601, 1, -2), (1201, 1, 3), (1201, 25, -3)]),
         # P_5, a series in q^5: every pass on ceil(N/5) coefficients or
         # fewer
@@ -615,15 +634,25 @@ class TestPentagonalQuotient:
         with pytest.raises(ValueError):
             pentagonal_quotient(((0, 1),), 10)
 
+    def test_more_than_eight_factors_are_refused(self):
+        # 9! orders would be searched before the first pass; a factor
+        # with r = 0 is no factor
+        nine = [(d, 1) for d in range(1, 10)]
+        with pytest.raises(ValueError, match="^9 nonzero factors: at most 8 "
+                                             "are searched"):
+            pentagonal_quotient(nine, 10)
+        got = pentagonal_quotient(nine[:8] + [(9, 0)], 10)
+        assert got.first_mismatch(_dense_quotient(nine[:8], 10), 10) is None
+
     @pytest.mark.parametrize(
         "spec", [LADDER_MULTIPLIER_SPEC, HAUPTMODUL_SPEC, PHI_SPEC]
         + [spec_power(PHI_SPEC, mu) for mu in range(-6, 8)],
         ids=["multiplier", "hauptmodul", "phi"]
         + [f"phi^{mu}" for mu in range(-6, 8)])
     def test_eta_quotient_matches_dense_products(self, spec):
-        shift = spec.prefactor_exponent
+        shift = prefactor_exponent(spec)
         got = eta_quotient(spec, 300)
-        want = _dense_quotient(spec.factors, 300 - shift).shift(shift)
+        want = _dense_quotient(spec, 300 - shift).shift(shift)
         assert got.offset == want.offset and got.trunc == want.trunc == 300
         assert got.first_mismatch(want, 300) is None
 
